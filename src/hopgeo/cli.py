@@ -21,7 +21,7 @@ from pathlib import Path
 from . import __version__
 from .config import ConfigError, KVView, read_kv_file
 from .dynamics import recall
-from .errors import ArgumentError, NumericError, TrainingDivergenceError
+from .errors import ArgumentError, DimensionError, NumericError, TrainingDivergenceError
 from .infogeo import fisher_matrix, spectrum, write_spectrum_csv
 from .kernel_core import (
     KernelConfig,
@@ -143,7 +143,13 @@ def _load_artifacts(weights_dir):
     wt_path = d / "weights.txt"
     if not pat_path.exists() or not wt_path.exists():
         raise FileNotFoundError(f"missing patterns.txt or weights.txt in {d}")
-    return load_patterns(pat_path), load_weights(wt_path)
+    patterns, weights = load_patterns(pat_path), load_weights(wt_path)
+    if weights.alpha.shape != patterns.patterns.shape:
+        raise DimensionError(
+            f"{wt_path} holds P x N = {weights.alpha.shape} but "
+            f"{pat_path} holds {patterns.patterns.shape}"
+        )
+    return patterns, weights
 
 
 def cmd_spectrum(args, argv) -> int:

@@ -130,21 +130,27 @@ def spectrum(G: FisherMatrix) -> FisherSpectrum:
     )
 
 
+def _natural_gradient_parts(grad, spec: FisherSpectrum, rel_cutoff: float):
+    # natural gradient, the gradient's coefficients on the retained modes, their eigenvalues
+    if not (0.0 < rel_cutoff < 1.0):
+        raise ArgumentError(f"rel_cutoff must lie in (0, 1), got {rel_cutoff}")
+    if spec.lambda_max <= 0.0:
+        raise DegenerateSpectrumError("cannot invert an all-zero spectrum")
+    keep = spec.eigenvalues > rel_cutoff * spec.lambda_max
+    V = spec.eigenvectors[:, keep]
+    lam = spec.eigenvalues[keep]
+    coeffs = V.T @ np.asarray(grad, dtype=float)
+    return V @ (coeffs / lam), coeffs, lam
+
+
 def natural_gradient(grad, spec: FisherSpectrum, rel_cutoff: float = DEFAULT_REL_CUTOFF):
     """Spectral pseudo-inverse of the metric applied to the gradient.
 
     Only modes with lambda_k > rel_cutoff * lambda_1 are inverted; returns
     (natural gradient, number of retained modes).
     """
-    if not (0.0 < rel_cutoff < 1.0):
-        raise ArgumentError(f"rel_cutoff must lie in (0, 1), got {rel_cutoff}")
-    if spec.lambda_max <= 0.0:
-        raise DegenerateSpectrumError("cannot invert an all-zero spectrum")
-    grad = np.asarray(grad, dtype=float)
-    keep = spec.eigenvalues > rel_cutoff * spec.lambda_max
-    coeffs = spec.eigenvectors[:, keep].T @ grad
-    nat = spec.eigenvectors[:, keep] @ (coeffs / spec.eigenvalues[keep])
-    return nat, int(np.count_nonzero(keep))
+    nat, _, lam = _natural_gradient_parts(grad, spec, rel_cutoff)
+    return nat, lam.size
 
 
 def gradient_report(
@@ -175,10 +181,8 @@ def gradient_report(
             d_eff=0.0,
             degenerate=True,
         )
-    keep = spec.eigenvalues > rel_cutoff * spec.lambda_max
-    coeffs = spec.eigenvectors[:, keep].T @ grad
-    riemann = float(np.sum(coeffs * coeffs / spec.eigenvalues[keep]))
-    nat, retained = natural_gradient(grad, spec, rel_cutoff)
+    nat, coeffs, lam_kept = _natural_gradient_parts(grad, spec, rel_cutoff)
+    riemann = float(np.sum(coeffs * coeffs / lam_kept))
     v1 = spec.eigenvectors[:, 0]
     rank1_term = spec.lambda_max * float(v1 @ nat) * v1
     gnorm = float(np.linalg.norm(grad))
@@ -189,7 +193,7 @@ def gradient_report(
         rank1_residual=residual,
         nat_grad_norm=float(np.linalg.norm(nat)),
         cutoff_used=rel_cutoff,
-        retained_modes=retained,
+        retained_modes=lam_kept.size,
         lambda_max=spec.lambda_max,
         d_eff=spec.d_eff,
         degenerate=False,

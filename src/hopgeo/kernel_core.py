@@ -132,11 +132,42 @@ def save_patterns(ps: PatternSet, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def read_artifact(path, header: str, types: tuple, cast) -> tuple[list, np.ndarray]:
+    """Parse a text artifact: a header line, then P rows of N values.
+
+    `header` names the header fields, `types` converts them; the first two
+    are P and N. `cast` converts each body value. An empty, truncated,
+    ragged or non-numeric file raises ArgumentError or DimensionError
+    naming the file.
+    """
+    path = Path(path)
+    try:
+        lines = path.read_text().splitlines()
+    except UnicodeDecodeError:
+        raise ArgumentError(f"{path}: not a text file") from None
+    fields = lines[0].split() if lines else []
+    try:
+        head = [t(v) for t, v in zip(types, fields, strict=True)]
+    except ValueError:
+        raise ArgumentError(f"{path}: first line must be `{header}`") from None
+    P, N = head[0], head[1]
+    if P < 1 or N < 1:
+        raise DimensionError(f"{path}: P and N must be >= 1, got {P} and {N}")
+    shape_msg = f"{path}: expected {P} rows of {N} values after the header"
+    if len(lines) - 1 != P:
+        raise DimensionError(shape_msg)
+    try:
+        rows = [[cast(v) for v in line.split()] for line in lines[1:]]
+    except ValueError:
+        raise ArgumentError(f"{path}: body holds a value that is not a number") from None
+    if any(len(r) != N for r in rows):
+        raise DimensionError(shape_msg)
+    return head, np.array(rows)
+
+
 def load_patterns(path) -> PatternSet:
-    lines = Path(path).read_text().splitlines()
-    P, N, seed = lines[0].split()
-    P, N, seed = int(P), int(N), int(seed)
-    pats = np.array([[int(v) for v in line.split()] for line in lines[1 : 1 + P]])
-    if pats.shape != (P, N):
-        raise DimensionError(f"pattern file body {pats.shape} does not match header ({P}, {N})")
-    return PatternSet(patterns=pats, seed=seed)
+    (_, _, seed), pats = read_artifact(path, "P N seed", (int, int, int), int)
+    try:
+        return PatternSet(patterns=pats, seed=seed)
+    except ArgumentError as e:
+        raise ArgumentError(f"{path}: {e}") from None

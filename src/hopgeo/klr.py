@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ArgumentError, DimensionError, TrainingDivergenceError
-from .kernel_core import GramMatrix, KernelConfig, PatternSet, gram
+from .kernel_core import GramMatrix, KernelConfig, PatternSet, gram, read_artifact
 
 # Loss may not increase by more than this between accepted epochs.
 DESCENT_SLACK = 1e-12
@@ -68,14 +68,20 @@ def all_targets(patterns: PatternSet) -> np.ndarray:
     return ((patterns.patterns + 1) // 2).astype(float)
 
 
+def _logistic(h: np.ndarray, e: np.ndarray) -> np.ndarray:
+    # sigma(h) from e = exp(-|h|): 1/(1+e) for h >= 0, e/(1+e) below; never overflows
+    return np.where(h >= 0, 1.0, e) / (1.0 + e)
+
+
+def _bce_terms(h: np.ndarray, t: np.ndarray, e: np.ndarray) -> np.ndarray:
+    # softplus(h) - t*h == -[t log p + (1-t) log(1-p)], with e = exp(-|h|)
+    return np.maximum(h, 0.0) + np.log1p(e) - t * h
+
+
 def sigmoid(h):
     """Numerically stable logistic function, elementwise."""
     h = np.asarray(h, dtype=float)
-    out = np.empty_like(h)
-    pos = h >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-h[pos]))
-    eh = np.exp(h[~pos])
-    out[~pos] = eh / (1.0 + eh)
+    out = _logistic(h, np.exp(-np.abs(h)))
     if out.ndim == 0:
         return float(out)
     return out
@@ -91,11 +97,6 @@ def predict_probs(alpha_col: np.ndarray, K: GramMatrix) -> np.ndarray:
     return sigmoid(K.values @ alpha_col)
 
 
-def _bce_terms(h: np.ndarray, t: np.ndarray) -> np.ndarray:
-    # softplus(h) - t*h == -[t log p + (1-t) log(1-p)], stable for any h
-    return np.logaddexp(0.0, h) - t * h
-
-
 def loss(alpha_col, K: GramMatrix, targets, lam: float) -> float:
     """Cross-entropy over stored patterns plus (lam/2) alpha' K alpha."""
     alpha_col = np.asarray(alpha_col, dtype=float)
@@ -105,7 +106,7 @@ def loss(alpha_col, K: GramMatrix, targets, lam: float) -> float:
     if alpha_col.shape != t.shape or alpha_col.shape != (K.values.shape[0],):
         raise DimensionError("alpha, targets and Gram matrix sizes disagree")
     h = K.values @ alpha_col
-    return float(np.sum(_bce_terms(h, t)) + 0.5 * lam * alpha_col @ h)
+    return float(np.sum(_bce_terms(h, t, np.exp(-np.abs(h)))) + 0.5 * lam * alpha_col @ h)
 
 
 def loss_gradient(alpha_col, K: GramMatrix, targets, lam: float) -> np.ndarray:
@@ -120,10 +121,10 @@ def loss_gradient(alpha_col, K: GramMatrix, targets, lam: float) -> np.ndarray:
 
 @dataclass
 class FitResult:
-    alpha: np.ndarray          # (P, N) final iterates
-    epochs: int                # epochs actually run
-    diverged: list             # neuron indices frozen after a divergence
-    converged: np.ndarray      # bool per neuron: reached grad_tol
+    alpha: np.ndarray                 # (P, N) final iterates, C order
+    epochs: int                       # epochs actually run
+    diverged: list[tuple[int, int]]   # (neuron, epoch) of each column reverted by the monitor
+    converged: np.ndarray             # bool per neuron: reached grad_tol
 
 
 def fit_dual_weights(K: np.ndarray, T: np.ndarray, cfg: TrainConfig) -> FitResult:
@@ -134,25 +135,35 @@ def fit_dual_weights(K: np.ndarray, T: np.ndarray, cfg: TrainConfig) -> FitResul
     column is frozen once its gradient norm drops below grad_tol. A column
     whose loss becomes non-finite or increases by more than DESCENT_SLACK
     is reverted to its last accepted iterate and recorded in `diverged`.
+    Each epoch evaluates exp(-|H|) once, for both the loss and the sigmoid.
+    Until the first column freezes, A is stepped in place and T read whole;
+    from then on the active columns are gathered and scattered every epoch.
+    A is F-ordered like a gather A[:, idx]: BLAS rounds K @ A differently per layout.
     """
     P, N = T.shape
-    A = np.zeros((P, N))
+    A = np.zeros((P, N), order="F")
     active = np.ones(N, dtype=bool)
     converged = np.zeros(N, dtype=bool)
-    diverged: list[int] = []
+    diverged: list[tuple[int, int]] = []
     prev_loss = np.full(N, np.inf)
-    prev_A = A.copy()
+    prev_A = np.zeros_like(A)
+    idx = np.arange(N)
+    compacted = False
     epochs_run = 0
     for epoch in range(cfg.max_epochs):
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
-            break
-        Aa = A[:, idx]
+        if compacted:
+            idx = np.flatnonzero(active)
+            if idx.size == 0:
+                break
+            Aa, Ta = A[:, idx], T[:, idx]
+        else:
+            Aa, Ta = A, T
         H = K @ Aa
-        Ta = T[:, idx]
-        ls = np.sum(_bce_terms(H, Ta), axis=0) + 0.5 * cfg.lam * np.sum(Aa * H, axis=0)
+        E = np.exp(-np.abs(H))
+        ls = np.sum(_bce_terms(H, Ta, E), axis=0) + 0.5 * cfg.lam * np.sum(Aa * H, axis=0)
         bad = ~np.isfinite(ls) | (ls > prev_loss[idx] + DESCENT_SLACK)
         if bad.any():
+            compacted = True
             for j in idx[bad]:
                 diverged.append((int(j), epoch))
             A[:, idx[bad]] = prev_A[:, idx[bad]]
@@ -160,31 +171,26 @@ def fit_dual_weights(K: np.ndarray, T: np.ndarray, cfg: TrainConfig) -> FitResul
             idx = idx[~bad]
             if idx.size == 0:
                 continue
-            H = H[:, ~bad]
-            Ta = Ta[:, ~bad]
-            ls = ls[~bad]
+            H, E, Ta, ls = H[:, ~bad], E[:, ~bad], Ta[:, ~bad], ls[~bad]
         prev_loss[idx] = ls
-        Pm = _sigmoid_matrix(H)
-        Grad = K @ (Pm - Ta) + cfg.lam * H
+        Grad = K @ (_logistic(H, E) - Ta) + cfg.lam * H
         gnorm = np.sqrt(np.sum(Grad * Grad, axis=0))
         done = gnorm < cfg.grad_tol
-        converged[idx[done]] = True
-        active[idx[done]] = False
-        step = ~done
-        if step.any():
-            prev_A[:, idx[step]] = A[:, idx[step]]
-            A[:, idx[step]] -= cfg.learning_rate * Grad[:, step]
+        if not compacted and not done.any():
+            np.copyto(prev_A, A)
+            A -= cfg.learning_rate * Grad
+        else:
+            compacted = True
+            converged[idx[done]] = True
+            active[idx[done]] = False
+            step = ~done
+            if step.any():
+                prev_A[:, idx[step]] = A[:, idx[step]]
+                A[:, idx[step]] -= cfg.learning_rate * Grad[:, step]
         epochs_run = epoch + 1
-    return FitResult(alpha=A, epochs=epochs_run, diverged=diverged, converged=converged)
-
-
-def _sigmoid_matrix(H: np.ndarray) -> np.ndarray:
-    out = np.empty_like(H)
-    pos = H >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-H[pos]))
-    eh = np.exp(H[~pos])
-    out[~pos] = eh / (1.0 + eh)
-    return out
+    return FitResult(
+        alpha=np.ascontiguousarray(A), epochs=epochs_run, diverged=diverged, converged=converged
+    )
 
 
 def train(patterns: PatternSet, kcfg: KernelConfig, tcfg: TrainConfig) -> DualWeights:
@@ -210,11 +216,10 @@ def save_weights(w: DualWeights, path) -> None:
 
 
 def load_weights(path) -> DualWeights:
-    lines = Path(path).read_text().splitlines()
-    head = lines[0].split()
-    P, N = int(head[0]), int(head[1])
-    gamma, lam, epochs = float(head[2]), float(head[3]), int(head[4])
-    alpha = np.array([[float(v) for v in line.split()] for line in lines[1 : 1 + P]])
-    if alpha.shape != (P, N):
-        raise DimensionError(f"weights file body {alpha.shape} does not match header ({P}, {N})")
-    return DualWeights(alpha=alpha, gamma=gamma, lam=lam, trained_epochs=epochs)
+    (_, _, gamma, lam, epochs), alpha = read_artifact(
+        path, "P N gamma lambda epochs", (int, int, float, float, int), float
+    )
+    try:
+        return DualWeights(alpha=alpha, gamma=gamma, lam=lam, trained_epochs=epochs)
+    except ArgumentError as e:
+        raise ArgumentError(f"{path}: {e}") from None

@@ -149,6 +149,51 @@ def test_spectrum_missing_artifacts_exits_2(tmp_path):
     assert code == 2
 
 
+def run_on_artifacts(command, weights_dir, tmp_path):
+    if command == "spectrum":
+        return main(["spectrum", "--weights", str(weights_dir), "--out", str(tmp_path / "s.csv")])
+    return main(["recall", "--weights", str(weights_dir), "--flip-fractions", "0.1",
+                 "--trials", "1", "--out", str(tmp_path / "r.csv")])
+
+
+def assert_one_line_error(capsys, *names):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+    for name in names:
+        assert name in err
+
+
+DAMAGE = {
+    "empty": lambda text: "",
+    "truncated": lambda text: text[: len(text) // 2],
+    "garbled": lambda text: text.replace("\n", "\nx", 1),
+}
+
+
+@pytest.mark.parametrize("command", ["spectrum", "recall"])
+@pytest.mark.parametrize("artifact", ["weights.txt", "patterns.txt"])
+@pytest.mark.parametrize("damage", sorted(DAMAGE))
+def test_damaged_artifact_exits_2_with_one_line(tmp_path, capsys, command, artifact, damage):
+    _, out = run_train(tmp_path)
+    path = out / artifact
+    path.write_text(DAMAGE[damage](path.read_text()))
+    capsys.readouterr()
+    assert run_on_artifacts(command, out, tmp_path) == 2
+    assert_one_line_error(capsys, artifact)
+
+
+@pytest.mark.parametrize("command", ["spectrum", "recall"])
+def test_mismatched_artifacts_exit_2_with_one_line(tmp_path, capsys, command):
+    _, out = run_train(tmp_path)
+    _, other = run_train(tmp_path, sub="other", num_patterns=4)
+    (out / "weights.txt").write_bytes((other / "weights.txt").read_bytes())
+    capsys.readouterr()
+    assert run_on_artifacts(command, out, tmp_path) == 2
+    assert_one_line_error(capsys, "weights.txt", "patterns.txt")
+
+
 def test_phase_writes_grid_and_svgs(tmp_path, capsys):
     cfg = tmp_path / "grid.cfg"
     cfg.write_text(grid_cfg_text())

@@ -7,7 +7,9 @@ import pytest
 from hopgeo.errors import DimensionError, TrainingDivergenceError
 from hopgeo.kernel_core import GramMatrix, KernelConfig, generate_patterns, gram
 from hopgeo.klr import (
+    DESCENT_SLACK,
     DualWeights,
+    FitResult,
     TrainConfig,
     all_targets,
     fit_dual_weights,
@@ -212,6 +214,92 @@ def test_weights_roundtrip_exact(tmp_path):
     assert back.gamma == w.gamma
     assert back.lam == w.lam
     assert back.trained_epochs == w.trained_epochs
+
+
+def _reference_fit(K, T, cfg):
+    """Oracle for fit_dual_weights: gathers the active columns every epoch.
+
+    The plain loop that the fused, in-place epoch must reproduce bit for bit.
+    """
+    def sigmoid_masked(H):
+        out = np.empty_like(H)
+        pos = H >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-H[pos]))
+        eh = np.exp(H[~pos])
+        out[~pos] = eh / (1.0 + eh)
+        return out
+
+    P, N = T.shape
+    A = np.zeros((P, N))
+    active = np.ones(N, dtype=bool)
+    converged = np.zeros(N, dtype=bool)
+    diverged = []
+    prev_loss = np.full(N, np.inf)
+    prev_A = A.copy()
+    epochs_run = 0
+    for epoch in range(cfg.max_epochs):
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
+            break
+        Aa = A[:, idx]
+        H = K @ Aa
+        Ta = T[:, idx]
+        bce = np.logaddexp(0.0, H) - Ta * H
+        ls = np.sum(bce, axis=0) + 0.5 * cfg.lam * np.sum(Aa * H, axis=0)
+        bad = ~np.isfinite(ls) | (ls > prev_loss[idx] + DESCENT_SLACK)
+        if bad.any():
+            for j in idx[bad]:
+                diverged.append((int(j), epoch))
+            A[:, idx[bad]] = prev_A[:, idx[bad]]
+            active[idx[bad]] = False
+            idx = idx[~bad]
+            if idx.size == 0:
+                continue
+            H = H[:, ~bad]
+            Ta = Ta[:, ~bad]
+            ls = ls[~bad]
+        prev_loss[idx] = ls
+        Grad = K @ (sigmoid_masked(H) - Ta) + cfg.lam * H
+        gnorm = np.sqrt(np.sum(Grad * Grad, axis=0))
+        done = gnorm < cfg.grad_tol
+        converged[idx[done]] = True
+        active[idx[done]] = False
+        step = ~done
+        if step.any():
+            prev_A[:, idx[step]] = A[:, idx[step]]
+            A[:, idx[step]] -= cfg.learning_rate * Grad[:, step]
+        epochs_run = epoch + 1
+    return FitResult(alpha=A, epochs=epochs_run, diverged=diverged, converged=converged)
+
+
+def test_fit_matches_gathering_reference_bit_for_bit():
+    # P >= 17 is where OpenBLAS rounds K @ A differently for C- and F-ordered A
+    rng = np.random.default_rng(1)
+    seen = {"large_P": 0, "converged": 0, "diverged": 0, "both": 0}
+    for _ in range(200):
+        P, N = int(rng.integers(1, 40)), int(rng.integers(1, 80))
+        ps = generate_patterns(P, N, int(rng.integers(2**31)))
+        K = gram(ps, KernelConfig(gamma=float(10 ** rng.uniform(-4, 1)))).values
+        T = all_targets(ps)
+        cfg = TrainConfig(
+            lam=float(10 ** rng.uniform(-6, -1)),
+            learning_rate=float(10 ** rng.uniform(-2, 1)),
+            max_epochs=int(rng.integers(1, 300)),
+            grad_tol=float(10 ** rng.uniform(-8, -0.5)),
+        )
+        got = fit_dual_weights(K, T, cfg)
+        want = _reference_fit(K, T, cfg)
+        assert got.alpha.flags.c_contiguous
+        assert np.array_equal(got.alpha, want.alpha)
+        assert got.epochs == want.epochs
+        assert got.diverged == want.diverged
+        assert np.array_equal(got.converged, want.converged)
+        if P >= 17:
+            seen["large_P"] += 1
+            seen["converged"] += bool(want.converged.any())
+            seen["diverged"] += bool(want.diverged)
+            seen["both"] += bool(want.converged.any() and want.diverged)
+    assert min(seen.values()) >= 1, seen
 
 
 def test_dual_weights_rejects_nonfinite():
