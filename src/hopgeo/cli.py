@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import __version__
 from .config import ConfigError, KVView, read_kv_file
-from .dynamics import recall
+from .dynamics import recall_batch
 from .errors import ArgumentError, DimensionError, NumericError, TrainingDivergenceError
 from .infogeo import fisher_matrix, spectrum, write_spectrum_csv
 from .kernel_core import (
@@ -195,6 +195,9 @@ def cmd_phase(args, argv) -> int:
         "grad_tol": cfg.train.grad_tol,
         "rel_cutoff": cfg.rel_cutoff,
         "metrics": list(cfg.metrics),
+        "recall_flip_fraction": cfg.recall_flip_fraction,
+        "success_threshold": cfg.success_threshold,
+        "recall_max_steps": cfg.recall_max_steps,
     }
     _write_manifest(out, argv, resolved, {"base_seed": cfg.base_seed}, started)
     return EXIT_OK
@@ -218,14 +221,17 @@ def cmd_recall(args, argv) -> int:
         hits = 0
         total = 0
         for t in range(args.trials):
-            for mu in range(patterns.num_patterns):
-                cue_seed = ((base_seed * 1_000_003 + fi) * 1_000_003 + t) * 1_000_003 + mu
-                cue = corrupt(patterns.patterns[mu], frac, cue_seed)
-                r = recall(
-                    cue, mu, patterns, weights, kcfg,
-                    max_steps=args.max_steps,
-                    success_threshold=args.success_threshold,
-                )
+            cues = [
+                corrupt(patterns.patterns[mu], frac,
+                        ((base_seed * 1_000_003 + fi) * 1_000_003 + t) * 1_000_003 + mu)
+                for mu in range(patterns.num_patterns)
+            ]
+            results = recall_batch(
+                cues, range(patterns.num_patterns), patterns, weights, kcfg,
+                max_steps=args.max_steps,
+                success_threshold=args.success_threshold,
+            )
+            for mu, r in enumerate(results):
                 hits += int(r.success)
                 total += 1
                 lines.append(
@@ -241,6 +247,8 @@ def cmd_recall(args, argv) -> int:
 
 def cmd_render(args, argv) -> int:
     cells = read_grid_csv(args.grid)
+    if not cells:
+        raise ArgumentError(f"{args.grid}: no grid cells after the header")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     metrics = args.metrics.split() if args.metrics else list(DEFAULT_LOG10)
@@ -312,7 +320,7 @@ def main(argv=None) -> int:
     except (TrainingDivergenceError, NumericError) as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ConfigError, ArgumentError, FileNotFoundError, ValueError) as e:
+    except (ConfigError, ArgumentError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

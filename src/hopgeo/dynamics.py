@@ -19,6 +19,8 @@ from .kernel_core import KernelConfig, PatternSet
 from .klr import DualWeights
 
 DEFAULT_SUCCESS_THRESHOLD = 0.95
+# cues stepped together by recall_batch; bounds its (block, P) and (block, N) temporaries
+RECALL_BLOCK = 64
 
 
 @dataclass
@@ -73,35 +75,101 @@ def recall(
     """Iterate synchronous updates until a fixed point, 2-cycle, or max_steps.
 
     On a 2-cycle the higher-overlap state of the cycle is reported with
-    converged=False.
+    converged=False. This is recall_batch on a batch of one cue.
+    """
+    return recall_batch(
+        np.asarray(cue)[None, :], [target_index], patterns, weights, kcfg,
+        max_steps, success_threshold,
+    )[0]
+
+
+def recall_batch(
+    cues,
+    target_indices,
+    patterns: PatternSet,
+    weights: DualWeights,
+    kcfg: KernelConfig,
+    max_steps: int = 100,
+    success_threshold: float = DEFAULT_SUCCESS_THRESHOLD,
+) -> list:
+    """recall() of cues[m] toward pattern target_indices[m], for every m.
+
+    `cues` is a sequence of length-N ±1 vectors (or an (M, N) array).
+    Cues are stepped together in blocks of RECALL_BLOCK, which bounds the
+    temporaries whatever M is; each RecallResult equals recall() of that
+    cue alone, bit for bit.
     """
     if max_steps < 1:
         raise ArgumentError(f"max_steps must be >= 1, got {max_steps}")
     if not (0.0 < success_threshold <= 1.0):
         raise ArgumentError(f"success_threshold must be in (0, 1], got {success_threshold}")
-    target = patterns.patterns[target_index]
-    state = np.asarray(cue).copy()
-    prev = None
-    converged = False
-    steps = 0
-    for _ in range(max_steps):
-        new, changed = step(state, patterns, weights, kcfg)
-        steps += 1
-        if changed == 0:
-            converged = True
+    if len(target_indices) != len(cues):
+        raise DimensionError(f"{len(target_indices)} targets for {len(cues)} cues")
+    results = []
+    for start in range(0, len(cues), RECALL_BLOCK):
+        block = np.asarray(cues[start:start + RECALL_BLOCK])
+        if block.ndim != 2 or block.shape[1] != patterns.num_neurons:
+            raise DimensionError(
+                f"cue shape {block.shape[1:]} does not match N={patterns.num_neurons}"
+            )
+        if not np.isin(block, (-1, 1)).all():
+            raise ArgumentError("cue entries must be exactly -1 or +1")
+        targets = np.asarray(target_indices[start:start + RECALL_BLOCK], dtype=int)
+        results.extend(
+            _recall_block(block, targets, patterns, weights, kcfg, max_steps, success_threshold)
+        )
+    return results
+
+
+def _recall_block(cues, targets, patterns, weights, kcfg, max_steps, success_threshold):
+    # Each step computes the kernel values of all live cues with one matmul
+    # and their fields with another. The distances are sums of +-1 products,
+    # exact in any order, and exp is elementwise, so k has local_field's bits.
+    # Only the rounding of h depends on the summation order, and recall reads
+    # only its sign. Two orders of the P products differ by at most about
+    # P * eps * (k @ |alpha|), so a field within twice that of zero (ties
+    # included) is recomputed for its cue by local_field; every sign decision
+    # is then the one the single-cue loop makes. The bound is taken as
+    # max(k) * sum(|alpha|) >= k @ |alpha|, which costs no second matmul.
+    X = patterns.patterns.astype(float)
+    alpha = weights.alpha
+    abs_alpha_sum = np.abs(alpha).sum(axis=0)
+    N = patterns.num_neurons
+    guard = 2.0 * patterns.num_patterns * np.finfo(float).eps
+    results = [None] * cues.shape[0]
+    ids = np.arange(cues.shape[0])  # block row of each live cue
+    state = cues.astype(float)
+    prev = state  # no state differs from itself, so step 1 finds no 2-cycle
+    for steps in range(1, max_steps + 1):
+        k = np.exp(-kcfg.gamma * (2.0 * (N - state @ X.T)))
+        h = k @ alpha
+        bound = (guard * k.max(axis=1))[:, None] * abs_alpha_sum
+        sure = np.abs(h) > bound  # false near zero, and for nan
+        for r in np.flatnonzero(~sure.all(axis=1)):
+            h[r] = local_field(state[r], patterns, weights, kcfg)
+        new = np.sign(h)
+        tie = np.abs(new) != 1.0  # h == 0 or nan: keep the current value, as step() does
+        new[tie] = state[tie]
+        fixed = (new == state).all(axis=1)
+        cycle = ~fixed & (new == prev).all(axis=1)
+        done = fixed | cycle if steps < max_steps else np.ones_like(fixed)
+        for r in np.flatnonzero(done):
+            target = patterns.patterns[targets[ids[r]]]
+            final = new[r]  # equals state[r] at a fixed point
+            if cycle[r]:
+                # 2-cycle: keep whichever of the two states matches the target better
+                final = prev[r] if overlap(prev[r], target) > overlap(state[r], target) else state[r]
+            final = final.astype(cues.dtype)
+            m = overlap(final, target)
+            results[ids[r]] = RecallResult(
+                final_state=final,
+                overlap=m,
+                converged=bool(fixed[r]),
+                steps=steps,
+                success=m >= success_threshold,
+            )
+        live = ~done
+        if not live.any():
             break
-        if prev is not None and np.array_equal(new, prev):
-            # 2-cycle: keep whichever of the two states matches the target better
-            if overlap(prev, target) > overlap(state, target):
-                state = prev
-            break
-        prev = state
-        state = new
-    m = overlap(state, target)
-    return RecallResult(
-        final_state=state,
-        overlap=m,
-        converged=converged,
-        steps=steps,
-        success=m >= success_threshold,
-    )
+        ids, prev, state = ids[live], state[live], new[live]
+    return results

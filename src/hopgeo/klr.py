@@ -220,6 +220,7 @@ def load_weights(path) -> DualWeights:
         path, "P N gamma lambda epochs", (int, int, float, float, int), float
     )
     try:
+        KernelConfig(gamma=gamma)
         return DualWeights(alpha=alpha, gamma=gamma, lam=lam, trained_epochs=epochs)
     except ArgumentError as e:
         raise ArgumentError(f"{path}: {e}") from None

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import KVView, read_kv_file
-from .dynamics import recall
+from .dynamics import recall_batch
 from .errors import ArgumentError
 from .infogeo import DEFAULT_REL_CUTOFF, fisher_matrix, gradient_report, spectrum
 from .kernel_core import KernelConfig, corrupt, generate_patterns, gram
@@ -171,17 +171,19 @@ def run_cell(
             weights = DualWeights(
                 alpha=res.alpha, gamma=gamma, lam=cfg.train.lam, trained_epochs=res.epochs
             )
-            for mu in range(P):
-                cue_seed = trial_seed(cfg.base_seed, gamma_index, load_index,
-                                      cfg.trials_per_cell + t * P + mu)
-                cue = corrupt(patterns.patterns[mu], cfg.recall_flip_fraction, cue_seed)
-                r = recall(
-                    cue, mu, patterns, weights, kcfg,
-                    max_steps=cfg.recall_max_steps,
-                    success_threshold=cfg.success_threshold,
-                )
-                recall_hits += int(r.success)
-                recall_total += 1
+            cues = [
+                corrupt(patterns.patterns[mu], cfg.recall_flip_fraction,
+                        trial_seed(cfg.base_seed, gamma_index, load_index,
+                                   cfg.trials_per_cell + t * P + mu))
+                for mu in range(P)
+            ]
+            results = recall_batch(
+                cues, range(P), patterns, weights, kcfg,
+                max_steps=cfg.recall_max_steps,
+                success_threshold=cfg.success_threshold,
+            )
+            recall_hits += sum(r.success for r in results)
+            recall_total += P
     def sd(vals):
         return float(np.std(vals, ddof=0))
     return SweepCell(

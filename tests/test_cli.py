@@ -7,6 +7,7 @@ from hopgeo.cli import main
 from hopgeo.infogeo import fisher_matrix, spectrum
 from hopgeo.kernel_core import KernelConfig, generate_patterns, gram, load_patterns
 from hopgeo.klr import load_weights
+from hopgeo.sweep import CSV_COLUMNS
 
 
 def train_cfg_text(**overrides):
@@ -194,6 +195,37 @@ def test_mismatched_artifacts_exit_2_with_one_line(tmp_path, capsys, command):
     assert_one_line_error(capsys, "weights.txt", "patterns.txt")
 
 
+@pytest.mark.parametrize("command", ["spectrum", "recall"])
+@pytest.mark.parametrize("gamma", ["0", "-1", "nan", "inf"])
+def test_weights_with_bad_gamma_exit_2_naming_the_file(tmp_path, capsys, command, gamma):
+    _, out = run_train(tmp_path)
+    path = out / "weights.txt"
+    header, body = path.read_text().split("\n", 1)
+    fields = header.split()
+    fields[2] = gamma
+    path.write_text(" ".join(fields) + "\n" + body)
+    capsys.readouterr()
+    assert run_on_artifacts(command, out, tmp_path) == 2
+    assert_one_line_error(capsys, "weights.txt", "gamma")
+
+
+@pytest.mark.parametrize("command", ["train", "spectrum", "phase", "recall"])
+def test_output_path_under_a_file_exits_2_with_one_line(tmp_path, capsys, command):
+    _, net = run_train(tmp_path)
+    bad = net / "weights.txt" / "x"
+    grid_cfg = tmp_path / "grid.cfg"
+    grid_cfg.write_text(grid_cfg_text())
+    argv = {
+        "train": ["train", "--config", str(tmp_path / "train.cfg")],
+        "spectrum": ["spectrum", "--weights", str(net)],
+        "phase": ["phase", "--config", str(grid_cfg)],
+        "recall": ["recall", "--weights", str(net), "--flip-fractions", "0.1", "--trials", "1"],
+    }[command]
+    capsys.readouterr()
+    assert main(argv + ["--out", str(bad)]) == 2
+    assert_one_line_error(capsys, str(bad))
+
+
 def test_phase_writes_grid_and_svgs(tmp_path, capsys):
     cfg = tmp_path / "grid.cfg"
     cfg.write_text(grid_cfg_text())
@@ -215,6 +247,26 @@ def test_phase_worker_count_invariance(tmp_path):
     assert main(["phase", "--config", str(cfg), "--out", str(a), "--workers", "1"]) == 0
     assert main(["phase", "--config", str(cfg), "--out", str(b), "--workers", "2"]) == 0
     assert digests(a / "manifest.json") == digests(b / "manifest.json")
+
+
+def test_phase_reruns_from_its_manifest(tmp_path):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(
+        grid_cfg_text().replace("metrics = lambda_max d_eff rank1_residual", "metrics = d_eff recall_rate")
+        + "recall_flip_fraction = 0.25\nsuccess_threshold = 0.8\nrecall_max_steps = 1\n"
+    )
+    first = tmp_path / "first"
+    assert main(["phase", "--config", str(cfg), "--out", str(first),
+                 "--workers", "1", "--seed", "9"]) == 0
+    resolved = json.loads((first / "manifest.json").read_text())["resolved_config"]
+    rerun_cfg = tmp_path / "rerun.cfg"
+    rerun_cfg.write_text("".join(
+        f"{key} = {' '.join(map(str, value)) if isinstance(value, list) else value}\n"
+        for key, value in resolved.items()
+    ))
+    again = tmp_path / "again"
+    assert main(["phase", "--config", str(rerun_cfg), "--out", str(again), "--workers", "1"]) == 0
+    assert (again / "grid.csv").read_bytes() == (first / "grid.csv").read_bytes()
 
 
 def test_phase_bad_config_exits_2(tmp_path, capsys):
@@ -273,6 +325,14 @@ def test_render_from_existing_grid(tmp_path):
     assert code == 0
     assert (rout / "lambda_max.svg").read_bytes() == (out / "lambda_max.svg").read_bytes()
     assert (rout / "d_eff.svg").read_bytes() == (out / "d_eff.svg").read_bytes()
+
+
+def test_render_header_only_grid_exits_2_and_writes_no_svg(tmp_path, capsys):
+    grid = tmp_path / "grid.csv"
+    grid.write_text(",".join(CSV_COLUMNS) + "\n")
+    assert main(["render", "--grid", str(grid), "--out", str(tmp_path / "svg")]) == 2
+    assert_one_line_error(capsys, str(grid))
+    assert not list(tmp_path.rglob("*.svg"))
 
 
 def test_render_unknown_metric_exits_2(tmp_path):

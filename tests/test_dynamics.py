@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from hopgeo.dynamics import RecallResult, local_field, overlap, recall, step
+from hopgeo import dynamics
+from hopgeo.dynamics import RecallResult, local_field, overlap, recall, recall_batch, step
 from hopgeo.errors import ArgumentError, DimensionError
 from hopgeo.kernel_core import KernelConfig, PatternSet, corrupt, generate_patterns, gram
-from hopgeo.klr import DualWeights, TrainConfig, train
+from hopgeo.klr import DualWeights, TrainConfig, all_targets, fit_dual_weights, train
 
 
 def test_overlap_hand_values():
@@ -135,3 +136,125 @@ def test_success_threshold_boundary():
     assert res.success
     res = recall(cue, 0, ps, w, kcfg, success_threshold=0.95)
     assert not res.success
+
+
+def _reference_recall(cue, target_index, patterns, weights, kcfg, max_steps, success_threshold):
+    """The single-cue loop recall() ran before cues were batched; the oracle."""
+    target = patterns.patterns[target_index]
+    state = np.asarray(cue).copy()
+    prev = None
+    converged = False
+    steps = 0
+    for _ in range(max_steps):
+        new, changed = step(state, patterns, weights, kcfg)
+        steps += 1
+        if changed == 0:
+            converged = True
+            break
+        if prev is not None and np.array_equal(new, prev):
+            if overlap(prev, target) > overlap(state, target):
+                state = prev
+            break
+        prev = state
+        state = new
+    m = overlap(state, target)
+    return RecallResult(
+        final_state=state,
+        overlap=m,
+        converged=converged,
+        steps=steps,
+        success=m >= success_threshold,
+    )
+
+
+def _near_tie_alpha(alpha, patterns, cues, gamma):
+    # column i's last coefficient cancels its field at cue i % M to rounding
+    # level, so the sign of that field depends on the summation order
+    X = patterns.patterns.astype(float)
+    for i in range(alpha.shape[1]):
+        s = cues[i % len(cues)].astype(float)
+        k = np.exp(-gamma * (2.0 * (X.shape[1] - X @ s)))
+        alpha[-1, i] = -(k[:-1] @ alpha[:-1, i]) / k[-1]
+    return alpha
+
+
+def test_batched_recall_matches_single_cue_reference(monkeypatch):
+    rng = np.random.default_rng(20240915)
+    fields = 0
+    seen = {"fixed": 0, "two_cycle": 0, "exhausted": 0, "max_steps_1": 0, "zero_alpha_tie": 0}
+    near_tie_recomputes = 0
+    recomputes = []
+
+    def counting_field(*args, **kwargs):
+        recomputes.append(args[0])
+        return local_field(*args, **kwargs)
+
+    for c in range(240):
+        kind = ("random", "integer", "zero_alpha", "near_tie", "trained")[c % 5]
+        P = int(rng.integers(2, 24))
+        N = int(rng.integers(2, 48))
+        gamma = float(10 ** rng.uniform(-3, 0.5))
+        kcfg = KernelConfig(gamma=gamma)
+        ps = generate_patterns(P, N, c)
+        M = int(rng.integers(1, 2 * dynamics.RECALL_BLOCK + 3))
+        targets = rng.integers(0, P, M)
+        cues = np.array([
+            corrupt(ps.patterns[t], float(rng.uniform(0, 0.5)), int(rng.integers(2**62)))
+            for t in targets
+        ])
+        if kind == "random":
+            alpha = rng.standard_normal((P, N))
+        elif kind == "integer":
+            alpha = rng.integers(-2, 3, (P, N)).astype(float)  # exact ties are common
+        elif kind == "zero_alpha":
+            alpha = np.zeros((P, N))
+        elif kind == "near_tie":
+            alpha = _near_tie_alpha(rng.standard_normal((P, N)), ps, cues, gamma)
+        else:
+            alpha = fit_dual_weights(gram(ps, kcfg).values, all_targets(ps),
+                                     TrainConfig(lam=1e-6, learning_rate=0.01,
+                                                 max_epochs=50, grad_tol=1e-6)).alpha
+        w = DualWeights(alpha=alpha, gamma=gamma, lam=0.0, trained_epochs=0)
+        max_steps = 1 if c % 7 == 0 else int(rng.integers(2, 9))
+        threshold = float(rng.uniform(0.5, 1.0))
+        recomputes.clear()
+        with monkeypatch.context() as m:
+            m.setattr(dynamics, "local_field", counting_field)
+            batch = recall_batch(cues, targets, ps, w, kcfg, max_steps, threshold)
+        if kind == "near_tie":
+            near_tie_recomputes += len(recomputes)
+        assert len(batch) == M
+        for cue, t, got in zip(cues, targets, batch):
+            want = _reference_recall(cue, t, ps, w, kcfg, max_steps, threshold)
+            assert got.final_state.dtype == want.final_state.dtype
+            assert np.array_equal(got.final_state, want.final_state)
+            assert got.overlap == want.overlap
+            assert got.converged == want.converged
+            assert got.steps == want.steps
+            assert got.success == want.success
+            fields += 1
+            if want.converged:
+                seen["fixed"] += 1
+                seen["zero_alpha_tie"] += kind == "zero_alpha" and want.steps == 1
+            elif want.steps < max_steps:
+                seen["two_cycle"] += 1
+            else:
+                seen["exhausted"] += 1
+            seen["max_steps_1"] += max_steps == 1
+    assert fields > 5000
+    assert all(seen.values()), seen
+    # near-tie fields are decided by the guard's recomputation, not the matmul
+    assert near_tie_recomputes > 0
+
+
+def test_recall_batch_argument_checks():
+    ps = generate_patterns(2, 4, 0)
+    w = DualWeights(alpha=np.zeros((2, 4)), gamma=0.1, lam=0.0, trained_epochs=0)
+    kcfg = KernelConfig(gamma=0.1)
+    assert recall_batch(np.empty((0, 4), dtype=int), [], ps, w, kcfg) == []
+    with pytest.raises(DimensionError):
+        recall_batch(ps.patterns, [0], ps, w, kcfg)
+    with pytest.raises(DimensionError):
+        recall_batch(np.ones((1, 5), dtype=int), [0], ps, w, kcfg)
+    with pytest.raises(ArgumentError):
+        recall_batch(np.zeros((1, 4), dtype=int), [0], ps, w, kcfg)
