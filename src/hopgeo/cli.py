@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -88,15 +89,16 @@ def _train_config_from_file(path, seed_override=None):
     N = view.require("num_neurons", "int")
     gamma = view.require("gamma", "float")
     seed = view.get_int("seed", 0)
-    tcfg = TrainConfig(
-        lam=view.get_float("lambda", 1e-4),
-        learning_rate=view.get_float("learning_rate", 0.1),
-        max_epochs=view.get_int("max_epochs", 100_000),
-        grad_tol=view.get_float("grad_tol", 1e-6),
-    )
+    with view.fields():
+        tcfg = TrainConfig(
+            lam=view.get_float("lambda", 1e-4),
+            learning_rate=view.get_float("learning_rate", 0.1),
+            max_epochs=view.get_int("max_epochs", 100_000),
+            grad_tol=view.get_float("grad_tol", 1e-6),
+        )
     view.reject_unknown()
-    if gamma <= 0:
-        raise view.error("gamma", f"must be positive, got {gamma}")
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise view.error("gamma", f"must be positive and finite, got {gamma}")
     if P < 1:
         raise view.error("num_patterns", f"must be >= 1, got {P}")
     if N < 1:
@@ -156,7 +158,7 @@ def cmd_spectrum(args, argv) -> int:
     patterns, weights = _load_artifacts(args.weights)
     K = gram(patterns, KernelConfig(gamma=weights.gamma))
     specs = [
-        spectrum(fisher_matrix(weights.alpha[:, i], K, neuron_index=i))
+        spectrum(fisher_matrix(weights.alpha[:, i], K))
         for i in range(patterns.num_neurons)
     ]
     write_spectrum_csv(specs, args.out)

@@ -7,7 +7,10 @@ line number and field name so the CLI can report them precisely.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from pathlib import Path
+
+from .errors import FieldError
 
 
 class ConfigError(ValueError):
@@ -107,6 +110,14 @@ class KVView:
 
     def error(self, key, message) -> ConfigError:
         return ConfigError(self.path, self.line_of(key), f"field {key!r}: {message}")
+
+    @contextmanager
+    def fields(self):
+        """Report a FieldError raised in the block as an error at that field's line."""
+        try:
+            yield
+        except FieldError as e:
+            raise self.error(e.field, e.message) from None
 
 
 class _Required:

@@ -9,6 +9,18 @@ class ArgumentError(ValueError):
     """A scalar argument is outside its documented range."""
 
 
+class FieldError(ArgumentError):
+    """A named configuration field is outside its documented range.
+
+    Config-file readers turn it into an error at the field's file and line.
+    """
+
+    def __init__(self, field: str, message: str):
+        self.field = field
+        self.message = message
+        super().__init__(f"{field} {message}")
+
+
 class TrainingDivergenceError(RuntimeError):
     """Training produced a non-finite or increasing loss.
 

@@ -26,8 +26,6 @@ DEFAULT_REL_CUTOFF = 1e-10
 @dataclass
 class FisherMatrix:
     values: np.ndarray  # (P, P), symmetric PSD
-    neuron_index: int = -1
-    source_gamma: float = float("nan")
 
 
 @dataclass
@@ -45,8 +43,6 @@ class GradientReport:
     euclid_norm_sq: float
     riemann_norm_sq: float
     rank1_residual: float
-    nat_grad_norm: float
-    cutoff_used: float
     retained_modes: int
     lambda_max: float
     d_eff: float
@@ -62,17 +58,17 @@ def _check_pair(alpha_col, K: GramMatrix) -> np.ndarray:
     return alpha_col
 
 
-def fisher_matrix(alpha_col, K: GramMatrix, neuron_index: int = -1) -> FisherMatrix:
+def fisher_matrix(alpha_col, K: GramMatrix) -> FisherMatrix:
     """G = K diag(p(1-p)) K, symmetrized as (G + G')/2."""
     alpha_col = _check_pair(alpha_col, K)
     p = predict_probs(alpha_col, K)
     d = p * (1.0 - p)
     G = (K.values * d) @ K.values
     G = 0.5 * (G + G.T)
-    return FisherMatrix(values=G, neuron_index=neuron_index, source_gamma=K.gamma)
+    return FisherMatrix(values=G)
 
 
-def fim_empirical_oracle(alpha_col, K: GramMatrix, neuron_index: int = -1) -> FisherMatrix:
+def fim_empirical_oracle(alpha_col, K: GramMatrix) -> FisherMatrix:
     """Expectation form of the Fisher matrix, by explicit enumeration.
 
     For each pattern mu the Bernoulli score at outcome s in {0,1} is
@@ -90,7 +86,7 @@ def fim_empirical_oracle(alpha_col, K: GramMatrix, neuron_index: int = -1) -> Fi
             score = (s - p[mu]) * k_mu
             G += prob * np.outer(score, score)
     G = 0.5 * (G + G.T)
-    return FisherMatrix(values=G, neuron_index=neuron_index, source_gamma=K.gamma)
+    return FisherMatrix(values=G)
 
 
 def effective_dimension(eigenvalues) -> float:
@@ -174,8 +170,6 @@ def gradient_report(
             euclid_norm_sq=euclid,
             riemann_norm_sq=0.0,
             rank1_residual=0.0 if euclid == 0.0 else 1.0,
-            nat_grad_norm=0.0,
-            cutoff_used=rel_cutoff,
             retained_modes=0,
             lambda_max=0.0,
             d_eff=0.0,
@@ -191,8 +185,6 @@ def gradient_report(
         euclid_norm_sq=euclid,
         riemann_norm_sq=riemann,
         rank1_residual=residual,
-        nat_grad_norm=float(np.linalg.norm(nat)),
-        cutoff_used=rel_cutoff,
         retained_modes=lam_kept.size,
         lambda_max=spec.lambda_max,
         d_eff=spec.d_eff,
@@ -210,35 +202,3 @@ def write_spectrum_csv(specs: list[FisherSpectrum], path) -> None:
             for k, lk in enumerate(spec.eigenvalues, start=1):
                 ratio = lk / lam1 if lam1 > 0 else 0.0
                 w.writerow([i, k, f"{lk:.17g}", f"{ratio:.17g}"])
-
-
-def write_report_csv(reports: list[GradientReport], path) -> None:
-    """One row per neuron with norms, spectrum summaries and cutoff."""
-    cols = [
-        "neuron",
-        "euclid_norm_sq",
-        "riemann_norm_sq",
-        "nat_grad_norm",
-        "rank1_residual",
-        "lambda_max",
-        "d_eff",
-        "retained_modes",
-        "cutoff",
-    ]
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(cols)
-        for i, r in enumerate(reports):
-            w.writerow(
-                [
-                    i,
-                    f"{r.euclid_norm_sq:.17g}",
-                    f"{r.riemann_norm_sq:.17g}",
-                    f"{r.nat_grad_norm:.17g}",
-                    f"{r.rank1_residual:.17g}",
-                    f"{r.lambda_max:.17g}",
-                    f"{r.d_eff:.17g}",
-                    r.retained_modes,
-                    f"{r.cutoff_used:.17g}",
-                ]
-            )

@@ -25,13 +25,10 @@ class KernelConfig:
     """RBF kernel with width parameter gamma > 0."""
 
     gamma: float
-    kind: str = "rbf"
 
     def __post_init__(self):
         if not (math.isfinite(self.gamma) and self.gamma > 0):
             raise ArgumentError(f"gamma must be positive and finite, got {self.gamma}")
-        if self.kind != "rbf":
-            raise ArgumentError(f"unsupported kernel kind {self.kind!r}")
 
 
 @dataclass

@@ -16,11 +16,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ArgumentError, DimensionError, TrainingDivergenceError
+from .errors import ArgumentError, DimensionError, FieldError, TrainingDivergenceError
 from .kernel_core import GramMatrix, KernelConfig, PatternSet, gram, read_artifact
 
 # Loss may not increase by more than this between accepted epochs.
 DESCENT_SLACK = 1e-12
+# Byte budget for the (P, N) buffers of a block of descent epochs, and the block-size cap.
+BLOCK_BYTES = 1 << 20
+MAX_BLOCK = 16
 
 
 @dataclass
@@ -32,13 +35,13 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.lam < 0:
-            raise ArgumentError(f"lambda must be >= 0, got {self.lam}")
+            raise FieldError("lambda", f"must be >= 0, got {self.lam}")
         if self.learning_rate <= 0:
-            raise ArgumentError(f"learning_rate must be > 0, got {self.learning_rate}")
+            raise FieldError("learning_rate", f"must be > 0, got {self.learning_rate}")
         if self.max_epochs < 1:
-            raise ArgumentError(f"max_epochs must be >= 1, got {self.max_epochs}")
+            raise FieldError("max_epochs", f"must be >= 1, got {self.max_epochs}")
         if self.grad_tol <= 0:
-            raise ArgumentError(f"grad_tol must be > 0, got {self.grad_tol}")
+            raise FieldError("grad_tol", f"must be > 0, got {self.grad_tol}")
 
 
 @dataclass
@@ -68,14 +71,24 @@ def all_targets(patterns: PatternSet) -> np.ndarray:
     return ((patterns.patterns + 1) // 2).astype(float)
 
 
-def _logistic(h: np.ndarray, e: np.ndarray) -> np.ndarray:
-    # sigma(h) from e = exp(-|h|): 1/(1+e) for h >= 0, e/(1+e) below; never overflows
-    return np.where(h >= 0, 1.0, e) / (1.0 + e)
+def _logistic(h: np.ndarray, e: np.ndarray, out=None, den=None) -> np.ndarray:
+    # sigma(h) from e = exp(-|h|): 1/(1+e) for h >= 0, e/(1+e) below; never overflows.
+    # max(e, h >= 0) is 1 where h >= 0 (e <= 1) and e elsewhere, nan included.
+    # `out` and `den` take the result and 1+e instead of new arrays.
+    num = np.maximum(e, h >= 0, out=out)
+    num /= np.add(e, 1.0, out=den)
+    return num
 
 
-def _bce_terms(h: np.ndarray, t: np.ndarray, e: np.ndarray) -> np.ndarray:
-    # softplus(h) - t*h == -[t log p + (1-t) log(1-p)], with e = exp(-|h|)
-    return np.maximum(h, 0.0) + np.log1p(e) - t * h
+def _bce_terms(h: np.ndarray, t: np.ndarray, e: np.ndarray, out=None) -> np.ndarray:
+    # softplus(h) - t*h == -[t log p + (1-t) log(1-p)], with e = exp(-|h|);
+    # given `out`, the terms are written there without temporaries and e is overwritten
+    if out is None:
+        return np.maximum(h, 0.0) + np.log1p(e) - t * h
+    np.maximum(h, 0.0, out=out)
+    out += np.log1p(e, out=e)
+    out -= np.multiply(t, h, out=e)
+    return out
 
 
 def sigmoid(h):
@@ -127,6 +140,60 @@ class FitResult:
     converged: np.ndarray             # bool per neuron: reached grad_tol
 
 
+def _block_size(P: int, N: int) -> int:
+    # epochs per block such that all 4B + 3 (P, N) buffers of _descend_blocks fit BLOCK_BYTES
+    return min(MAX_BLOCK, max(1, (BLOCK_BYTES // (8 * P * N) - 3) // 4))
+
+
+def _descend_blocks(K: np.ndarray, T: np.ndarray, cfg: TrainConfig):
+    """Step every column in blocks of epochs until the first epoch that trips a check.
+
+    Each epoch only steps: H = K @ A, E = exp(-|H|), Grad and A - lr*Grad go to
+    one slot per epoch. Once per block the monitor's loss and the grad_tol test
+    run over the stacked slots, with the expressions and reduction order of the
+    per-epoch loop. Returns (e, A_e, A_{e-1}, loss_{e-1}) for the first epoch e
+    at which a column fails the loss check or reaches grad_tol, or
+    e = max_epochs if none does; the later slots are dropped.
+    """
+    P, N = T.shape
+    B = _block_size(P, N)
+    # slot s + 1 holds the A of the block's epoch s, slot 0 the epoch before the block;
+    # Ab[s].T is a (P, N) F-ordered view, the layout of a gather A[:, idx]
+    Ab = np.zeros((B + 2, N, P))
+    Hb, Eb, Gb = (np.empty((B, P, N)) for _ in range(3))
+    S = np.empty((P, N))
+    L = np.full((B + 1, N), np.inf)  # L[s + 1]: loss at epoch s; L[0]: the epoch before
+    start = 0
+    # epochs after a tripping one are dropped and the tripping one is re-evaluated
+    # with warnings on, so floating-point warnings are silenced here
+    with np.errstate(all="ignore"):
+        while start < cfg.max_epochs:
+            b = min(B, cfg.max_epochs - start)
+            for s in range(b):
+                A, H, E, G = Ab[s + 1].T, Hb[s], Eb[s], Gb[s]
+                np.matmul(K, A, out=H)
+                np.exp(np.negative(np.abs(H, out=E), out=E), out=E)
+                np.subtract(_logistic(H, E, out=S, den=G), T, out=S)
+                np.matmul(K, S, out=G)
+                G += np.multiply(cfg.lam, H, out=S)
+                np.subtract(A, np.multiply(cfg.learning_rate, G, out=S), out=Ab[s + 2].T)
+            # the checks overwrite the Grad, E and H slots; only the A slots are kept
+            Hs, Es, Gs, ls = Hb[:b], Eb[:b], Gb[:b], L[1:b + 1]
+            done = np.sqrt(np.sum(np.multiply(Gs, Gs, out=Gs), axis=1)) < cfg.grad_tol
+            np.sum(_bce_terms(Hs, T, Es, out=Gs), axis=1, out=ls)
+            As = Ab[1:b + 1].transpose(0, 2, 1)
+            ls += 0.5 * cfg.lam * np.sum(np.multiply(As, Hs, out=Hs), axis=1)
+            bad = ~np.isfinite(ls) | (ls > L[:b] + DESCENT_SLACK)
+            tripped = np.flatnonzero((bad | done).any(axis=1))
+            if tripped.size:
+                k = int(tripped[0])
+                return start + k, Ab[k + 1].T, Ab[k].T, L[k].copy()
+            Ab[0], Ab[1] = Ab[b], Ab[b + 1]  # slot by slot: an overlapping copy would buffer
+            L[0] = L[b]
+            start += b
+    return start, Ab[1].T, Ab[0].T, L[0].copy()
+
+
 def fit_dual_weights(K: np.ndarray, T: np.ndarray, cfg: TrainConfig) -> FitResult:
     """Gradient descent on every neuron column at once.
 
@@ -135,35 +202,29 @@ def fit_dual_weights(K: np.ndarray, T: np.ndarray, cfg: TrainConfig) -> FitResul
     column is frozen once its gradient norm drops below grad_tol. A column
     whose loss becomes non-finite or increases by more than DESCENT_SLACK
     is reverted to its last accepted iterate and recorded in `diverged`.
-    Each epoch evaluates exp(-|H|) once, for both the loss and the sigmoid.
-    Until the first column freezes, A is stepped in place and T read whole;
-    from then on the active columns are gathered and scattered every epoch.
+    While every column is active, epochs run in blocks (_descend_blocks)
+    whose checks are made once per block; from the first epoch that trips a
+    check on, the active columns are gathered and scattered every epoch.
     A is F-ordered like a gather A[:, idx]: BLAS rounds K @ A differently per layout.
     """
-    P, N = T.shape
-    A = np.zeros((P, N), order="F")
+    N = T.shape[1]
+    start, A, prev_A, prev_loss = _descend_blocks(K, T, cfg)
+    # copies free the block's slots (views keep all of them) before the loop allocates
+    A, prev_A = A.copy(order="F"), prev_A.copy(order="F")
     active = np.ones(N, dtype=bool)
     converged = np.zeros(N, dtype=bool)
     diverged: list[tuple[int, int]] = []
-    prev_loss = np.full(N, np.inf)
-    prev_A = np.zeros_like(A)
-    idx = np.arange(N)
-    compacted = False
-    epochs_run = 0
-    for epoch in range(cfg.max_epochs):
-        if compacted:
-            idx = np.flatnonzero(active)
-            if idx.size == 0:
-                break
-            Aa, Ta = A[:, idx], T[:, idx]
-        else:
-            Aa, Ta = A, T
+    epochs_run = start
+    for epoch in range(start, cfg.max_epochs):
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
+            break
+        Aa, Ta = A[:, idx], T[:, idx]
         H = K @ Aa
         E = np.exp(-np.abs(H))
         ls = np.sum(_bce_terms(H, Ta, E), axis=0) + 0.5 * cfg.lam * np.sum(Aa * H, axis=0)
         bad = ~np.isfinite(ls) | (ls > prev_loss[idx] + DESCENT_SLACK)
         if bad.any():
-            compacted = True
             for j in idx[bad]:
                 diverged.append((int(j), epoch))
             A[:, idx[bad]] = prev_A[:, idx[bad]]
@@ -176,17 +237,12 @@ def fit_dual_weights(K: np.ndarray, T: np.ndarray, cfg: TrainConfig) -> FitResul
         Grad = K @ (_logistic(H, E) - Ta) + cfg.lam * H
         gnorm = np.sqrt(np.sum(Grad * Grad, axis=0))
         done = gnorm < cfg.grad_tol
-        if not compacted and not done.any():
-            np.copyto(prev_A, A)
-            A -= cfg.learning_rate * Grad
-        else:
-            compacted = True
-            converged[idx[done]] = True
-            active[idx[done]] = False
-            step = ~done
-            if step.any():
-                prev_A[:, idx[step]] = A[:, idx[step]]
-                A[:, idx[step]] -= cfg.learning_rate * Grad[:, step]
+        converged[idx[done]] = True
+        active[idx[done]] = False
+        step = ~done
+        if step.any():
+            prev_A[:, idx[step]] = A[:, idx[step]]
+            A[:, idx[step]] -= cfg.learning_rate * Grad[:, step]
         epochs_run = epoch + 1
     return FitResult(
         alpha=np.ascontiguousarray(A), epochs=epochs_run, diverged=diverged, converged=converged

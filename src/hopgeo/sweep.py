@@ -25,7 +25,7 @@ import numpy as np
 
 from .config import KVView, read_kv_file
 from .dynamics import recall_batch
-from .errors import ArgumentError
+from .errors import ArgumentError, FieldError
 from .infogeo import DEFAULT_REL_CUTOFF, fisher_matrix, gradient_report, spectrum
 from .kernel_core import KernelConfig, corrupt, generate_patterns, gram
 from .klr import DualWeights, TrainConfig, all_targets, fit_dual_weights
@@ -74,23 +74,24 @@ class GridConfig:
     recall_max_steps: int = 100
 
     def __post_init__(self):
-        if not self.gamma_values or not self.load_values:
-            raise ArgumentError("gamma_values and load_values must be nonempty")
+        for name in ("gamma_values", "load_values"):
+            if not getattr(self, name):
+                raise FieldError(name, "must be nonempty")
         if any(g <= 0 for g in self.gamma_values):
-            raise ArgumentError("gamma_values must be positive")
+            raise FieldError("gamma_values", "must be positive")
         if list(self.gamma_values) != sorted(self.gamma_values):
-            raise ArgumentError("gamma_values must be ascending")
+            raise FieldError("gamma_values", "must be ascending")
         if list(self.load_values) != sorted(self.load_values):
-            raise ArgumentError("load_values must be ascending")
+            raise FieldError("load_values", "must be ascending")
         if any(not (0 < l <= 1) for l in self.load_values):
-            raise ArgumentError("load_values must lie in (0, 1]")
+            raise FieldError("load_values", "must lie in (0, 1]")
         if round(self.num_neurons * min(self.load_values)) < 1:
-            raise ArgumentError("N * min(load) must round to at least 1 pattern")
+            raise FieldError("load_values", "times num_neurons must round to at least 1 pattern")
         if self.trials_per_cell < 1:
-            raise ArgumentError("trials_per_cell must be >= 1")
+            raise FieldError("trials_per_cell", f"must be >= 1, got {self.trials_per_cell}")
         unknown = set(self.metrics) - set(KNOWN_METRICS)
         if unknown:
-            raise ArgumentError(f"unknown metrics: {sorted(unknown)}")
+            raise FieldError("metrics", f"unknown: {sorted(unknown)}")
 
 
 @dataclass
@@ -214,11 +215,13 @@ def _cell_task(args):
 def run_grid(cfg: GridConfig, workers: int = 1) -> list:
     """Evaluate every (gamma, load) pair; output sorted by (load, gamma).
 
-    Cells are independent; scheduling never changes values or order.
+    Cells are independent; scheduling never changes values or order. Tasks
+    are submitted largest load (so largest P, the longest descent) first, so
+    that a pool does not end waiting on one long cell.
     """
     tasks = [
         (cfg, gi, li)
-        for li in range(len(cfg.load_values))
+        for li in reversed(range(len(cfg.load_values)))
         for gi in range(len(cfg.gamma_values))
     ]
     if workers <= 1:
@@ -258,12 +261,16 @@ def write_grid_csv(cells: list, path) -> None:
 
 
 def read_grid_csv(path) -> list:
+    """Cells of a grid.csv; ArgumentError names the file when columns or values are bad."""
     cells = []
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
+        missing = [c for c in CSV_COLUMNS if c not in (reader.fieldnames or [])]
+        if missing:
+            raise ArgumentError(f"{path}: missing columns: {', '.join(missing)}")
         for row in reader:
-            cells.append(
-                SweepCell(
+            try:
+                cell = SweepCell(
                     gamma=float(row["gamma"]),
                     load=float(row["load"]),
                     P=int(row["P"]),
@@ -281,7 +288,9 @@ def read_grid_csv(path) -> list:
                     degenerate_count=int(row["degenerate_count"]),
                     divergence_count=int(row["divergence_count"]),
                 )
-            )
+            except (TypeError, ValueError):  # TypeError: a short row leaves fields None
+                raise ArgumentError(f"{path}:{reader.line_num}: malformed row") from None
+            cells.append(cell)
     return cells
 
 
@@ -295,14 +304,20 @@ def grid_config_from_file(path) -> GridConfig:
         count = view.get_int("gamma_count")
         if None in (lo, hi, count):
             raise view.error("gamma_values", "need gamma_values or gamma_min/max/count")
+        for key, value in (("gamma_min", lo), ("gamma_max", hi), ("gamma_count", count)):
+            if not value > 0:
+                raise view.error(key, f"must be positive, got {value}")
+        if hi < lo:
+            raise view.error("gamma_max", f"must be >= gamma_min, got {hi}")
         gamma_values = list(np.logspace(np.log10(lo), np.log10(hi), count))
     load_values = view.require("load_values", "float_list")
-    train = TrainConfig(
-        lam=view.get_float("lambda", 1e-4),
-        learning_rate=view.get_float("learning_rate", 0.1),
-        max_epochs=view.get_int("max_epochs", 100_000),
-        grad_tol=view.get_float("grad_tol", 1e-6),
-    )
+    with view.fields():
+        train = TrainConfig(
+            lam=view.get_float("lambda", 1e-4),
+            learning_rate=view.get_float("learning_rate", 0.1),
+            max_epochs=view.get_int("max_epochs", 100_000),
+            grad_tol=view.get_float("grad_tol", 1e-6),
+        )
     metrics = view.get_str_list("metrics", list(KNOWN_METRICS[:5]))
     cfg_kwargs = dict(
         gamma_values=gamma_values,
@@ -318,4 +333,5 @@ def grid_config_from_file(path) -> GridConfig:
         recall_max_steps=view.get_int("recall_max_steps", 100),
     )
     view.reject_unknown()
-    return GridConfig(**cfg_kwargs)
+    with view.fields():
+        return GridConfig(**cfg_kwargs)

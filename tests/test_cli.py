@@ -92,6 +92,14 @@ def test_train_bad_gamma_exits_2_and_names_field(tmp_path, capsys):
     assert "gamma" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("gamma", ["nan", "inf"])
+def test_train_nonfinite_gamma_exits_2_at_its_line_and_writes_nothing(tmp_path, capsys, gamma):
+    code, out = run_train(tmp_path, gamma=gamma)
+    assert code == 2
+    assert_one_line_error(capsys, f"{tmp_path / 'train.cfg'}:3: field 'gamma': ")
+    assert not out.exists()
+
+
 def test_train_unknown_key_exits_2(tmp_path, capsys):
     cfg = tmp_path / "train.cfg"
     cfg.write_text(train_cfg_text() + "typo_key = 1\n")
@@ -333,6 +341,49 @@ def test_render_header_only_grid_exits_2_and_writes_no_svg(tmp_path, capsys):
     assert main(["render", "--grid", str(grid), "--out", str(tmp_path / "svg")]) == 2
     assert_one_line_error(capsys, str(grid))
     assert not list(tmp_path.rglob("*.svg"))
+
+
+GRID_ROWS = {
+    "missing_columns": "gamma,load\n0.1,0.5\n",
+    "short_row": ",".join(CSV_COLUMNS) + "\n0.1,0.5,4\n",
+    "non_numeric": ",".join(CSV_COLUMNS) + "\n" + ",".join(["x"] * len(CSV_COLUMNS)) + "\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GRID_ROWS))
+def test_render_malformed_grid_exits_2_with_one_line(tmp_path, capsys, case):
+    grid = tmp_path / "grid.csv"
+    grid.write_text(GRID_ROWS[case])
+    assert main(["render", "--grid", str(grid), "--out", str(tmp_path / "svg")]) == 2
+    if case == "missing_columns":
+        assert_one_line_error(capsys, f"{grid}: missing columns: P, N, seed, trials,")
+    else:
+        assert_one_line_error(capsys, f"{grid}:2: malformed row")
+    assert not (tmp_path / "svg").exists()
+
+
+# grid_cfg_text() line to replace, its replacement, the field the error names
+GRID_RANGE_ERRORS = {
+    "descending_loads": ("load_values = 0.25", "load_values = 0.5 0.25", "load_values"),
+    "descending_gammas": ("gamma_values = 0.02 0.2", "gamma_values = 0.2 0.02", "gamma_values"),
+    "nonpositive_gamma": ("gamma_values = 0.02 0.2", "gamma_values = 0 0.2", "gamma_values"),
+    "zero_trials": ("trials_per_cell = 2", "trials_per_cell = 0", "trials_per_cell"),
+    "negative_lambda": ("lambda = 1e-5", "lambda = -1", "lambda"),
+    "negative_gamma_min": ("gamma_values = 0.02 0.2",
+                           "gamma_min = -1\ngamma_max = 0.2\ngamma_count = 3", "gamma_min"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GRID_RANGE_ERRORS))
+def test_phase_range_error_names_file_line_and_field(tmp_path, capsys, case):
+    old, new, field = GRID_RANGE_ERRORS[case]
+    text = grid_cfg_text()
+    line = text.splitlines().index(old) + 1
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(text.replace(old, new))
+    assert main(["phase", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert_one_line_error(capsys, f"{cfg}:{line}: field '{field}': ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_render_unknown_metric_exits_2(tmp_path):

@@ -10,7 +10,6 @@ from hopgeo.infogeo import (
     gradient_report,
     natural_gradient,
     spectrum,
-    write_report_csv,
     write_spectrum_csv,
 )
 from hopgeo.kernel_core import GramMatrix, KernelConfig, generate_patterns, gram
@@ -229,17 +228,8 @@ def test_csv_exports(tmp_path):
     rng = np.random.default_rng(12)
     K = random_gram(rng, 4)
     specs = [spectrum(fisher_matrix(rng.normal(size=4), K)) for _ in range(3)]
-    reports = [
-        gradient_report(rng.normal(size=4), K, rng.integers(0, 2, size=4).astype(float), 0.01)
-        for _ in range(3)
-    ]
     spath = tmp_path / "spectrum.csv"
-    rpath = tmp_path / "report.csv"
     write_spectrum_csv(specs, spath)
-    write_report_csv(reports, rpath)
     slines = spath.read_text().splitlines()
     assert slines[0] == "neuron,k,lambda_k,lambda_k_over_lambda_1"
     assert len(slines) == 1 + 3 * 4
-    rlines = rpath.read_text().splitlines()
-    assert rlines[0].startswith("neuron,euclid_norm_sq,riemann_norm_sq")
-    assert len(rlines) == 4

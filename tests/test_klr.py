@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from hopgeo import klr
 from hopgeo.errors import DimensionError, TrainingDivergenceError
 from hopgeo.kernel_core import GramMatrix, KernelConfig, generate_patterns, gram
 from hopgeo.klr import (
@@ -216,10 +217,12 @@ def test_weights_roundtrip_exact(tmp_path):
     assert back.trained_epochs == w.trained_epochs
 
 
-def _reference_fit(K, T, cfg):
+def _reference_fit(K, T, cfg, events=None):
     """Oracle for fit_dual_weights: gathers the active columns every epoch.
 
-    The plain loop that the fused, in-place epoch must reproduce bit for bit.
+    The plain loop that the blocked, in-place epochs must reproduce bit for bit.
+    `events`, if given, receives (epoch, "loss") for each epoch at which a column
+    fails the descent monitor and (epoch, "grad") for each at which one reaches grad_tol.
     """
     def sigmoid_masked(H):
         out = np.empty_like(H)
@@ -248,6 +251,8 @@ def _reference_fit(K, T, cfg):
         ls = np.sum(bce, axis=0) + 0.5 * cfg.lam * np.sum(Aa * H, axis=0)
         bad = ~np.isfinite(ls) | (ls > prev_loss[idx] + DESCENT_SLACK)
         if bad.any():
+            if events is not None:
+                events.append((epoch, "loss"))
             for j in idx[bad]:
                 diverged.append((int(j), epoch))
             A[:, idx[bad]] = prev_A[:, idx[bad]]
@@ -262,6 +267,8 @@ def _reference_fit(K, T, cfg):
         Grad = K @ (sigmoid_masked(H) - Ta) + cfg.lam * H
         gnorm = np.sqrt(np.sum(Grad * Grad, axis=0))
         done = gnorm < cfg.grad_tol
+        if events is not None and done.any():
+            events.append((epoch, "grad"))
         converged[idx[done]] = True
         active[idx[done]] = False
         step = ~done
@@ -272,33 +279,74 @@ def _reference_fit(K, T, cfg):
     return FitResult(alpha=A, epochs=epochs_run, diverged=diverged, converged=converged)
 
 
-def test_fit_matches_gathering_reference_bit_for_bit():
-    # P >= 17 is where OpenBLAS rounds K @ A differently for C- and F-ordered A
+def _assert_same_fit(got, want):
+    assert got.alpha.flags.c_contiguous
+    assert np.array_equal(got.alpha, want.alpha)
+    assert got.epochs == want.epochs
+    assert got.diverged == want.diverged
+    assert np.array_equal(got.converged, want.converged)
+
+
+def test_fit_matches_gathering_reference_bit_for_bit(monkeypatch):
+    # P >= 17 is where OpenBLAS rounds K @ A differently for C- and F-ordered A.
+    # fit_dual_weights checks the monitor and grad_tol once per block of B epochs
+    # and rewinds to the first tripping epoch; `seen` records where that epoch fell.
+    # Each descent with an event is rerun with MAX_BLOCK set so that the event falls
+    # on the first, the last and a middle slot of a block, and cut off at its event.
     rng = np.random.default_rng(1)
-    seen = {"large_P": 0, "converged": 0, "diverged": 0, "both": 0}
-    for _ in range(200):
-        P, N = int(rng.integers(1, 40)), int(rng.integers(1, 80))
+    seen = dict.fromkeys(
+        ["large_P", "converged", "diverged", "both", "B=1", "B>1", "several_blocks",
+         "first_slot", "mid_block", "last_slot", "last_epoch", "loss_and_grad_in_block"], 0)
+
+    def check(K, T, cfg, want, events):
+        P, N = T.shape
+        _assert_same_fit(fit_dual_weights(K, T, cfg), want)
+        B = klr._block_size(P, N)
+        seen["B=1" if B == 1 else "B>1"] += 1
+        first = events[0][0] if events else cfg.max_epochs
+        seen["several_blocks"] += first >= 2 * B
+        if not events:
+            return
+        slot = first % B
+        seen["first_slot"] += first >= B and slot == 0
+        seen["mid_block"] += 0 < slot < B - 1
+        seen["last_slot"] += B > 1 and slot == B - 1
+        seen["last_epoch"] += first == cfg.max_epochs - 1
+        block = range(first - slot, first - slot + B)
+        seen["loss_and_grad_in_block"] += {kind for e, kind in events if e in block} == {"loss", "grad"}
+
+    for c in range(200):
+        if c % 10 == 0:  # P*N large enough for blocks of one epoch
+            P, N, max_epochs = int(rng.integers(95, 125)), int(rng.integers(110, 140)), 60
+        else:
+            P, N, max_epochs = int(rng.integers(1, 40)), int(rng.integers(1, 80)), 300
         ps = generate_patterns(P, N, int(rng.integers(2**31)))
         K = gram(ps, KernelConfig(gamma=float(10 ** rng.uniform(-4, 1)))).values
         T = all_targets(ps)
         cfg = TrainConfig(
             lam=float(10 ** rng.uniform(-6, -1)),
             learning_rate=float(10 ** rng.uniform(-2, 1)),
-            max_epochs=int(rng.integers(1, 300)),
+            max_epochs=int(rng.integers(1, max_epochs)),
             grad_tol=float(10 ** rng.uniform(-8, -0.5)),
         )
-        got = fit_dual_weights(K, T, cfg)
-        want = _reference_fit(K, T, cfg)
-        assert got.alpha.flags.c_contiguous
-        assert np.array_equal(got.alpha, want.alpha)
-        assert got.epochs == want.epochs
-        assert got.diverged == want.diverged
-        assert np.array_equal(got.converged, want.converged)
+        events = []
+        want = _reference_fit(K, T, cfg, events)
+        check(K, T, cfg, want, events)
         if P >= 17:
             seen["large_P"] += 1
             seen["converged"] += bool(want.converged.any())
             seen["diverged"] += bool(want.diverged)
             seen["both"] += bool(want.converged.any() and want.diverged)
+        if not events or P * N > 4000:
+            continue
+        first = events[0][0]
+        with monkeypatch.context() as m:
+            for block in {first, first + 1, first + 2} - {0}:
+                m.setattr(klr, "MAX_BLOCK", block)
+                check(K, T, cfg, want, events)
+        cut = TrainConfig(cfg.lam, cfg.learning_rate, first + 1, cfg.grad_tol)
+        cut_events = []
+        check(K, T, cut, _reference_fit(K, T, cut, cut_events), cut_events)
     assert min(seen.values()) >= 1, seen
 
 
