@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from . import __version__
 from .config import ConfigError, KVView, read_kv_file
 from .dynamics import recall_batch
 from .errors import ArgumentError, DimensionError, NumericError, TrainingDivergenceError
-from .infogeo import fisher_matrix, spectrum, write_spectrum_csv
+from .infogeo import neuron_spectra, write_spectrum_csv
 from .kernel_core import (
     KernelConfig,
     corrupt,
@@ -157,10 +158,13 @@ def _load_artifacts(weights_dir):
 def cmd_spectrum(args, argv) -> int:
     patterns, weights = _load_artifacts(args.weights)
     K = gram(patterns, KernelConfig(gamma=weights.gamma))
-    specs = [
-        spectrum(fisher_matrix(weights.alpha[:, i], K))
-        for i in range(patterns.num_neurons)
-    ]
+    # the writers read only eigenvalues and lambda_max, so eigenvectors are dropped
+    # as each spectrum arrives, and neurons with the same alpha column share one
+    specs = [None] * patterns.num_neurons
+    for members, spec in neuron_spectra(weights.alpha, K):
+        spec = replace(spec, eigenvectors=None)
+        for i in members:
+            specs[i] = spec
     write_spectrum_csv(specs, args.out)
     if args.svg:
         render_spectrum_lines(specs, args.svg)

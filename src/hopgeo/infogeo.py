@@ -149,21 +149,46 @@ def natural_gradient(grad, spec: FisherSpectrum, rel_cutoff: float = DEFAULT_REL
     return nat, lam.size
 
 
+def neuron_spectra(alpha, K: GramMatrix):
+    """Fisher spectra of the neurons (columns) of alpha, one per distinct column.
+
+    Yields (neuron indices, spectrum(fisher_matrix(alpha[:, first], K))) for each
+    group of neurons whose alpha columns hold the same bytes, in order of first
+    appearance. fisher_matrix reads only the column and K, and spectrum only G,
+    so the shared spectrum has the bits each neuron's own would have. The helper
+    keeps no spectrum between groups (at P = 256 each holds 0.5 MB of
+    eigenvectors); a caller that drops each one before asking for the next keeps
+    one alive at a time.
+    """
+    alpha = np.asarray(alpha, dtype=float)
+    groups: dict[bytes, list[int]] = {}
+    for i in range(alpha.shape[1]):
+        groups.setdefault(alpha[:, i].tobytes(), []).append(i)
+    for members in groups.values():
+        yield members, spectrum(fisher_matrix(alpha[:, members[0]], K))
+
+
 def gradient_report(
     alpha_col,
     K: GramMatrix,
     targets,
     lam: float,
+    spec: FisherSpectrum,
     rel_cutoff: float = DEFAULT_REL_CUTOFF,
 ) -> GradientReport:
     """Euclidean and Riemannian gradient norms plus the rank-1 residual.
 
+    `spec` is spectrum(fisher_matrix(alpha_col, K)), computed by the caller so
+    that neurons with the same alpha column share it (see neuron_spectra).
     rank1_residual measures how much of the Euclidean gradient escapes the
     top Fisher mode: ||grad - lambda_1 (v1' natgrad) v1|| / max(||grad||, 1e-30).
     """
     alpha_col = _check_pair(alpha_col, K)
+    if spec.eigenvalues.shape != alpha_col.shape:
+        raise DimensionError(
+            f"spectrum of {spec.eigenvalues.size} modes does not match alpha length {alpha_col.size}"
+        )
     grad = loss_gradient(alpha_col, K, targets, lam)
-    spec = spectrum(fisher_matrix(alpha_col, K))
     euclid = float(grad @ grad)
     if spec.lambda_max <= 0.0:
         return GradientReport(

@@ -219,7 +219,10 @@ def fit_dual_weights(K: np.ndarray, T: np.ndarray, cfg: TrainConfig) -> FitResul
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
-        Aa, Ta = A[:, idx], T[:, idx]
+        # no column frozen yet (the first epoch after a rewind): no gather needed.
+        # A is F-ordered like a gather, so K @ A keeps its bits; T enters only
+        # elementwise terms, whose results take H's layout.
+        Aa, Ta = (A, T) if idx.size == N else (A[:, idx], T[:, idx])
         H = K @ Aa
         E = np.exp(-np.abs(H))
         ls = np.sum(_bce_terms(H, Ta, E), axis=0) + 0.5 * cfg.lam * np.sum(Aa * H, axis=0)

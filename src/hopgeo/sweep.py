@@ -26,7 +26,7 @@ import numpy as np
 from .config import KVView, read_kv_file
 from .dynamics import recall_batch
 from .errors import ArgumentError, FieldError
-from .infogeo import DEFAULT_REL_CUTOFF, fisher_matrix, gradient_report, spectrum
+from .infogeo import DEFAULT_REL_CUTOFF, gradient_report, neuron_spectra
 from .kernel_core import KernelConfig, corrupt, generate_patterns, gram
 from .klr import DualWeights, TrainConfig, all_targets, fit_dual_weights
 
@@ -89,6 +89,16 @@ class GridConfig:
             raise FieldError("load_values", "times num_neurons must round to at least 1 pattern")
         if self.trials_per_cell < 1:
             raise FieldError("trials_per_cell", f"must be >= 1, got {self.trials_per_cell}")
+        if not (0.0 <= self.recall_flip_fraction <= 1.0):
+            raise FieldError(
+                "recall_flip_fraction", f"must lie in [0, 1], got {self.recall_flip_fraction}"
+            )
+        if not (0.0 < self.success_threshold <= 1.0):
+            raise FieldError(
+                "success_threshold", f"must lie in (0, 1], got {self.success_threshold}"
+            )
+        if self.recall_max_steps < 1:
+            raise FieldError("recall_max_steps", f"must be >= 1, got {self.recall_max_steps}")
         unknown = set(self.metrics) - set(KNOWN_METRICS)
         if unknown:
             raise FieldError("metrics", f"unknown: {sorted(unknown)}")
@@ -151,18 +161,20 @@ def run_cell(
         T = all_targets(patterns)
         res = fit_dual_weights(K.values, T, cfg.train)
         divergence += len(res.diverged)
-        lmax, deff, eu, ri, r1 = [], [], [], [], []
-        for i in range(N):
-            rep = gradient_report(
-                res.alpha[:, i], K, T[:, i], cfg.train.lam, cfg.rel_cutoff
-            )
-            if rep.degenerate:
-                degenerate += 1
-            lmax.append(rep.lambda_max)
-            deff.append(rep.d_eff)
-            eu.append(rep.euclid_norm_sq)
-            ri.append(rep.riemann_norm_sq)
-            r1.append(rep.rank1_residual)
+        # per-neuron values, filled group by group and averaged in neuron order
+        lmax, deff, eu, ri, r1 = (np.empty(N) for _ in range(5))
+        for members, spec in neuron_spectra(res.alpha, K):
+            for i in members:
+                rep = gradient_report(
+                    res.alpha[:, i], K, T[:, i], cfg.train.lam, spec, cfg.rel_cutoff
+                )
+                degenerate += rep.degenerate
+                lmax[i] = rep.lambda_max
+                deff[i] = rep.d_eff
+                eu[i] = rep.euclid_norm_sq
+                ri[i] = rep.riemann_norm_sq
+                r1[i] = rep.rank1_residual
+            del spec  # before the next group's eigh, so one spectrum is alive at a time
         per_trial["lambda_max"].append(float(np.mean(lmax)))
         per_trial["d_eff"].append(float(np.mean(deff)))
         per_trial["euclid"].append(float(np.mean(eu)))

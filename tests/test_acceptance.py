@@ -109,8 +109,8 @@ def analyze_cell(task):
         res = fit_dual_weights(K.values, T, cfg.train)
         divergence += len(res.diverged)
         for i in range(N):
-            rep = gradient_report(res.alpha[:, i], K, T[:, i], cfg.train.lam, cfg.rel_cutoff)
             spec = spectrum(fisher_matrix(res.alpha[:, i], K))
+            rep = gradient_report(res.alpha[:, i], K, T[:, i], cfg.train.lam, spec, cfg.rel_cutoff)
             if rep.degenerate:
                 degenerate += 1
             retained_total += rep.retained_modes

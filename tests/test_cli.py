@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from hopgeo.cli import main
-from hopgeo.infogeo import fisher_matrix, spectrum
+from hopgeo.infogeo import fisher_matrix, spectrum, write_spectrum_csv
 from hopgeo.kernel_core import KernelConfig, generate_patterns, gram, load_patterns
 from hopgeo.klr import load_weights
+from hopgeo.svgplot import render_spectrum_lines
 from hopgeo.sweep import CSV_COLUMNS
 
 
@@ -150,6 +151,22 @@ def test_spectrum_command_matches_in_process_oracle(tmp_path):
     assert int(row0[0]) == 0 and int(row0[1]) == 1
     assert float(row0[2]) == pytest.approx(spec.lambda_max, rel=1e-12)
     assert float(row0[3]) == 1.0
+
+
+def test_spectrum_with_duplicate_columns_matches_per_neuron_spectra(tmp_path):
+    # P = 3, N = 40: target columns repeat, and so do the trained alpha columns
+    _, out = run_train(tmp_path, num_neurons=40)
+    w = load_weights(out / "weights.txt")
+    columns = [w.alpha[:, i].tobytes() for i in range(40)]
+    assert len(set(columns)) < 40
+    K = gram(load_patterns(out / "patterns.txt"), KernelConfig(gamma=w.gamma))
+    specs = [spectrum(fisher_matrix(w.alpha[:, i], K)) for i in range(40)]
+    write_spectrum_csv(specs, tmp_path / "want.csv")
+    render_spectrum_lines(specs, tmp_path / "want.svg")
+    assert main(["spectrum", "--weights", str(out), "--out", str(tmp_path / "got.csv"),
+                 "--svg", str(tmp_path / "got.svg")]) == 0
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert (tmp_path / "got.svg").read_bytes() == (tmp_path / "want.svg").read_bytes()
 
 
 def test_spectrum_missing_artifacts_exits_2(tmp_path):
@@ -371,6 +388,17 @@ GRID_RANGE_ERRORS = {
     "negative_lambda": ("lambda = 1e-5", "lambda = -1", "lambda"),
     "negative_gamma_min": ("gamma_values = 0.02 0.2",
                            "gamma_min = -1\ngamma_max = 0.2\ngamma_count = 3", "gamma_min"),
+    # recall keys: the bad key takes the replaced line, which then follows it
+    "negative_flip_fraction": ("num_neurons = 8", "recall_flip_fraction = -0.1\nnum_neurons = 8",
+                               "recall_flip_fraction"),
+    "flip_fraction_above_1": ("num_neurons = 8", "recall_flip_fraction = 1.5\nnum_neurons = 8",
+                              "recall_flip_fraction"),
+    "zero_success_threshold": ("num_neurons = 8", "success_threshold = 0\nnum_neurons = 8",
+                               "success_threshold"),
+    "success_threshold_above_1": ("num_neurons = 8", "success_threshold = 1.01\nnum_neurons = 8",
+                                  "success_threshold"),
+    "zero_recall_max_steps": ("num_neurons = 8", "recall_max_steps = 0\nnum_neurons = 8",
+                              "recall_max_steps"),
 }
 
 

@@ -1,12 +1,19 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from hopgeo import sweep
 from hopgeo.config import ConfigError
+from hopgeo.dynamics import recall_batch
 from hopgeo.errors import ArgumentError
-from hopgeo.klr import TrainConfig
+from hopgeo.infogeo import fisher_matrix, gradient_report, spectrum
+from hopgeo.kernel_core import KernelConfig, corrupt, generate_patterns, gram
+from hopgeo.klr import DualWeights, TrainConfig, all_targets, fit_dual_weights
 from hopgeo.sweep import (
     CSV_COLUMNS,
     GridConfig,
+    SweepCell,
     cell_seed,
     grid_config_from_file,
     read_grid_csv,
@@ -220,3 +227,136 @@ def test_aggregation_sanity():
         assert 0.0 <= cell.recall_rate <= 1.0
         assert cell.N == 8
         assert cell.P == round(cell.load * cell.N)
+
+
+def _reference_run_cell(gamma, load, cfg, gamma_index, load_index):
+    """Oracle for run_cell: one Fisher spectrum per neuron, reports in neuron order.
+
+    The per-neuron loop that run_cell's shared spectra must reproduce bit for bit.
+    """
+    N = cfg.num_neurons
+    P = max(1, int(round(load * N)))
+    kcfg = KernelConfig(gamma=gamma)
+    want_recall = "recall_rate" in cfg.metrics
+    per_trial = {k: [] for k in ("lambda_max", "d_eff", "euclid", "riemann", "rank1")}
+    recall_hits = 0
+    recall_total = 0
+    degenerate = 0
+    divergence = 0
+    for t in range(cfg.trials_per_cell):
+        seed = trial_seed(cfg.base_seed, gamma_index, load_index, t)
+        patterns = generate_patterns(P, N, seed)
+        K = gram(patterns, kcfg)
+        T = all_targets(patterns)
+        res = fit_dual_weights(K.values, T, cfg.train)
+        divergence += len(res.diverged)
+        lmax, deff, eu, ri, r1 = [], [], [], [], []
+        for i in range(N):
+            spec = spectrum(fisher_matrix(res.alpha[:, i], K))
+            rep = gradient_report(
+                res.alpha[:, i], K, T[:, i], cfg.train.lam, spec, cfg.rel_cutoff
+            )
+            if rep.degenerate:
+                degenerate += 1
+            lmax.append(rep.lambda_max)
+            deff.append(rep.d_eff)
+            eu.append(rep.euclid_norm_sq)
+            ri.append(rep.riemann_norm_sq)
+            r1.append(rep.rank1_residual)
+        per_trial["lambda_max"].append(float(np.mean(lmax)))
+        per_trial["d_eff"].append(float(np.mean(deff)))
+        per_trial["euclid"].append(float(np.mean(eu)))
+        per_trial["riemann"].append(float(np.mean(ri)))
+        per_trial["rank1"].append(float(np.mean(r1)))
+        if want_recall:
+            weights = DualWeights(
+                alpha=res.alpha, gamma=gamma, lam=cfg.train.lam, trained_epochs=res.epochs
+            )
+            cues = [
+                corrupt(patterns.patterns[mu], cfg.recall_flip_fraction,
+                        trial_seed(cfg.base_seed, gamma_index, load_index,
+                                   cfg.trials_per_cell + t * P + mu))
+                for mu in range(P)
+            ]
+            results = recall_batch(
+                cues, range(P), patterns, weights, kcfg,
+                max_steps=cfg.recall_max_steps,
+                success_threshold=cfg.success_threshold,
+            )
+            recall_hits += sum(r.success for r in results)
+            recall_total += P
+
+    def sd(vals):
+        return float(np.std(vals, ddof=0))
+    return SweepCell(
+        gamma=gamma,
+        load=load,
+        P=P,
+        N=N,
+        seed=cell_seed(cfg.base_seed, gamma_index, load_index),
+        trials=cfg.trials_per_cell,
+        lambda_max_mean=float(np.mean(per_trial["lambda_max"])),
+        lambda_max_sd=sd(per_trial["lambda_max"]),
+        d_eff_mean=float(np.mean(per_trial["d_eff"])),
+        d_eff_sd=sd(per_trial["d_eff"]),
+        euclid_norm_sq_mean=float(np.mean(per_trial["euclid"])),
+        riemann_norm_sq_mean=float(np.mean(per_trial["riemann"])),
+        rank1_residual_mean=float(np.mean(per_trial["rank1"])),
+        recall_rate=(recall_hits / recall_total) if recall_total else float("nan"),
+        degenerate_count=degenerate,
+        divergence_count=divergence,
+    )
+
+
+def cell_bits(cell):
+    """Every field of a SweepCell, floats by their exact bits (nan and -0.0 included)."""
+    return tuple(
+        v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(cell)
+    )
+
+
+# name -> (gamma, load, GridConfig overrides); the test asserts what each case covers
+SHARED_SPECTRUM_CASES = {
+    # K entries near 1 and a large step: the monitor freezes every neuron, mostly at alpha = 0
+    "all_frozen": (1e-3, 0.5, dict(num_neurons=40, gamma_values=[1e-3], load_values=[0.5],
+                                   train=TrainConfig(lam=1e-6, learning_rate=1.0,
+                                                     max_epochs=50, grad_tol=1e-6))),
+    # P = 3: at most 8 distinct target columns among 40 neurons
+    "repeated_targets": (0.05, 0.075, dict(num_neurons=40, gamma_values=[0.05],
+                                           load_values=[0.075])),
+    "all_distinct": (0.1, 0.6, dict(num_neurons=20, gamma_values=[0.1], load_values=[0.6])),
+    # K = I and one step of 2000: every |h| is 1000, p(1-p) is exactly 0 and G = 0
+    "degenerate": (50.0, 0.5, dict(num_neurons=8, gamma_values=[50.0], load_values=[0.5],
+                                   train=TrainConfig(lam=0.0, learning_rate=4000.0,
+                                                     max_epochs=3, grad_tol=1e-6))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHARED_SPECTRUM_CASES))
+def test_shared_spectra_match_per_neuron_reference_bit_for_bit(monkeypatch, case):
+    gamma, load, overrides = SHARED_SPECTRUM_CASES[case]
+    cfg = tiny_config(metrics=("lambda_max", "d_eff", "euclid_norm_sq",
+                               "riemann_norm_sq", "rank1_residual", "recall_rate"),
+                      recall_max_steps=20, trials_per_cell=3, **overrides)
+    groups = []
+    shared = sweep.neuron_spectra
+
+    def recording(alpha, K):
+        for members, spec in shared(alpha, K):
+            groups.append(len(members))
+            yield members, spec
+
+    monkeypatch.setattr(sweep, "neuron_spectra", recording)
+    got = run_cell(gamma, load, cfg, 0, 0)
+    want = _reference_run_cell(gamma, load, cfg, 0, 0)
+    assert cell_bits(got) == cell_bits(want)
+    assert sum(groups) == cfg.num_neurons * cfg.trials_per_cell
+    if case == "all_frozen":
+        assert got.divergence_count == cfg.num_neurons * cfg.trials_per_cell
+        assert max(groups) > 1
+    elif case == "repeated_targets":
+        assert got.P == 3 and max(groups) > 1
+    elif case == "all_distinct":
+        assert max(groups) == 1
+    else:
+        assert got.degenerate_count == cfg.num_neurons * cfg.trials_per_cell
