@@ -35,6 +35,7 @@ from .kernel_core import (
 )
 from .klr import TrainConfig, load_weights, save_weights, train
 from .sweep import (
+    aggregate,
     grid_config_from_file,
     read_grid_csv,
     run_grid,
@@ -178,7 +179,7 @@ def cmd_phase(args, argv) -> int:
         cfg.base_seed = args.seed
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    cells = run_grid(cfg, workers=args.workers)
+    cells = [aggregate(rec) for rec in run_grid(cfg, workers=args.workers)]
     write_grid_csv(cells, out / "grid.csv")
     for metric in cfg.metrics:
         render_heatmap(cells, metric, DEFAULT_LOG10[metric], out / f"{metric}.svg")

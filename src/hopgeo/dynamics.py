@@ -54,15 +54,6 @@ def local_field(state, patterns: PatternSet, weights: DualWeights, kcfg: KernelC
     return weights.alpha.T @ k
 
 
-def step(state, patterns: PatternSet, weights: DualWeights, kcfg: KernelConfig):
-    """One synchronous update; returns (new_state, number of flipped neurons)."""
-    state = np.asarray(state)
-    h = local_field(state, patterns, weights, kcfg)
-    new = np.where(h > 0, 1, np.where(h < 0, -1, state)).astype(state.dtype)
-    changed = int(np.count_nonzero(new != state))
-    return new, changed
-
-
 def recall(
     cue,
     target_index: int,
@@ -148,7 +139,7 @@ def _recall_block(cues, targets, patterns, weights, kcfg, max_steps, success_thr
         for r in np.flatnonzero(~sure.all(axis=1)):
             h[r] = local_field(state[r], patterns, weights, kcfg)
         new = np.sign(h)
-        tie = np.abs(new) != 1.0  # h == 0 or nan: keep the current value, as step() does
+        tie = np.abs(new) != 1.0  # h == 0 or nan: neither h > 0 nor h < 0, so keep the value
         new[tie] = state[tie]
         fixed = (new == state).all(axis=1)
         cycle = ~fixed & (new == prev).all(axis=1)

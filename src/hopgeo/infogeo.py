@@ -46,6 +46,8 @@ class GradientReport:
     retained_modes: int
     lambda_max: float
     d_eff: float
+    ratio_2_1: float
+    ratio_tail: float
     degenerate: bool
 
 
@@ -198,6 +200,8 @@ def gradient_report(
             retained_modes=0,
             lambda_max=0.0,
             d_eff=0.0,
+            ratio_2_1=spec.ratio_2_1,
+            ratio_tail=spec.ratio_tail,
             degenerate=True,
         )
     nat, coeffs, lam_kept = _natural_gradient_parts(grad, spec, rel_cutoff)
@@ -213,6 +217,8 @@ def gradient_report(
         retained_modes=lam_kept.size,
         lambda_max=spec.lambda_max,
         d_eff=spec.d_eff,
+        ratio_2_1=spec.ratio_2_1,
+        ratio_tail=spec.ratio_tail,
         degenerate=False,
     )
 

@@ -69,16 +69,6 @@ class GramMatrix:
             raise DimensionError("Gram matrix must be square")
 
 
-def kernel_eval(x, y, config: KernelConfig) -> float:
-    """RBF kernel between two bipolar vectors: exp(-gamma * ||x - y||^2)."""
-    x = np.asarray(x)
-    y = np.asarray(y)
-    if x.shape != y.shape or x.ndim != 1:
-        raise DimensionError(f"vector length mismatch: {x.shape} vs {y.shape}")
-    d2 = float(np.sum((x.astype(float) - y.astype(float)) ** 2))
-    return math.exp(-config.gamma * d2)
-
-
 def gram(patterns: PatternSet, config: KernelConfig) -> GramMatrix:
     """Gram matrix K[mu][nu] = kernel(xi_mu, xi_nu).
 

@@ -61,11 +61,6 @@ class DualWeights:
             raise ArgumentError("alpha entries must all be finite")
 
 
-def neuron_targets(patterns: PatternSet, neuron: int) -> np.ndarray:
-    """{0,1} targets of one neuron: t_mu = (xi_mu_i + 1) / 2."""
-    return (patterns.patterns[:, neuron] + 1) // 2
-
-
 def all_targets(patterns: PatternSet) -> np.ndarray:
     """(P, N) matrix of {0,1} targets, one column per neuron."""
     return ((patterns.patterns + 1) // 2).astype(float)

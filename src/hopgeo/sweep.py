@@ -7,8 +7,10 @@ numpy.random.SeedSequence([base_seed, gi, li, t]).generate_state(1),
 which makes cells independent and runs reproducible bit-for-bit at any
 worker count.
 
-Aggregation: arithmetic mean over neurons within a trial, then mean
-(and standard deviation for lambda_max and d_eff) over trials.
+run_cell returns a cell's per-neuron and per-trial records; aggregate
+turns them into its SweepCell: arithmetic mean over neurons within a
+trial, then mean (and standard deviation for lambda_max and d_eff) over
+trials.
 Neuron-trials with a fully degenerate spectrum contribute d_eff = 0 and
 are counted in degenerate_count; neurons whose descent monitor tripped
 are frozen at their last accepted iterate, still measured, and counted
@@ -19,14 +21,14 @@ from __future__ import annotations
 
 import csv
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .config import KVView, read_kv_file
 from .dynamics import recall_batch
 from .errors import ArgumentError, FieldError
-from .infogeo import DEFAULT_REL_CUTOFF, gradient_report, neuron_spectra
+from .infogeo import DEFAULT_REL_CUTOFF, GradientReport, gradient_report, neuron_spectra
 from .kernel_core import KernelConfig, corrupt, generate_patterns, gram
 from .klr import DualWeights, TrainConfig, all_targets, fit_dual_weights
 
@@ -97,6 +99,8 @@ class GridConfig:
             raise FieldError(
                 "success_threshold", f"must lie in (0, 1], got {self.success_threshold}"
             )
+        if not (0.0 < self.rel_cutoff < 1.0):
+            raise FieldError("rel_cutoff", f"must lie in (0, 1), got {self.rel_cutoff}")
         if self.recall_max_steps < 1:
             raise FieldError("recall_max_steps", f"must be >= 1, got {self.recall_max_steps}")
         unknown = set(self.metrics) - set(KNOWN_METRICS)
@@ -124,6 +128,33 @@ class SweepCell:
     divergence_count: int = 0
 
 
+@dataclass
+class CellRecords:
+    """What run_cell measured in one cell, before aggregation.
+
+    Per neuron: every field of its GradientReport, as a (trials, N) array in
+    neuron order. Per trial: `diverged`, the neurons the descent monitor froze,
+    and `recall_hits`, the cues recalled (None unless recall_rate is a metric).
+    """
+
+    gamma: float
+    load: float
+    P: int
+    N: int
+    seed: int
+    euclid_norm_sq: np.ndarray
+    riemann_norm_sq: np.ndarray
+    rank1_residual: np.ndarray
+    retained_modes: np.ndarray
+    lambda_max: np.ndarray
+    d_eff: np.ndarray
+    ratio_2_1: np.ndarray
+    ratio_tail: np.ndarray
+    degenerate: np.ndarray
+    diverged: np.ndarray
+    recall_hits: np.ndarray | None
+
+
 def cell_seed(base_seed: int, gamma_index: int, load_index: int) -> int:
     """64-bit cell identity derived from grid position via SeedSequence."""
     ss = np.random.SeedSequence([int(base_seed), int(gamma_index), int(load_index)])
@@ -143,43 +174,30 @@ def run_cell(
     cfg: GridConfig,
     gamma_index: int,
     load_index: int,
-) -> SweepCell:
-    """Train and analyze one (gamma, load) grid point over all trials."""
+) -> CellRecords:
+    """Train and measure one (gamma, load) grid point over all trials."""
     N = cfg.num_neurons
     P = max(1, int(round(load * N)))
     kcfg = KernelConfig(gamma=gamma)
     want_recall = "recall_rate" in cfg.metrics
-    per_trial = {k: [] for k in ("lambda_max", "d_eff", "euclid", "riemann", "rank1")}
-    recall_hits = 0
-    recall_total = 0
-    degenerate = 0
-    divergence = 0
+    reports = []  # per trial, the GradientReport of every neuron in neuron order
+    diverged = []
+    recall_hits = []
     for t in range(cfg.trials_per_cell):
         seed = trial_seed(cfg.base_seed, gamma_index, load_index, t)
         patterns = generate_patterns(P, N, seed)
         K = gram(patterns, kcfg)
         T = all_targets(patterns)
         res = fit_dual_weights(K.values, T, cfg.train)
-        divergence += len(res.diverged)
-        # per-neuron values, filled group by group and averaged in neuron order
-        lmax, deff, eu, ri, r1 = (np.empty(N) for _ in range(5))
+        diverged.append(len(res.diverged))
+        row = [None] * N
         for members, spec in neuron_spectra(res.alpha, K):
             for i in members:
-                rep = gradient_report(
+                row[i] = gradient_report(
                     res.alpha[:, i], K, T[:, i], cfg.train.lam, spec, cfg.rel_cutoff
                 )
-                degenerate += rep.degenerate
-                lmax[i] = rep.lambda_max
-                deff[i] = rep.d_eff
-                eu[i] = rep.euclid_norm_sq
-                ri[i] = rep.riemann_norm_sq
-                r1[i] = rep.rank1_residual
             del spec  # before the next group's eigh, so one spectrum is alive at a time
-        per_trial["lambda_max"].append(float(np.mean(lmax)))
-        per_trial["d_eff"].append(float(np.mean(deff)))
-        per_trial["euclid"].append(float(np.mean(eu)))
-        per_trial["riemann"].append(float(np.mean(ri)))
-        per_trial["rank1"].append(float(np.mean(r1)))
+        reports.append(row)
         if want_recall:
             weights = DualWeights(
                 alpha=res.alpha, gamma=gamma, lam=cfg.train.lam, trained_epochs=res.epochs
@@ -195,27 +213,57 @@ def run_cell(
                 max_steps=cfg.recall_max_steps,
                 success_threshold=cfg.success_threshold,
             )
-            recall_hits += sum(r.success for r in results)
-            recall_total += P
-    def sd(vals):
-        return float(np.std(vals, ddof=0))
-    return SweepCell(
+            recall_hits.append(sum(r.success for r in results))
+    per_neuron = {
+        f.name: np.array([[getattr(rep, f.name) for rep in row] for row in reports])
+        for f in fields(GradientReport)
+    }
+    return CellRecords(
         gamma=gamma,
         load=load,
         P=P,
         N=N,
         seed=cell_seed(cfg.base_seed, gamma_index, load_index),
-        trials=cfg.trials_per_cell,
-        lambda_max_mean=float(np.mean(per_trial["lambda_max"])),
-        lambda_max_sd=sd(per_trial["lambda_max"]),
-        d_eff_mean=float(np.mean(per_trial["d_eff"])),
-        d_eff_sd=sd(per_trial["d_eff"]),
-        euclid_norm_sq_mean=float(np.mean(per_trial["euclid"])),
-        riemann_norm_sq_mean=float(np.mean(per_trial["riemann"])),
-        rank1_residual_mean=float(np.mean(per_trial["rank1"])),
-        recall_rate=(recall_hits / recall_total) if recall_total else float("nan"),
-        degenerate_count=degenerate,
-        divergence_count=divergence,
+        diverged=np.array(diverged),
+        recall_hits=np.array(recall_hits) if want_recall else None,
+        **per_neuron,
+    )
+
+
+def _trial_means(values) -> list:
+    return [float(np.mean(row)) for row in values]
+
+
+def trial_mean(values) -> float:
+    """Mean over the neurons of each trial, then over trials, of a (trials, N) record."""
+    return float(np.mean(_trial_means(values)))
+
+
+def aggregate(rec: CellRecords) -> SweepCell:
+    """The SweepCell (grid.csv row) of one cell's records."""
+    def sd(values):
+        return float(np.std(_trial_means(values), ddof=0))
+    trials = rec.lambda_max.shape[0]
+    return SweepCell(
+        gamma=rec.gamma,
+        load=rec.load,
+        P=rec.P,
+        N=rec.N,
+        seed=rec.seed,
+        trials=trials,
+        lambda_max_mean=trial_mean(rec.lambda_max),
+        lambda_max_sd=sd(rec.lambda_max),
+        d_eff_mean=trial_mean(rec.d_eff),
+        d_eff_sd=sd(rec.d_eff),
+        euclid_norm_sq_mean=trial_mean(rec.euclid_norm_sq),
+        riemann_norm_sq_mean=trial_mean(rec.riemann_norm_sq),
+        rank1_residual_mean=trial_mean(rec.rank1_residual),
+        recall_rate=(
+            int(rec.recall_hits.sum()) / (trials * rec.P)
+            if rec.recall_hits is not None else float("nan")
+        ),
+        degenerate_count=int(rec.degenerate.sum()),
+        divergence_count=int(rec.diverged.sum()),
     )
 
 
@@ -225,24 +273,26 @@ def _cell_task(args):
 
 
 def run_grid(cfg: GridConfig, workers: int = 1) -> list:
-    """Evaluate every (gamma, load) pair; output sorted by (load, gamma).
+    """CellRecords of every (gamma, load) pair, sorted by (load, gamma).
 
     Cells are independent; scheduling never changes values or order. Tasks
     are submitted largest load (so largest P, the longest descent) first, so
-    that a pool does not end waiting on one long cell.
+    that a pool does not end waiting on one long cell. The pool has at most
+    one worker per cell.
     """
     tasks = [
         (cfg, gi, li)
         for li in reversed(range(len(cfg.load_values)))
         for gi in range(len(cfg.gamma_values))
     ]
+    workers = min(workers, len(tasks))
     if workers <= 1:
         results = [_cell_task(t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_cell_task, tasks))
     results.sort(key=lambda kv: kv[0])
-    return [cell for _, cell in results]
+    return [rec for _, rec in results]
 
 
 def write_grid_csv(cells: list, path) -> None:

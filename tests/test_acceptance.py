@@ -1,11 +1,12 @@
 """End-to-end acceptance suite.
 
 Runs the frozen desk-scale grid in configs/acceptance.cfg once (module
-fixture) and checks ten numbered criteria, printing one PASS/FAIL line
-per criterion. Criteria 1-4 are oracle equivalences and contracts on
-random instances; 5-8 are qualitative phase-diagram claims on the grid;
-9 is the memory function; 10 is bit-level reproducibility of the CLI
-sweep across worker counts.
+fixture) through sweep.run_grid and sweep.aggregate, the cell evaluator
+and aggregation that `hopgeo phase` runs, and checks ten numbered
+criteria, printing one PASS/FAIL line per criterion. Criteria 1-4 are
+oracle equivalences and contracts on random instances; 5-8 are
+qualitative phase-diagram claims on the grid; 9 is the memory function;
+10 is bit-level reproducibility of the CLI sweep across worker counts.
 
 Criterion 5 asks each load row for (i) some cell with a concentrated but
 nondegenerate Fisher spectrum and (ii) a flat spectrum at the local-kernel
@@ -15,10 +16,10 @@ all close to 1 and bound the stable rank below P/2 for any weights (see the
 comment in the test).
 """
 
+import dataclasses
 import os
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,26 +30,12 @@ from hopgeo.infogeo import (
     effective_dimension,
     fim_empirical_oracle,
     fisher_matrix,
-    gradient_report,
     natural_gradient,
     spectrum,
 )
-from hopgeo.kernel_core import (
-    GramMatrix,
-    KernelConfig,
-    corrupt,
-    generate_patterns,
-    gram,
-)
-from hopgeo.klr import (
-    TrainConfig,
-    all_targets,
-    fit_dual_weights,
-    loss,
-    loss_gradient,
-    train,
-)
-from hopgeo.sweep import grid_config_from_file, trial_seed
+from hopgeo.kernel_core import GramMatrix, KernelConfig, corrupt, generate_patterns
+from hopgeo.klr import TrainConfig, loss, loss_gradient, train
+from hopgeo.sweep import aggregate, grid_config_from_file, run_grid, trial_mean
 
 ACCEPTANCE_CFG = Path(__file__).resolve().parent.parent / "configs" / "acceptance.cfg"
 
@@ -69,96 +56,24 @@ def random_instance(rng, P):
 
 
 # --------------------------------------------------------------------------
-# grid fixture: every (gamma, load) cell of the frozen acceptance config,
-# with per-cell means of the geometry scalars and spectral ratios
+# grid fixture: every (gamma, load) cell of the frozen acceptance config from
+# sweep.run_grid, with its SweepCell fields and the spectral-ratio means
 # --------------------------------------------------------------------------
-
-
-@dataclass
-class CellStats:
-    gamma: float
-    load: float
-    gamma_index: int
-    P: int
-    lambda_max_mean: float
-    d_eff_mean: float
-    euclid_mean: float
-    riemann_mean: float
-    rank1_mean: float
-    ratio_2_1_mean: float
-    ratio_tail_mean: float
-    retained_total: int
-    degenerate_count: int
-    divergence_count: int
-
-
-def analyze_cell(task):
-    gamma, load, cfg, gi, li = task
-    N = cfg.num_neurons
-    P = max(1, int(round(load * N)))
-    kcfg = KernelConfig(gamma=gamma)
-    acc = {k: [] for k in ("lmax", "deff", "eu", "ri", "r1", "r21", "rtail")}
-    retained_total = 0
-    degenerate = 0
-    divergence = 0
-    for t in range(cfg.trials_per_cell):
-        seed = trial_seed(cfg.base_seed, gi, li, t)
-        patterns = generate_patterns(P, N, seed)
-        K = gram(patterns, kcfg)
-        T = all_targets(patterns)
-        res = fit_dual_weights(K.values, T, cfg.train)
-        divergence += len(res.diverged)
-        for i in range(N):
-            spec = spectrum(fisher_matrix(res.alpha[:, i], K))
-            rep = gradient_report(res.alpha[:, i], K, T[:, i], cfg.train.lam, spec, cfg.rel_cutoff)
-            if rep.degenerate:
-                degenerate += 1
-            retained_total += rep.retained_modes
-            acc["lmax"].append(rep.lambda_max)
-            acc["deff"].append(rep.d_eff)
-            acc["eu"].append(rep.euclid_norm_sq)
-            acc["ri"].append(rep.riemann_norm_sq)
-            acc["r1"].append(rep.rank1_residual)
-            acc["r21"].append(spec.ratio_2_1)
-            acc["rtail"].append(spec.ratio_tail)
-    return (li, gi), CellStats(
-        gamma=gamma,
-        load=load,
-        gamma_index=gi,
-        P=P,
-        lambda_max_mean=float(np.mean(acc["lmax"])),
-        d_eff_mean=float(np.mean(acc["deff"])),
-        euclid_mean=float(np.mean(acc["eu"])),
-        riemann_mean=float(np.mean(acc["ri"])),
-        rank1_mean=float(np.mean(acc["r1"])),
-        ratio_2_1_mean=float(np.mean(acc["r21"])),
-        ratio_tail_mean=float(np.mean(acc["rtail"])),
-        retained_total=retained_total,
-        degenerate_count=degenerate,
-        divergence_count=divergence,
-    )
 
 
 @pytest.fixture(scope="module")
 def grid():
     cfg = grid_config_from_file(ACCEPTANCE_CFG)
-    tasks = [
-        (cfg.gamma_values[gi], cfg.load_values[li], cfg, gi, li)
-        for li in range(len(cfg.load_values))
-        for gi in range(len(cfg.gamma_values))
-    ]
-    workers = min(os.cpu_count() or 1, len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(analyze_cell, tasks))
-    else:
-        results = [analyze_cell(t) for t in tasks]
-    results.sort(key=lambda kv: kv[0])
     rows = {}
-    for (li, gi), stats in results:
-        rows.setdefault(stats.load, []).append(stats)
-    for load in rows:
-        rows[load].sort(key=lambda s: s.gamma_index)
+    for rec in run_grid(cfg, workers=os.cpu_count() or 1):
+        row = rows.setdefault(rec.load, [])
+        row.append(SimpleNamespace(
+            **dataclasses.asdict(aggregate(rec)),
+            gamma_index=len(row),
+            ratio_2_1_mean=trial_mean(rec.ratio_2_1),
+            ratio_tail_mean=trial_mean(rec.ratio_tail),
+            retained_total=int(rec.retained_modes.sum()),
+        ))
     return rows
 
 
@@ -290,8 +205,8 @@ def test_c7_dual_equilibrium(grid):
             ok = False
             details.append(f"load {load}: no eligible cells")
             continue
-        eu_argmax = max(eligible, key=lambda s: s.euclid_mean).gamma_index
-        ri_argmin = min(eligible, key=lambda s: s.riemann_mean).gamma_index
+        eu_argmax = max(eligible, key=lambda s: s.euclid_norm_sq_mean).gamma_index
+        ri_argmin = min(eligible, key=lambda s: s.riemann_norm_sq_mean).gamma_index
         row_ok = abs(eu_argmax - ri_argmin) <= 2
         ok = ok and row_ok
         details.append(f"load {load}: argmax(eu)={eu_argmax}, argmin(ri)={ri_argmin}")
@@ -305,9 +220,9 @@ def test_c8_rank1_amplification(grid):
         for s in row:
             if s.ratio_2_1_mean < 1e-3:
                 qualifying += 1
-                if not s.rank1_mean < 0.1:
+                if not s.rank1_residual_mean < 0.1:
                     violations.append(
-                        f"load {load} gamma {s.gamma:.3g}: residual {s.rank1_mean:.3g}"
+                        f"load {load} gamma {s.gamma:.3g}: residual {s.rank1_residual_mean:.3g}"
                     )
     record(
         "C8 rank-1 amplification",

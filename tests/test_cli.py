@@ -399,6 +399,10 @@ GRID_RANGE_ERRORS = {
                                   "success_threshold"),
     "zero_recall_max_steps": ("num_neurons = 8", "recall_max_steps = 0\nnum_neurons = 8",
                               "recall_max_steps"),
+    "zero_rel_cutoff": ("num_neurons = 8", "rel_cutoff = 0\nnum_neurons = 8", "rel_cutoff"),
+    "unit_rel_cutoff": ("num_neurons = 8", "rel_cutoff = 1\nnum_neurons = 8", "rel_cutoff"),
+    "rel_cutoff_above_1": ("num_neurons = 8", "rel_cutoff = 2\nnum_neurons = 8", "rel_cutoff"),
+    "nan_rel_cutoff": ("num_neurons = 8", "rel_cutoff = nan\nnum_neurons = 8", "rel_cutoff"),
 }
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hopgeo import dynamics
-from hopgeo.dynamics import RecallResult, local_field, overlap, recall, recall_batch, step
+from hopgeo.dynamics import RecallResult, local_field, overlap, recall, recall_batch
 from hopgeo.errors import ArgumentError, DimensionError
 from hopgeo.kernel_core import KernelConfig, PatternSet, corrupt, generate_patterns, gram
 from hopgeo.klr import DualWeights, TrainConfig, all_targets, fit_dual_weights, train
@@ -52,7 +52,7 @@ def test_zero_weights_freeze_the_state():
     w = DualWeights(alpha=np.zeros((3, 10)), gamma=0.1, lam=0.0, trained_epochs=0)
     kcfg = KernelConfig(gamma=0.1)
     state = corrupt(ps.patterns[0], 0.3, 4)
-    new, changed = step(state, ps, w, kcfg)
+    new, changed = _step(state, ps, w, kcfg)
     assert changed == 0
     assert np.array_equal(new, state)
     res = recall(state, 0, ps, w, kcfg, max_steps=5)
@@ -138,6 +138,14 @@ def test_success_threshold_boundary():
     assert not res.success
 
 
+def _step(state, patterns, weights, kcfg):
+    """One synchronous update; returns (new_state, number of flipped neurons)."""
+    state = np.asarray(state)
+    h = local_field(state, patterns, weights, kcfg)
+    new = np.where(h > 0, 1, np.where(h < 0, -1, state)).astype(state.dtype)
+    return new, int(np.count_nonzero(new != state))
+
+
 def _reference_recall(cue, target_index, patterns, weights, kcfg, max_steps, success_threshold):
     """The single-cue loop recall() ran before cues were batched; the oracle."""
     target = patterns.patterns[target_index]
@@ -146,7 +154,7 @@ def _reference_recall(cue, target_index, patterns, weights, kcfg, max_steps, suc
     converged = False
     steps = 0
     for _ in range(max_steps):
-        new, changed = step(state, patterns, weights, kcfg)
+        new, changed = _step(state, patterns, weights, kcfg)
         steps += 1
         if changed == 0:
             converged = True

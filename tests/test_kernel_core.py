@@ -5,48 +5,43 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopgeo.errors import ArgumentError, DimensionError
+from hopgeo.errors import ArgumentError
 from hopgeo.kernel_core import (
     KernelConfig,
+    PatternSet,
     corrupt,
     generate_patterns,
     gram,
-    kernel_eval,
     load_patterns,
     save_patterns,
 )
 
 
-def test_kernel_eval_identical_vectors():
-    x = np.array([1, -1, 1, 1, -1])
-    for g in (0.001, 0.1, 3.0):
-        assert kernel_eval(x, x, KernelConfig(gamma=g)) == 1.0
+def _kernel_eval(x, y, gamma):
+    """exp(-gamma * ||x - y||^2) of two vectors, by the definition; the oracle for gram."""
+    d2 = float(np.sum((np.asarray(x, dtype=float) - np.asarray(y, dtype=float)) ** 2))
+    return math.exp(-gamma * d2)
 
 
-def test_kernel_eval_hand_values():
+def _pair_kernel(x, y, gamma):
+    """K[0, 1] of gram on the two-pattern set {x, y}."""
+    ps = PatternSet(patterns=np.array([x, y]), seed=0)
+    return gram(ps, KernelConfig(gamma=gamma)).values[0, 1]
+
+
+def test_gram_hand_values():
     # two flipped bits out of two: ||x-y||^2 = 8
-    x = np.array([1, 1])
-    y = np.array([-1, -1])
-    assert kernel_eval(x, y, KernelConfig(gamma=0.1)) == pytest.approx(
-        0.44932896411722156, rel=1e-12
-    )
+    assert _pair_kernel([1, 1], [-1, -1], 0.1) == pytest.approx(0.44932896411722156, rel=1e-12)
     # two flipped bits out of four: ||x-y||^2 = 8, gamma=0.05 -> exp(-0.4)
-    x = np.array([1, 1, -1, -1])
-    y = np.array([1, -1, -1, 1])
-    assert kernel_eval(x, y, KernelConfig(gamma=0.05)) == pytest.approx(
+    assert _pair_kernel([1, 1, -1, -1], [1, -1, -1, 1], 0.05) == pytest.approx(
         0.6703200460356393, rel=1e-12
     )
 
 
-def test_kernel_eval_length_mismatch():
-    with pytest.raises(DimensionError):
-        kernel_eval(np.ones(3), np.ones(4), KernelConfig(gamma=0.1))
-
-
 def test_kernel_monotone_in_gamma():
-    x = np.array([1, 1, -1, 1])
-    y = np.array([-1, 1, -1, -1])
-    vals = [kernel_eval(x, y, KernelConfig(gamma=g)) for g in (0.01, 0.1, 0.5, 2.0)]
+    x = [1, 1, -1, 1]
+    y = [-1, 1, -1, -1]
+    vals = [_pair_kernel(x, y, g) for g in (0.01, 0.1, 0.5, 2.0)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
@@ -65,8 +60,6 @@ def test_gram_single_pattern():
 
 
 def test_gram_identical_patterns_all_ones():
-    from hopgeo.kernel_core import PatternSet
-
     row = generate_patterns(1, 8, 5).patterns[0]
     ps = PatternSet(patterns=np.vstack([row, row]), seed=5)
     K = gram(ps, KernelConfig(gamma=0.2))
@@ -79,7 +72,7 @@ def test_gram_matches_double_loop_oracle():
     K = gram(ps, cfg)
     for mu in range(3):
         for nu in range(3):
-            expected = kernel_eval(ps.patterns[mu], ps.patterns[nu], cfg)
+            expected = _kernel_eval(ps.patterns[mu], ps.patterns[nu], cfg.gamma)
             assert K.values[mu, nu] == pytest.approx(expected, abs=1e-15)
 
 
@@ -158,7 +151,4 @@ def test_pattern_serialization_roundtrip(tmp_path):
 
 def test_distance_convention_is_four_hamming():
     # one flipped bit -> ||x-y||^2 = 4, so K = exp(-4 gamma)
-    x = np.array([1, 1, 1])
-    y = np.array([1, 1, -1])
-    g = 0.25
-    assert kernel_eval(x, y, KernelConfig(gamma=g)) == pytest.approx(math.exp(-1.0))
+    assert _pair_kernel([1, 1, 1], [1, 1, -1], 0.25) == pytest.approx(math.exp(-1.0))

@@ -17,7 +17,6 @@ from hopgeo.klr import (
     load_weights,
     loss,
     loss_gradient,
-    neuron_targets,
     predict_probs,
     save_weights,
     sigmoid,
@@ -74,7 +73,7 @@ def test_predict_probs_dimension_mismatch():
 
 def test_loss_at_zero_alpha():
     K = gram(generate_patterns(7, 12, 3), KernelConfig(gamma=0.2))
-    t = neuron_targets(generate_patterns(7, 12, 3), 0)
+    t = all_targets(generate_patterns(7, 12, 3))[:, 0]
     assert loss(np.zeros(7), K, t, 0.0) == pytest.approx(7 * math.log(2), rel=1e-14)
     # penalty vanishes at alpha = 0 no matter how large lambda is
     assert loss(np.zeros(7), K, t, 5.0) == pytest.approx(7 * math.log(2), rel=1e-14)

@@ -7,13 +7,15 @@ from hopgeo import sweep
 from hopgeo.config import ConfigError
 from hopgeo.dynamics import recall_batch
 from hopgeo.errors import ArgumentError
-from hopgeo.infogeo import fisher_matrix, gradient_report, spectrum
+from hopgeo.infogeo import GradientReport, fisher_matrix, gradient_report, spectrum
 from hopgeo.kernel_core import KernelConfig, corrupt, generate_patterns, gram
 from hopgeo.klr import DualWeights, TrainConfig, all_targets, fit_dual_weights
 from hopgeo.sweep import (
     CSV_COLUMNS,
+    CellRecords,
     GridConfig,
     SweepCell,
+    aggregate,
     cell_seed,
     grid_config_from_file,
     read_grid_csv,
@@ -26,20 +28,13 @@ from hopgeo.sweep import (
 FAST_TRAIN = TrainConfig(lam=1e-4, learning_rate=0.02, max_epochs=300, grad_tol=1e-6)
 
 
-def same_cell(a, b):
-    """Field-wise equality that treats NaN == NaN (unused recall_rate)."""
-    import dataclasses
-    import math
-
-    da, db = dataclasses.asdict(a), dataclasses.asdict(b)
-    for key in da:
-        x, y = da[key], db[key]
-        if isinstance(x, float) and math.isnan(x):
-            if not (isinstance(y, float) and math.isnan(y)):
-                return False
-        elif x != y:
-            return False
-    return True
+def record_bits(rec):
+    """Every field of a CellRecords, floats by their exact bits (nan and -0.0 included)."""
+    def bits(v):
+        if isinstance(v, np.ndarray):
+            return v.dtype.str, v.shape, [bits(x) for x in v.ravel().tolist()]
+        return v.hex() if isinstance(v, float) else v
+    return {f.name: bits(getattr(rec, f.name)) for f in dataclasses.fields(rec)}
 
 
 def tiny_config(**overrides):
@@ -85,7 +80,7 @@ def test_seed_derivation_is_stable_and_distinct():
 def test_single_pattern_cell_has_unit_effective_dimension():
     # P = 1: the Fisher matrix is a scalar, so d_eff = 1 exactly
     cfg = tiny_config(load_values=[0.125], gamma_values=[0.05], trials_per_cell=1)
-    cell = run_cell(0.05, 0.125, cfg, 0, 0)
+    cell = aggregate(run_cell(0.05, 0.125, cfg, 0, 0))
     assert cell.P == 1
     assert cell.d_eff_mean == pytest.approx(1.0, abs=1e-12)
     assert cell.degenerate_count == 0
@@ -96,7 +91,7 @@ def test_run_cell_deterministic():
     cfg = tiny_config()
     a = run_cell(0.1, 0.5, cfg, 1, 1)
     b = run_cell(0.1, 0.5, cfg, 1, 1)
-    assert same_cell(a, b)
+    assert record_bits(a) == record_bits(b)
 
 
 def test_run_grid_composes_cells_in_row_major_order():
@@ -107,22 +102,44 @@ def test_run_grid_composes_cells_in_row_major_order():
         (0.25, 0.01), (0.25, 0.1), (0.5, 0.01), (0.5, 0.1)
     ]
     lone = run_cell(0.1, 0.5, cfg, 1, 1)
-    assert same_cell(cells[3], lone)
+    assert record_bits(cells[3]) == record_bits(lone)
 
 
 def test_worker_count_does_not_change_results():
     cfg = tiny_config()
     a = run_grid(cfg, workers=1)
     b = run_grid(cfg, workers=2)
-    assert len(a) == len(b)
-    assert all(same_cell(x, y) for x, y in zip(a, b))
+    assert [record_bits(x) for x in a] == [record_bits(y) for y in b]
+
+
+def test_pool_has_at_most_one_worker_per_cell(monkeypatch):
+    made = []
+
+    class RecordingPool:  # runs the tasks in this process; records the pool size asked for
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
+    cfg = tiny_config(gamma_values=[0.1])
+    assert [rec.load for rec in run_grid(cfg, workers=5000)] == [0.25, 0.5]
+    run_grid(tiny_config(gamma_values=[0.1], load_values=[0.5]), workers=5000)
+    assert made == [2]  # the one-cell grid ran without a pool
 
 
 def test_grid_csv_roundtrip(tmp_path):
     cfg = tiny_config(metrics=("lambda_max", "d_eff", "euclid_norm_sq",
                                "riemann_norm_sq", "rank1_residual", "recall_rate"),
                       recall_max_steps=20)
-    cells = run_grid(cfg, workers=1)
+    cells = [aggregate(rec) for rec in run_grid(cfg, workers=1)]
     path = tmp_path / "grid.csv"
     write_grid_csv(cells, path)
     header = path.read_text().splitlines()[0]
@@ -135,8 +152,8 @@ def test_worker_count_does_not_change_csv_bytes(tmp_path):
     cfg = tiny_config()
     p1 = tmp_path / "w1.csv"
     p2 = tmp_path / "w2.csv"
-    write_grid_csv(run_grid(cfg, workers=1), p1)
-    write_grid_csv(run_grid(cfg, workers=2), p2)
+    write_grid_csv([aggregate(rec) for rec in run_grid(cfg, workers=1)], p1)
+    write_grid_csv([aggregate(rec) for rec in run_grid(cfg, workers=2)], p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -217,7 +234,7 @@ def test_aggregation_sanity():
     cfg = tiny_config(metrics=("lambda_max", "d_eff", "euclid_norm_sq",
                                "riemann_norm_sq", "rank1_residual", "recall_rate"),
                       recall_max_steps=20)
-    for cell in run_grid(cfg, workers=1):
+    for cell in map(aggregate, run_grid(cfg, workers=1)):
         assert cell.lambda_max_mean > 0
         assert cell.lambda_max_sd >= 0
         assert 1.0 <= cell.d_eff_mean <= cell.P
@@ -230,44 +247,35 @@ def test_aggregation_sanity():
 
 
 def _reference_run_cell(gamma, load, cfg, gamma_index, load_index):
-    """Oracle for run_cell: one Fisher spectrum per neuron, reports in neuron order.
+    """Oracle for run_cell and aggregate: one Fisher spectrum per neuron, reports in
+    neuron order, trial means taken as the loop goes.
 
-    The per-neuron loop that run_cell's shared spectra must reproduce bit for bit.
+    Returns (CellRecords, SweepCell), which run_cell's shared spectra and
+    aggregate must reproduce bit for bit.
     """
     N = cfg.num_neurons
     P = max(1, int(round(load * N)))
     kcfg = KernelConfig(gamma=gamma)
     want_recall = "recall_rate" in cfg.metrics
-    per_trial = {k: [] for k in ("lambda_max", "d_eff", "euclid", "riemann", "rank1")}
-    recall_hits = 0
-    recall_total = 0
-    degenerate = 0
-    divergence = 0
+    means = ("lambda_max", "d_eff", "euclid_norm_sq", "riemann_norm_sq", "rank1_residual")
+    per_trial = {k: [] for k in means}
+    reports, diverged, recall_hits = [], [], []
     for t in range(cfg.trials_per_cell):
         seed = trial_seed(cfg.base_seed, gamma_index, load_index, t)
         patterns = generate_patterns(P, N, seed)
         K = gram(patterns, kcfg)
         T = all_targets(patterns)
         res = fit_dual_weights(K.values, T, cfg.train)
-        divergence += len(res.diverged)
-        lmax, deff, eu, ri, r1 = [], [], [], [], []
+        diverged.append(len(res.diverged))
+        row = []
         for i in range(N):
             spec = spectrum(fisher_matrix(res.alpha[:, i], K))
-            rep = gradient_report(
+            row.append(gradient_report(
                 res.alpha[:, i], K, T[:, i], cfg.train.lam, spec, cfg.rel_cutoff
-            )
-            if rep.degenerate:
-                degenerate += 1
-            lmax.append(rep.lambda_max)
-            deff.append(rep.d_eff)
-            eu.append(rep.euclid_norm_sq)
-            ri.append(rep.riemann_norm_sq)
-            r1.append(rep.rank1_residual)
-        per_trial["lambda_max"].append(float(np.mean(lmax)))
-        per_trial["d_eff"].append(float(np.mean(deff)))
-        per_trial["euclid"].append(float(np.mean(eu)))
-        per_trial["riemann"].append(float(np.mean(ri)))
-        per_trial["rank1"].append(float(np.mean(r1)))
+            ))
+        reports.append(row)
+        for k in means:
+            per_trial[k].append(float(np.mean([getattr(rep, k) for rep in row])))
         if want_recall:
             weights = DualWeights(
                 alpha=res.alpha, gamma=gamma, lam=cfg.train.lam, trained_epochs=res.epochs
@@ -283,29 +291,37 @@ def _reference_run_cell(gamma, load, cfg, gamma_index, load_index):
                 max_steps=cfg.recall_max_steps,
                 success_threshold=cfg.success_threshold,
             )
-            recall_hits += sum(r.success for r in results)
-            recall_total += P
+            recall_hits.append(sum(r.success for r in results))
+    seed = cell_seed(cfg.base_seed, gamma_index, load_index)
+    records = CellRecords(
+        gamma=gamma, load=load, P=P, N=N, seed=seed,
+        diverged=np.array(diverged),
+        recall_hits=np.array(recall_hits) if want_recall else None,
+        **{f.name: np.array([[getattr(rep, f.name) for rep in row] for row in reports])
+           for f in dataclasses.fields(GradientReport)},
+    )
 
     def sd(vals):
         return float(np.std(vals, ddof=0))
-    return SweepCell(
+    cell = SweepCell(
         gamma=gamma,
         load=load,
         P=P,
         N=N,
-        seed=cell_seed(cfg.base_seed, gamma_index, load_index),
+        seed=seed,
         trials=cfg.trials_per_cell,
         lambda_max_mean=float(np.mean(per_trial["lambda_max"])),
         lambda_max_sd=sd(per_trial["lambda_max"]),
         d_eff_mean=float(np.mean(per_trial["d_eff"])),
         d_eff_sd=sd(per_trial["d_eff"]),
-        euclid_norm_sq_mean=float(np.mean(per_trial["euclid"])),
-        riemann_norm_sq_mean=float(np.mean(per_trial["riemann"])),
-        rank1_residual_mean=float(np.mean(per_trial["rank1"])),
-        recall_rate=(recall_hits / recall_total) if recall_total else float("nan"),
-        degenerate_count=degenerate,
-        divergence_count=divergence,
+        euclid_norm_sq_mean=float(np.mean(per_trial["euclid_norm_sq"])),
+        riemann_norm_sq_mean=float(np.mean(per_trial["riemann_norm_sq"])),
+        rank1_residual_mean=float(np.mean(per_trial["rank1_residual"])),
+        recall_rate=(sum(recall_hits) / (cfg.trials_per_cell * P)) if want_recall else float("nan"),
+        degenerate_count=sum(rep.degenerate for row in reports for rep in row),
+        divergence_count=sum(diverged),
     )
+    return records, cell
 
 
 def cell_bits(cell):
@@ -347,8 +363,10 @@ def test_shared_spectra_match_per_neuron_reference_bit_for_bit(monkeypatch, case
             yield members, spec
 
     monkeypatch.setattr(sweep, "neuron_spectra", recording)
-    got = run_cell(gamma, load, cfg, 0, 0)
-    want = _reference_run_cell(gamma, load, cfg, 0, 0)
+    records = run_cell(gamma, load, cfg, 0, 0)
+    want_records, want = _reference_run_cell(gamma, load, cfg, 0, 0)
+    assert record_bits(records) == record_bits(want_records)
+    got = aggregate(records)
     assert cell_bits(got) == cell_bits(want)
     assert sum(groups) == cfg.num_neurons * cfg.trials_per_cell
     if case == "all_frozen":
