@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -33,8 +33,9 @@ from .kernel_core import (
     load_patterns,
     save_patterns,
 )
-from .klr import TrainConfig, load_weights, save_weights, train
+from .klr import load_weights, read_train_config, save_weights, train
 from .sweep import (
+    METRICS,
     aggregate,
     grid_config_from_file,
     read_grid_csv,
@@ -42,16 +43,6 @@ from .sweep import (
     write_grid_csv,
 )
 from .svgplot import render_heatmap, render_spectrum_lines
-
-# default transform per heatmap metric
-DEFAULT_LOG10 = {
-    "lambda_max": True,
-    "d_eff": False,
-    "euclid_norm_sq": True,
-    "riemann_norm_sq": True,
-    "rank1_residual": False,
-    "recall_rate": False,
-}
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -85,19 +76,23 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
+def _train_resolved(tcfg) -> dict:
+    """The training keys of a manifest's resolved_config."""
+    return {
+        "lambda": tcfg.lam,
+        "learning_rate": tcfg.learning_rate,
+        "max_epochs": tcfg.max_epochs,
+        "grad_tol": tcfg.grad_tol,
+    }
+
+
 def _train_config_from_file(path, seed_override=None):
     view = KVView(path, read_kv_file(path))
     P = view.require("num_patterns", "int")
     N = view.require("num_neurons", "int")
     gamma = view.require("gamma", "float")
     seed = view.get_int("seed", 0)
-    with view.fields():
-        tcfg = TrainConfig(
-            lam=view.get_float("lambda", 1e-4),
-            learning_rate=view.get_float("learning_rate", 0.1),
-            max_epochs=view.get_int("max_epochs", 100_000),
-            grad_tol=view.get_float("grad_tol", 1e-6),
-        )
+    tcfg = read_train_config(view)
     view.reject_unknown()
     if not (math.isfinite(gamma) and gamma > 0):
         raise view.error("gamma", f"must be positive and finite, got {gamma}")
@@ -105,6 +100,8 @@ def _train_config_from_file(path, seed_override=None):
         raise view.error("num_patterns", f"must be >= 1, got {P}")
     if N < 1:
         raise view.error("num_neurons", f"must be >= 1, got {N}")
+    if seed < 0:
+        raise view.error("seed", f"must be >= 0, got {seed}")
     if seed_override is not None:
         seed = seed_override
     return P, N, gamma, seed, tcfg
@@ -132,10 +129,7 @@ def cmd_train(args, argv) -> int:
         "num_neurons": N,
         "gamma": gamma,
         "seed": seed,
-        "lambda": tcfg.lam,
-        "learning_rate": tcfg.learning_rate,
-        "max_epochs": tcfg.max_epochs,
-        "grad_tol": tcfg.grad_tol,
+        **_train_resolved(tcfg),
     }
     _write_manifest(out, argv, resolved, {"pattern_seed": seed}, started)
     return EXIT_OK
@@ -182,7 +176,7 @@ def cmd_phase(args, argv) -> int:
     cells = [aggregate(rec) for rec in run_grid(cfg, workers=args.workers)]
     write_grid_csv(cells, out / "grid.csv")
     for metric in cfg.metrics:
-        render_heatmap(cells, metric, DEFAULT_LOG10[metric], out / f"{metric}.svg")
+        render_heatmap(cells, metric, METRICS[metric].log10, out / f"{metric}.svg")
     degen = sum(c.degenerate_count for c in cells)
     diverg = sum(c.divergence_count for c in cells)
     if degen or diverg:
@@ -190,22 +184,10 @@ def cmd_phase(args, argv) -> int:
             f"flags: {degen} degenerate neuron-trials, {diverg} divergent neuron-trials",
             file=sys.stderr,
         )
-    resolved = {
-        "gamma_values": list(cfg.gamma_values),
-        "load_values": list(cfg.load_values),
-        "num_neurons": cfg.num_neurons,
-        "trials_per_cell": cfg.trials_per_cell,
-        "base_seed": cfg.base_seed,
-        "lambda": cfg.train.lam,
-        "learning_rate": cfg.train.learning_rate,
-        "max_epochs": cfg.train.max_epochs,
-        "grad_tol": cfg.train.grad_tol,
-        "rel_cutoff": cfg.rel_cutoff,
-        "metrics": list(cfg.metrics),
-        "recall_flip_fraction": cfg.recall_flip_fraction,
-        "success_threshold": cfg.success_threshold,
-        "recall_max_steps": cfg.recall_max_steps,
-    }
+    resolved = {}  # GridConfig's fields in order, the training keys in place of `train`
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        resolved.update(_train_resolved(value) if f.name == "train" else {f.name: value})
     _write_manifest(out, argv, resolved, {"base_seed": cfg.base_seed}, started)
     return EXIT_OK
 
@@ -258,11 +240,11 @@ def cmd_render(args, argv) -> int:
         raise ArgumentError(f"{args.grid}: no grid cells after the header")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    metrics = args.metrics.split() if args.metrics else list(DEFAULT_LOG10)
+    metrics = args.metrics.split() if args.metrics else list(METRICS)
     for metric in metrics:
-        if metric not in DEFAULT_LOG10:
+        if metric not in METRICS:
             raise ArgumentError(f"unknown metric {metric!r}")
-        render_heatmap(cells, metric, DEFAULT_LOG10[metric], out / f"{metric}.svg")
+        render_heatmap(cells, metric, METRICS[metric].log10, out / f"{metric}.svg")
     return EXIT_OK
 
 
@@ -323,6 +305,8 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0,) else 0
     try:
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise ArgumentError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args, argv)
     except (TrainingDivergenceError, NumericError) as e:
         print(f"numeric failure: {e}", file=sys.stderr)

@@ -44,6 +44,21 @@ class TrainConfig:
             raise FieldError("grad_tol", f"must be > 0, got {self.grad_tol}")
 
 
+def read_train_config(view) -> TrainConfig:
+    """The TrainConfig of a config file's training keys; a key it leaves out keeps its default.
+
+    `view` is a config.KVView; a range error is reported at the key's line.
+    """
+    given = dict(
+        lam=view.get_float("lambda"),
+        learning_rate=view.get_float("learning_rate"),
+        max_epochs=view.get_int("max_epochs"),
+        grad_tol=view.get_float("grad_tol"),
+    )
+    with view.fields():
+        return TrainConfig(**{key: value for key, value in given.items() if value is not None})
+
+
 @dataclass
 class DualWeights:
     """alpha[:, i] is the dual coefficient vector of neuron i."""
@@ -123,8 +138,8 @@ def loss_gradient(alpha_col, K: GramMatrix, targets, lam: float) -> np.ndarray:
     t = np.asarray(targets, dtype=float)
     if alpha_col.shape != t.shape or alpha_col.shape != (K.values.shape[0],):
         raise DimensionError("alpha, targets and Gram matrix sizes disagree")
-    p = sigmoid(K.values @ alpha_col)
-    return K.values @ (p - t) + lam * (K.values @ alpha_col)
+    h = K.values @ alpha_col
+    return K.values @ (sigmoid(h) - t) + lam * h
 
 
 @dataclass

@@ -14,19 +14,11 @@ import math
 from pathlib import Path
 
 from .errors import LayoutError, NumericError
+from .sweep import METRICS
 
 # dark -> bright anchors (inferno-like)
 _RAMP = [(0, 0, 4), (87, 16, 110), (188, 55, 84), (249, 142, 9), (252, 255, 164)]
 FLAG_COLOR = "#9e9e9e"
-
-_METRIC_ATTR = {
-    "lambda_max": "lambda_max_mean",
-    "d_eff": "d_eff_mean",
-    "euclid_norm_sq": "euclid_norm_sq_mean",
-    "riemann_norm_sq": "riemann_norm_sq_mean",
-    "rank1_residual": "rank1_residual_mean",
-    "recall_rate": "recall_rate",
-}
 
 
 def _ramp_color(u: float) -> str:
@@ -60,9 +52,9 @@ def _grid_layout(cells):
 
 def render_heatmap(cells, metric: str, log10: bool, out_path) -> str:
     """Write (and return) an SVG heatmap of one metric over the grid."""
-    if metric not in _METRIC_ATTR:
+    if metric not in METRICS:
         raise NumericError(f"unknown metric {metric!r}")
-    attr = _METRIC_ATTR[metric]
+    attr = METRICS[metric].column
     gammas, loads, lookup = _grid_layout(cells)
 
     values = {}

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import csv
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, field, fields
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -30,35 +31,50 @@ from .dynamics import recall_batch
 from .errors import ArgumentError, FieldError
 from .infogeo import DEFAULT_REL_CUTOFF, GradientReport, gradient_report, neuron_spectra
 from .kernel_core import KernelConfig, corrupt, generate_patterns, gram
-from .klr import DualWeights, TrainConfig, all_targets, fit_dual_weights
+from .klr import DualWeights, TrainConfig, all_targets, fit_dual_weights, read_train_config
 
-KNOWN_METRICS = (
-    "lambda_max",
-    "d_eff",
-    "euclid_norm_sq",
-    "riemann_norm_sq",
-    "rank1_residual",
-    "recall_rate",
-)
 
-CSV_COLUMNS = [
-    "gamma",
-    "load",
-    "P",
-    "N",
-    "seed",
-    "trials",
-    "lambda_max_mean",
-    "lambda_max_sd",
-    "d_eff_mean",
-    "d_eff_sd",
-    "euclid_norm_sq_mean",
-    "riemann_norm_sq_mean",
-    "rank1_residual_mean",
-    "recall_rate",
-    "degenerate_count",
-    "divergence_count",
-]
+@dataclass
+class SweepCell:
+    """One grid.csv row: the columns are these fields, in this order."""
+
+    gamma: float
+    load: float
+    P: int
+    N: int
+    seed: int
+    trials: int
+    lambda_max_mean: float = float("nan")
+    lambda_max_sd: float = float("nan")
+    d_eff_mean: float = float("nan")
+    d_eff_sd: float = float("nan")
+    euclid_norm_sq_mean: float = float("nan")
+    riemann_norm_sq_mean: float = float("nan")
+    rank1_residual_mean: float = float("nan")
+    recall_rate: float = float("nan")
+    degenerate_count: int = 0
+    divergence_count: int = 0
+
+
+# grid.csv: int columns are written with str, float columns to 17 significant digits
+CSV_COLUMNS = [f.name for f in fields(SweepCell)]
+_COLUMN_TYPES = get_type_hints(SweepCell)  # column -> int or float
+
+
+class Metric(NamedTuple):
+    column: str  # the SweepCell field a heatmap of the metric draws
+    log10: bool  # whether that heatmap takes log10 unless told otherwise
+
+
+# the metrics a config may select, in the order `render` draws them by default
+METRICS = {
+    "lambda_max": Metric("lambda_max_mean", True),
+    "d_eff": Metric("d_eff_mean", False),
+    "euclid_norm_sq": Metric("euclid_norm_sq_mean", True),
+    "riemann_norm_sq": Metric("riemann_norm_sq_mean", True),
+    "rank1_residual": Metric("rank1_residual_mean", False),
+    "recall_rate": Metric("recall_rate", False),
+}
 
 
 @dataclass
@@ -66,11 +82,11 @@ class GridConfig:
     gamma_values: list
     load_values: list
     num_neurons: int
-    trials_per_cell: int
-    base_seed: int
-    train: TrainConfig
+    trials_per_cell: int = 1
+    base_seed: int = 0
+    train: TrainConfig = field(default_factory=TrainConfig)
     rel_cutoff: float = DEFAULT_REL_CUTOFF
-    metrics: tuple = KNOWN_METRICS[:5]
+    metrics: tuple = tuple(METRICS)[:5]  # recall_rate, which runs recall in every cell, is opt-in
     recall_flip_fraction: float = 0.1
     success_threshold: float = 0.95
     recall_max_steps: int = 100
@@ -91,6 +107,8 @@ class GridConfig:
             raise FieldError("load_values", "times num_neurons must round to at least 1 pattern")
         if self.trials_per_cell < 1:
             raise FieldError("trials_per_cell", f"must be >= 1, got {self.trials_per_cell}")
+        if self.base_seed < 0:
+            raise FieldError("base_seed", f"must be >= 0, got {self.base_seed}")
         if not (0.0 <= self.recall_flip_fraction <= 1.0):
             raise FieldError(
                 "recall_flip_fraction", f"must lie in [0, 1], got {self.recall_flip_fraction}"
@@ -103,29 +121,10 @@ class GridConfig:
             raise FieldError("rel_cutoff", f"must lie in (0, 1), got {self.rel_cutoff}")
         if self.recall_max_steps < 1:
             raise FieldError("recall_max_steps", f"must be >= 1, got {self.recall_max_steps}")
-        unknown = set(self.metrics) - set(KNOWN_METRICS)
+        self.metrics = tuple(self.metrics)
+        unknown = set(self.metrics) - set(METRICS)
         if unknown:
             raise FieldError("metrics", f"unknown: {sorted(unknown)}")
-
-
-@dataclass
-class SweepCell:
-    gamma: float
-    load: float
-    P: int
-    N: int
-    seed: int
-    trials: int
-    lambda_max_mean: float = float("nan")
-    lambda_max_sd: float = float("nan")
-    d_eff_mean: float = float("nan")
-    d_eff_sd: float = float("nan")
-    euclid_norm_sq_mean: float = float("nan")
-    riemann_norm_sq_mean: float = float("nan")
-    rank1_residual_mean: float = float("nan")
-    recall_rate: float = float("nan")
-    degenerate_count: int = 0
-    divergence_count: int = 0
 
 
 @dataclass
@@ -301,24 +300,8 @@ def write_grid_csv(cells: list, path) -> None:
         w.writerow(CSV_COLUMNS)
         for c in cells:
             w.writerow(
-                [
-                    f"{c.gamma:.17g}",
-                    f"{c.load:.17g}",
-                    c.P,
-                    c.N,
-                    c.seed,
-                    c.trials,
-                    f"{c.lambda_max_mean:.17g}",
-                    f"{c.lambda_max_sd:.17g}",
-                    f"{c.d_eff_mean:.17g}",
-                    f"{c.d_eff_sd:.17g}",
-                    f"{c.euclid_norm_sq_mean:.17g}",
-                    f"{c.riemann_norm_sq_mean:.17g}",
-                    f"{c.rank1_residual_mean:.17g}",
-                    f"{c.recall_rate:.17g}",
-                    c.degenerate_count,
-                    c.divergence_count,
-                ]
+                str(v) if _COLUMN_TYPES[name] is int else f"{v:.17g}"
+                for name, v in zip(CSV_COLUMNS, astuple(c))
             )
 
 
@@ -332,24 +315,7 @@ def read_grid_csv(path) -> list:
             raise ArgumentError(f"{path}: missing columns: {', '.join(missing)}")
         for row in reader:
             try:
-                cell = SweepCell(
-                    gamma=float(row["gamma"]),
-                    load=float(row["load"]),
-                    P=int(row["P"]),
-                    N=int(row["N"]),
-                    seed=int(row["seed"]),
-                    trials=int(row["trials"]),
-                    lambda_max_mean=float(row["lambda_max_mean"]),
-                    lambda_max_sd=float(row["lambda_max_sd"]),
-                    d_eff_mean=float(row["d_eff_mean"]),
-                    d_eff_sd=float(row["d_eff_sd"]),
-                    euclid_norm_sq_mean=float(row["euclid_norm_sq_mean"]),
-                    riemann_norm_sq_mean=float(row["riemann_norm_sq_mean"]),
-                    rank1_residual_mean=float(row["rank1_residual_mean"]),
-                    recall_rate=float(row["recall_rate"]),
-                    degenerate_count=int(row["degenerate_count"]),
-                    divergence_count=int(row["divergence_count"]),
-                )
+                cell = SweepCell(**{name: _COLUMN_TYPES[name](row[name]) for name in CSV_COLUMNS})
             except (TypeError, ValueError):  # TypeError: a short row leaves fields None
                 raise ArgumentError(f"{path}:{reader.line_num}: malformed row") from None
             cells.append(cell)
@@ -373,27 +339,19 @@ def grid_config_from_file(path) -> GridConfig:
             raise view.error("gamma_max", f"must be >= gamma_min, got {hi}")
         gamma_values = list(np.logspace(np.log10(lo), np.log10(hi), count))
     load_values = view.require("load_values", "float_list")
-    with view.fields():
-        train = TrainConfig(
-            lam=view.get_float("lambda", 1e-4),
-            learning_rate=view.get_float("learning_rate", 0.1),
-            max_epochs=view.get_int("max_epochs", 100_000),
-            grad_tol=view.get_float("grad_tol", 1e-6),
-        )
-    metrics = view.get_str_list("metrics", list(KNOWN_METRICS[:5]))
-    cfg_kwargs = dict(
+    given = dict(  # a key the file leaves out reads None and keeps its GridConfig default
         gamma_values=gamma_values,
         load_values=load_values,
+        train=read_train_config(view),
+        metrics=view.get_str_list("metrics"),
         num_neurons=view.require("num_neurons", "int"),
-        trials_per_cell=view.get_int("trials_per_cell", 1),
-        base_seed=view.get_int("base_seed", 0),
-        train=train,
-        rel_cutoff=view.get_float("rel_cutoff", DEFAULT_REL_CUTOFF),
-        metrics=tuple(metrics),
-        recall_flip_fraction=view.get_float("recall_flip_fraction", 0.1),
-        success_threshold=view.get_float("success_threshold", 0.95),
-        recall_max_steps=view.get_int("recall_max_steps", 100),
+        trials_per_cell=view.get_int("trials_per_cell"),
+        base_seed=view.get_int("base_seed"),
+        rel_cutoff=view.get_float("rel_cutoff"),
+        recall_flip_fraction=view.get_float("recall_flip_fraction"),
+        success_threshold=view.get_float("success_threshold"),
+        recall_max_steps=view.get_int("recall_max_steps"),
     )
     view.reject_unknown()
     with view.fields():
-        return GridConfig(**cfg_kwargs)
+        return GridConfig(**{key: value for key, value in given.items() if value is not None})

@@ -1,11 +1,10 @@
 import json
 
-import numpy as np
 import pytest
 
 from hopgeo.cli import main
 from hopgeo.infogeo import fisher_matrix, spectrum, write_spectrum_csv
-from hopgeo.kernel_core import KernelConfig, generate_patterns, gram, load_patterns
+from hopgeo.kernel_core import KernelConfig, gram, load_patterns
 from hopgeo.klr import load_weights
 from hopgeo.svgplot import render_spectrum_lines
 from hopgeo.sweep import CSV_COLUMNS
@@ -98,6 +97,30 @@ def test_train_nonfinite_gamma_exits_2_at_its_line_and_writes_nothing(tmp_path, 
     code, out = run_train(tmp_path, gamma=gamma)
     assert code == 2
     assert_one_line_error(capsys, f"{tmp_path / 'train.cfg'}:3: field 'gamma': ")
+    assert not out.exists()
+
+
+def test_train_negative_seed_exits_2_at_its_line_and_writes_nothing(tmp_path, capsys):
+    code, out = run_train(tmp_path, seed=-1)
+    assert code == 2
+    assert_one_line_error(capsys, f"{tmp_path / 'train.cfg'}:4: field 'seed': ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "phase", "recall"])
+def test_negative_seed_flag_exits_2_naming_it_and_writes_nothing(tmp_path, capsys, command):
+    _, net = run_train(tmp_path)
+    grid_cfg = tmp_path / "grid.cfg"
+    grid_cfg.write_text(grid_cfg_text())
+    out = tmp_path / "out"
+    argv = {
+        "train": ["train", "--config", str(tmp_path / "train.cfg")],
+        "phase": ["phase", "--config", str(grid_cfg)],
+        "recall": ["recall", "--weights", str(net), "--flip-fractions", "0.1", "--trials", "1"],
+    }[command]
+    capsys.readouterr()
+    assert main(argv + ["--out", str(out), "--seed", "-1"]) == 2
+    assert_one_line_error(capsys, "--seed")
     assert not out.exists()
 
 
@@ -385,6 +408,7 @@ GRID_RANGE_ERRORS = {
     "descending_gammas": ("gamma_values = 0.02 0.2", "gamma_values = 0.2 0.02", "gamma_values"),
     "nonpositive_gamma": ("gamma_values = 0.02 0.2", "gamma_values = 0 0.2", "gamma_values"),
     "zero_trials": ("trials_per_cell = 2", "trials_per_cell = 0", "trials_per_cell"),
+    "negative_base_seed": ("base_seed = 3", "base_seed = -1", "base_seed"),
     "negative_lambda": ("lambda = 1e-5", "lambda = -1", "lambda"),
     "negative_gamma_min": ("gamma_values = 0.02 0.2",
                            "gamma_min = -1\ngamma_max = 0.2\ngamma_count = 3", "gamma_min"),

@@ -11,7 +11,6 @@ from hopgeo.infogeo import GradientReport, fisher_matrix, gradient_report, spect
 from hopgeo.kernel_core import KernelConfig, corrupt, generate_patterns, gram
 from hopgeo.klr import DualWeights, TrainConfig, all_targets, fit_dual_weights
 from hopgeo.sweep import (
-    CSV_COLUMNS,
     CellRecords,
     GridConfig,
     SweepCell,
@@ -143,9 +142,23 @@ def test_grid_csv_roundtrip(tmp_path):
     path = tmp_path / "grid.csv"
     write_grid_csv(cells, path)
     header = path.read_text().splitlines()[0]
-    assert header == ",".join(CSV_COLUMNS)
+    assert header == (
+        "gamma,load,P,N,seed,trials,lambda_max_mean,lambda_max_sd,d_eff_mean,d_eff_sd,"
+        "euclid_norm_sq_mean,riemann_norm_sq_mean,rank1_residual_mean,recall_rate,"
+        "degenerate_count,divergence_count"
+    )
     back = read_grid_csv(path)
     assert back == cells
+
+
+def test_grid_csv_int_columns_roundtrip_exactly(tmp_path):
+    # 2**53 + 1 has no float of its own, so an int column must not pass through float
+    cell = SweepCell(gamma=0.1, load=0.5, P=4, N=8, seed=2**53 + 1, trials=3,
+                     d_eff_mean=1 / 3, degenerate_count=2**53 + 1)
+    path = tmp_path / "grid.csv"
+    write_grid_csv([cell], path)
+    assert path.read_text().splitlines()[1].split(",")[4] == "9007199254740993"
+    assert repr(read_grid_csv(path)) == repr([cell])  # every field, nan included
 
 
 def test_worker_count_does_not_change_csv_bytes(tmp_path):
