@@ -16,14 +16,14 @@ import json
 import math
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .config import ConfigError, KVView, read_kv_file
+from .config import ConfigError, KVView, resolved
 from .dynamics import recall_batch
-from .errors import ArgumentError, DimensionError, NumericError, TrainingDivergenceError
+from .errors import ArgumentError, DimensionError, FieldError, NumericError, TrainingDivergenceError
 from .infogeo import neuron_spectra, write_spectrum_csv
 from .kernel_core import (
     KernelConfig,
@@ -33,7 +33,7 @@ from .kernel_core import (
     load_patterns,
     save_patterns,
 )
-from .klr import load_weights, read_train_config, save_weights, train
+from .klr import TrainConfig, load_weights, save_weights, train
 from .sweep import (
     METRICS,
     aggregate,
@@ -76,62 +76,47 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _train_resolved(tcfg) -> dict:
-    """The training keys of a manifest's resolved_config."""
-    return {
-        "lambda": tcfg.lam,
-        "learning_rate": tcfg.learning_rate,
-        "max_epochs": tcfg.max_epochs,
-        "grad_tol": tcfg.grad_tol,
-    }
+@dataclass
+class TrainRun:
+    """The config file of `hopgeo train` (see config.KVView.read and README)."""
 
+    num_patterns: int
+    num_neurons: int
+    gamma: float
+    seed: int = 0
+    train: TrainConfig = field(default_factory=TrainConfig)
 
-def _train_config_from_file(path, seed_override=None):
-    view = KVView(path, read_kv_file(path))
-    P = view.require("num_patterns", "int")
-    N = view.require("num_neurons", "int")
-    gamma = view.require("gamma", "float")
-    seed = view.get_int("seed", 0)
-    tcfg = read_train_config(view)
-    view.reject_unknown()
-    if not (math.isfinite(gamma) and gamma > 0):
-        raise view.error("gamma", f"must be positive and finite, got {gamma}")
-    if P < 1:
-        raise view.error("num_patterns", f"must be >= 1, got {P}")
-    if N < 1:
-        raise view.error("num_neurons", f"must be >= 1, got {N}")
-    if seed < 0:
-        raise view.error("seed", f"must be >= 0, got {seed}")
-    if seed_override is not None:
-        seed = seed_override
-    return P, N, gamma, seed, tcfg
+    def __post_init__(self):
+        if not (math.isfinite(self.gamma) and self.gamma > 0):
+            raise FieldError("gamma", f"must be positive and finite, got {self.gamma}")
+        if self.num_patterns < 1:
+            raise FieldError("num_patterns", f"must be >= 1, got {self.num_patterns}")
+        if self.num_neurons < 1:
+            raise FieldError("num_neurons", f"must be >= 1, got {self.num_neurons}")
+        if self.seed < 0:
+            raise FieldError("seed", f"must be >= 0, got {self.seed}")
 
 
 def cmd_train(args, argv) -> int:
     started = _now()
     out = Path(args.out)
-    P, N, gamma, seed, tcfg = _train_config_from_file(args.config, args.seed)
+    run = KVView(args.config).read(TrainRun)
+    if args.seed is not None:
+        run.seed = args.seed
     out.mkdir(parents=True, exist_ok=True)
-    patterns = generate_patterns(P, N, seed)
+    patterns = generate_patterns(run.num_patterns, run.num_neurons, run.seed)
     pat_path = out / "patterns.txt"
     wt_path = out / "weights.txt"
     try:
         save_patterns(patterns, pat_path)
-        weights = train(patterns, KernelConfig(gamma=gamma), tcfg)
+        weights = train(patterns, KernelConfig(gamma=run.gamma), run.train)
         save_weights(weights, wt_path)
     except TrainingDivergenceError:
         for p in (pat_path, wt_path):
             if p.exists():
                 p.unlink()
         raise
-    resolved = {
-        "num_patterns": P,
-        "num_neurons": N,
-        "gamma": gamma,
-        "seed": seed,
-        **_train_resolved(tcfg),
-    }
-    _write_manifest(out, argv, resolved, {"pattern_seed": seed}, started)
+    _write_manifest(out, argv, resolved(run), {"pattern_seed": run.seed}, started)
     return EXIT_OK
 
 
@@ -184,11 +169,7 @@ def cmd_phase(args, argv) -> int:
             f"flags: {degen} degenerate neuron-trials, {diverg} divergent neuron-trials",
             file=sys.stderr,
         )
-    resolved = {}  # GridConfig's fields in order, the training keys in place of `train`
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        resolved.update(_train_resolved(value) if f.name == "train" else {f.name: value})
-    _write_manifest(out, argv, resolved, {"base_seed": cfg.base_seed}, started)
+    _write_manifest(out, argv, resolved(cfg), {"base_seed": cfg.base_seed}, started)
     return EXIT_OK
 
 

@@ -3,12 +3,19 @@
 Format: one `key = value` pair per line; `#` starts a comment; blank
 lines ignored. List values are whitespace-separated. Errors carry the
 line number and field name so the CLI can report them precisely.
+
+A config dataclass is the schema of its file. Each field is one key,
+named by the field or by its `metadata["key"]`, and parsed by its type
+hint; a dataclass-typed field reads its own fields from the same file.
+KVView.read fills a dataclass from a file, and `resolved` writes it back
+as the {key: value} a manifest records.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 from .errors import FieldError
 
@@ -38,90 +45,86 @@ def read_kv_file(path) -> dict:
     return out
 
 
-class KVView:
-    """Typed accessors over a parsed key-value file, with line-precise errors."""
+def _key(f) -> str:
+    return f.metadata.get("key", f.name)
 
-    def __init__(self, path, entries: dict):
+
+def resolved(cfg) -> dict:
+    """cfg's {key: value} in field order, a dataclass-typed field's keys in its place."""
+    out = {}
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        out.update(resolved(value) if is_dataclass(value) else {_key(f): value})
+    return out
+
+
+class KVView:
+    """A parsed key-value file, read into config dataclasses with line-precise errors."""
+
+    def __init__(self, path):
         self.path = path
-        self.entries = entries
+        self.entries = read_kv_file(path)
         self.used: set[str] = set()
 
-    def _raw(self, key, default):
+    def get(self, key, hint):
+        """The value of `key` parsed as `hint`, or None if the file leaves it out.
+
+        `hint` is float, int, list[float] (nonempty) or tuple[str, ...].
+        """
         self.used.add(key)
         if key not in self.entries:
-            if default is _REQUIRED:
-                raise ConfigError(self.path, 0, f"missing required field {key!r}")
             return None
-        return self.entries[key]
-
-    def get_float(self, key, default=None):
-        item = self._raw(key, default)
-        if item is None:
-            return default
-        value, line = item
+        value, line = self.entries[key]
+        if hint == tuple[str, ...]:
+            return tuple(value.split())
+        parse, what = {  # the parser, and what a value that fails it is not
+            float: (float, "a number"),
+            int: (int, "an integer"),
+            list[float]: (lambda text: [float(v) for v in text.split()], "a list of numbers"),
+        }[hint]
         try:
-            return float(value)
+            parsed = parse(value)
         except ValueError:
-            raise ConfigError(self.path, line, f"field {key!r}: not a number: {value!r}")
-
-    def get_int(self, key, default=None):
-        item = self._raw(key, default)
-        if item is None:
-            return default
-        value, line = item
-        try:
-            return int(value)
-        except ValueError:
-            raise ConfigError(self.path, line, f"field {key!r}: not an integer: {value!r}")
-
-    def get_float_list(self, key, default=None):
-        item = self._raw(key, default)
-        if item is None:
-            return default
-        value, line = item
-        try:
-            vals = [float(v) for v in value.split()]
-        except ValueError:
-            raise ConfigError(self.path, line, f"field {key!r}: not a list of numbers: {value!r}")
-        if not vals:
+            raise ConfigError(self.path, line, f"field {key!r}: not {what}: {value!r}") from None
+        if parsed == []:
             raise ConfigError(self.path, line, f"field {key!r}: empty list")
-        return vals
+        return parsed
 
-    def get_str_list(self, key, default=None):
-        item = self._raw(key, default)
-        if item is None:
-            return default
-        return item[0].split()
+    def read(self, cls, **given):
+        """A `cls` filled from the file; the fields named in `given` take those values instead.
 
-    def require(self, key, kind="float"):
-        getter = {"float": self.get_float, "int": self.get_int,
-                  "float_list": self.get_float_list}[kind]
-        return getter(key, _REQUIRED)
-
-    def reject_unknown(self):
-        unknown = set(self.entries) - self.used
+        A key the file leaves out keeps its field's default; a field with no
+        default is required. A `given` value that is a function is called
+        when `cls` is built. Errors come in this order: a value that does not
+        parse or a missing required field, then an unknown key, then a range
+        error (a FieldError while building) at its key's line.
+        """
+        build = self._builder(cls, given)
+        unknown = sorted(set(self.entries) - self.used)
         if unknown:
-            key = sorted(unknown)[0]
-            _, line = self.entries[key]
-            raise ConfigError(self.path, line, f"unknown field {key!r}")
-
-    def line_of(self, key) -> int:
-        return self.entries[key][1] if key in self.entries else 0
-
-    def error(self, key, message) -> ConfigError:
-        return ConfigError(self.path, self.line_of(key), f"field {key!r}: {message}")
-
-    @contextmanager
-    def fields(self):
-        """Report a FieldError raised in the block as an error at that field's line."""
+            line = self.entries[unknown[0]][1]
+            raise ConfigError(self.path, line, f"unknown field {unknown[0]!r}")
         try:
-            yield
+            return build()
         except FieldError as e:
             raise self.error(e.field, e.message) from None
 
+    def _builder(self, cls, given):
+        # reads cls's keys now and returns the function that builds it, nested dataclasses first
+        hints = get_type_hints(cls)
+        parts = {}
+        for f in fields(cls):
+            hint = hints[f.name]
+            if f.name in given:
+                parts[f.name] = given[f.name]
+            elif is_dataclass(hint):
+                parts[f.name] = self._builder(hint, {})
+            elif (value := self.get(_key(f), hint)) is not None:
+                parts[f.name] = value
+            elif f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigError(self.path, 0, f"missing required field {_key(f)!r}")
+        return lambda: cls(**{name: v() if callable(v) else v for name, v in parts.items()})
 
-class _Required:
-    pass
-
-
-_REQUIRED = _Required()
+    def error(self, key, message) -> ConfigError:
+        line = self.entries[key][1] if key in self.entries else 0
+        return ConfigError(self.path, line, f"field {key!r}: {message}")

@@ -24,11 +24,6 @@ DEFAULT_REL_CUTOFF = 1e-10
 
 
 @dataclass
-class FisherMatrix:
-    values: np.ndarray  # (P, P), symmetric PSD
-
-
-@dataclass
 class FisherSpectrum:
     eigenvalues: np.ndarray   # descending, clamped at 0
     eigenvectors: np.ndarray  # orthonormal columns, same order
@@ -60,17 +55,16 @@ def _check_pair(alpha_col, K: GramMatrix) -> np.ndarray:
     return alpha_col
 
 
-def fisher_matrix(alpha_col, K: GramMatrix) -> FisherMatrix:
-    """G = K diag(p(1-p)) K, symmetrized as (G + G')/2."""
+def fisher_matrix(alpha_col, K: GramMatrix) -> np.ndarray:
+    """The (P, P) matrix G = K diag(p(1-p)) K, symmetrized as (G + G')/2."""
     alpha_col = _check_pair(alpha_col, K)
     p = predict_probs(alpha_col, K)
     d = p * (1.0 - p)
     G = (K.values * d) @ K.values
-    G = 0.5 * (G + G.T)
-    return FisherMatrix(values=G)
+    return 0.5 * (G + G.T)
 
 
-def fim_empirical_oracle(alpha_col, K: GramMatrix) -> FisherMatrix:
+def fim_empirical_oracle(alpha_col, K: GramMatrix) -> np.ndarray:
     """Expectation form of the Fisher matrix, by explicit enumeration.
 
     For each pattern mu the Bernoulli score at outcome s in {0,1} is
@@ -87,25 +81,27 @@ def fim_empirical_oracle(alpha_col, K: GramMatrix) -> FisherMatrix:
         for s, prob in ((1.0, p[mu]), (0.0, 1.0 - p[mu])):
             score = (s - p[mu]) * k_mu
             G += prob * np.outer(score, score)
-    G = 0.5 * (G + G.T)
-    return FisherMatrix(values=G)
+    return 0.5 * (G + G.T)
 
 
 def effective_dimension(eigenvalues) -> float:
     """Stable rank (sum lambda)^2 / (sum lambda^2) of a nonnegative spectrum."""
     lam = np.asarray(eigenvalues, dtype=float)
     s2 = float(np.sum(lam * lam))
+    if s2 < np.finfo(float).tiny:
+        # lambda^2 underflows: an exact power-of-two scaling brings lambda_1 into [0.5, 1)
+        lam = np.ldexp(lam, -np.frexp(np.max(np.abs(lam), initial=0.0))[1])
+        s2 = float(np.sum(lam * lam))
     if s2 == 0.0:
         raise DegenerateSpectrumError("all eigenvalues are zero")
     return float(np.sum(lam)) ** 2 / s2
 
 
-def spectrum(G: FisherMatrix) -> FisherSpectrum:
-    """Full symmetric eigendecomposition, sorted descending, clamped at 0."""
-    vals = G.values
-    if not np.isfinite(vals).all():
+def spectrum(G: np.ndarray) -> FisherSpectrum:
+    """Full symmetric eigendecomposition of a Fisher matrix, sorted descending, clamped at 0."""
+    if not np.isfinite(G).all():
         raise NumericError("Fisher matrix contains non-finite entries")
-    w, V = np.linalg.eigh(vals)
+    w, V = np.linalg.eigh(G)
     w = w[::-1].copy()
     V = V[:, ::-1].copy()
     w = np.clip(w, 0.0, None)

@@ -11,7 +11,7 @@ second-order solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +28,7 @@ MAX_BLOCK = 16
 
 @dataclass
 class TrainConfig:
-    lam: float = 1e-4
+    lam: float = field(default=1e-4, metadata={"key": "lambda"})
     learning_rate: float = 0.1
     max_epochs: int = 100_000
     grad_tol: float = 1e-6
@@ -42,21 +42,6 @@ class TrainConfig:
             raise FieldError("max_epochs", f"must be >= 1, got {self.max_epochs}")
         if self.grad_tol <= 0:
             raise FieldError("grad_tol", f"must be > 0, got {self.grad_tol}")
-
-
-def read_train_config(view) -> TrainConfig:
-    """The TrainConfig of a config file's training keys; a key it leaves out keeps its default.
-
-    `view` is a config.KVView; a range error is reported at the key's line.
-    """
-    given = dict(
-        lam=view.get_float("lambda"),
-        learning_rate=view.get_float("learning_rate"),
-        max_epochs=view.get_int("max_epochs"),
-        grad_tol=view.get_float("grad_tol"),
-    )
-    with view.fields():
-        return TrainConfig(**{key: value for key, value in given.items() if value is not None})
 
 
 @dataclass

@@ -26,12 +26,12 @@ from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
-from .config import KVView, read_kv_file
+from .config import KVView
 from .dynamics import recall_batch
 from .errors import ArgumentError, FieldError
 from .infogeo import DEFAULT_REL_CUTOFF, GradientReport, gradient_report, neuron_spectra
 from .kernel_core import KernelConfig, corrupt, generate_patterns, gram
-from .klr import DualWeights, TrainConfig, all_targets, fit_dual_weights, read_train_config
+from .klr import DualWeights, TrainConfig, all_targets, fit_dual_weights
 
 
 @dataclass
@@ -79,14 +79,15 @@ METRICS = {
 
 @dataclass
 class GridConfig:
-    gamma_values: list
-    load_values: list
+    gamma_values: list[float]
+    load_values: list[float]
     num_neurons: int
     trials_per_cell: int = 1
     base_seed: int = 0
     train: TrainConfig = field(default_factory=TrainConfig)
     rel_cutoff: float = DEFAULT_REL_CUTOFF
-    metrics: tuple = tuple(METRICS)[:5]  # recall_rate, which runs recall in every cell, is opt-in
+    # recall_rate, which runs recall in every cell, is opt-in
+    metrics: tuple[str, ...] = tuple(METRICS)[:5]
     recall_flip_fraction: float = 0.1
     success_threshold: float = 0.95
     recall_max_steps: int = 100
@@ -324,34 +325,21 @@ def read_grid_csv(path) -> list:
 
 def grid_config_from_file(path) -> GridConfig:
     """Build a GridConfig from a flat key-value file (see README for keys)."""
-    view = KVView(path, read_kv_file(path))
-    gamma_values = view.get_float_list("gamma_values")
-    if gamma_values is None:
-        lo = view.get_float("gamma_min")
-        hi = view.get_float("gamma_max")
-        count = view.get_int("gamma_count")
-        if None in (lo, hi, count):
-            raise view.error("gamma_values", "need gamma_values or gamma_min/max/count")
+    view = KVView(path)
+    if "gamma_values" in view.entries:
+        return view.read(GridConfig)
+    lo = view.get("gamma_min", float)
+    hi = view.get("gamma_max", float)
+    count = view.get("gamma_count", int)
+    if None in (lo, hi, count):
+        raise view.error("gamma_values", "need gamma_values or gamma_min/max/count")
+
+    def gamma_values():  # called after the unknown-key check, like the other range checks
         for key, value in (("gamma_min", lo), ("gamma_max", hi), ("gamma_count", count)):
             if not value > 0:
-                raise view.error(key, f"must be positive, got {value}")
+                raise FieldError(key, f"must be positive, got {value}")
         if hi < lo:
-            raise view.error("gamma_max", f"must be >= gamma_min, got {hi}")
-        gamma_values = list(np.logspace(np.log10(lo), np.log10(hi), count))
-    load_values = view.require("load_values", "float_list")
-    given = dict(  # a key the file leaves out reads None and keeps its GridConfig default
-        gamma_values=gamma_values,
-        load_values=load_values,
-        train=read_train_config(view),
-        metrics=view.get_str_list("metrics"),
-        num_neurons=view.require("num_neurons", "int"),
-        trials_per_cell=view.get_int("trials_per_cell"),
-        base_seed=view.get_int("base_seed"),
-        rel_cutoff=view.get_float("rel_cutoff"),
-        recall_flip_fraction=view.get_float("recall_flip_fraction"),
-        success_threshold=view.get_float("success_threshold"),
-        recall_max_steps=view.get_int("recall_max_steps"),
-    )
-    view.reject_unknown()
-    with view.fields():
-        return GridConfig(**{key: value for key, value in given.items() if value is not None})
+            raise FieldError("gamma_max", f"must be >= gamma_min, got {hi}")
+        return list(np.logspace(np.log10(lo), np.log10(hi), count))
+
+    return view.read(GridConfig, gamma_values=gamma_values)

@@ -88,8 +88,8 @@ def test_c1_fim_consistency():
     for _ in range(200):
         P = int(rng.integers(1, 13))
         K, alpha, _ = random_instance(rng, P)
-        G = fisher_matrix(alpha, K).values
-        Go = fim_empirical_oracle(alpha, K).values
+        G = fisher_matrix(alpha, K)
+        Go = fim_empirical_oracle(alpha, K)
         worst = max(worst, float(np.abs(G - Go).max()))
     record("C1 FIM consistency", worst < 1e-12, f"max abs dev {worst:.3g}")
 
@@ -126,7 +126,7 @@ def test_c3_natural_gradient_identity():
         keep = spec.eigenvalues > 1e-10 * spec.lambda_max
         V = spec.eigenvectors[:, keep]
         proj = V @ (V.T @ grad)
-        back = V @ (V.T @ (G.values @ nat))
+        back = V @ (V.T @ (G @ nat))
         rel = float(np.linalg.norm(back - proj) / max(np.linalg.norm(proj), 1e-30))
         worst = max(worst, rel)
     record("C3 natural-gradient identity", worst < 1e-8, f"worst rel err {worst:.3g}")

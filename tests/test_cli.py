@@ -192,6 +192,17 @@ def test_spectrum_with_duplicate_columns_matches_per_neuron_spectra(tmp_path):
     assert (tmp_path / "got.svg").read_bytes() == (tmp_path / "want.svg").read_bytes()
 
 
+def test_spectrum_of_a_saturated_network_exits_0(tmp_path):
+    # P = N = 1, field -400: lambda_1 = p(1-p) is about 1.9e-174, and its square underflows
+    (tmp_path / "patterns.txt").write_text("1 1 0\n1\n")
+    (tmp_path / "weights.txt").write_text("1 1 0.5 0 10\n-400\n")
+    out = tmp_path / "spectrum.csv"
+    assert main(["spectrum", "--weights", str(tmp_path), "--out", str(out)]) == 0
+    row = out.read_text().splitlines()[1].split(",")
+    assert 0.0 < float(row[2]) < 1e-170
+    assert row[3] == "1"
+
+
 def test_spectrum_missing_artifacts_exits_2(tmp_path):
     code = main(["spectrum", "--weights", str(tmp_path),
                  "--out", str(tmp_path / "s.csv")])
@@ -297,14 +308,24 @@ def test_phase_worker_count_invariance(tmp_path):
     assert digests(a / "manifest.json") == digests(b / "manifest.json")
 
 
-def test_phase_reruns_from_its_manifest(tmp_path):
-    cfg = tmp_path / "grid.cfg"
-    cfg.write_text(
-        grid_cfg_text().replace("metrics = lambda_max d_eff rank1_residual", "metrics = d_eff recall_rate")
-        + "recall_flip_fraction = 0.25\nsuccess_threshold = 0.8\nrecall_max_steps = 1\n"
-    )
+RERUN = {  # command: (its config, the outputs a rerun must reproduce)
+    "phase": (
+        grid_cfg_text().replace("metrics = lambda_max d_eff rank1_residual",
+                                "metrics = d_eff recall_rate")
+        + "recall_flip_fraction = 0.25\nsuccess_threshold = 0.8\nrecall_max_steps = 1\n",
+        ["grid.csv"],
+    ),
+    "train": (train_cfg_text(), ["patterns.txt", "weights.txt"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(RERUN))
+def test_reruns_from_its_manifest(tmp_path, command):
+    config_text, outputs = RERUN[command]
+    cfg = tmp_path / "first.cfg"
+    cfg.write_text(config_text)
     first = tmp_path / "first"
-    assert main(["phase", "--config", str(cfg), "--out", str(first),
+    assert main([command, "--config", str(cfg), "--out", str(first),
                  "--workers", "1", "--seed", "9"]) == 0
     resolved = json.loads((first / "manifest.json").read_text())["resolved_config"]
     rerun_cfg = tmp_path / "rerun.cfg"
@@ -313,8 +334,71 @@ def test_phase_reruns_from_its_manifest(tmp_path):
         for key, value in resolved.items()
     ))
     again = tmp_path / "again"
-    assert main(["phase", "--config", str(rerun_cfg), "--out", str(again), "--workers", "1"]) == 0
-    assert (again / "grid.csv").read_bytes() == (first / "grid.csv").read_bytes()
+    assert main([command, "--config", str(rerun_cfg), "--out", str(again), "--workers", "1"]) == 0
+    for name in outputs:
+        assert (again / name).read_bytes() == (first / name).read_bytes()
+
+
+def edit_config(text, key, new):
+    """`text` with the line of `key` replaced by the lines `new` (dropped if None).
+
+    Also returns the number of the last line put in, 0 if none.
+    """
+    lines = text.splitlines()
+    i = next(i for i, line in enumerate(lines) if line.split(" = ")[0] == key)
+    new_lines = [] if new is None else new.split("\n")
+    lines[i:i + 1] = new_lines
+    return "\n".join(lines) + "\n", i + len(new_lines) if new_lines else 0
+
+
+# case: (the key whose line is replaced, the lines put there, the message after `path:line: `)
+CONFIG_MESSAGES = {
+    "not_a_number": ("lambda", "lambda = x", "field 'lambda': not a number: 'x'"),
+    "not_an_integer": ("max_epochs", "max_epochs = 1e3",
+                       "field 'max_epochs': not an integer: '1e3'"),
+    "not_a_list_of_numbers": ("load_values", "load_values = 0.25 x",
+                              "field 'load_values': not a list of numbers: '0.25 x'"),
+    "empty_list": ("load_values", "load_values =", "field 'load_values': empty list"),
+    "missing_required_field": ("num_neurons", None, "missing required field 'num_neurons'"),
+    "unknown_field": ("num_neurons", "num_neurons = 8\ntypo = 3", "unknown field 'typo'"),
+    "duplicate_key": ("num_neurons", "num_neurons = 8\nnum_neurons = 8",
+                      "duplicate key 'num_neurons'"),
+}
+CONFIG_TEXT = {"train": train_cfg_text(), "phase": grid_cfg_text()}
+
+
+def config_error(tmp_path, capsys, command, text):
+    """The stderr of `command` on a config holding `text`, which must exit 2 and write nothing."""
+    cfg = tmp_path / f"{command}.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    return capsys.readouterr().err.replace(str(cfg), "CFG")
+
+
+@pytest.mark.parametrize("command, case", [
+    (command, case)
+    for command in CONFIG_TEXT
+    for case in sorted(CONFIG_MESSAGES)
+    if command == "phase" or CONFIG_MESSAGES[case][0] != "load_values"  # train has no list key
+])
+def test_config_error_message(tmp_path, capsys, command, case):
+    key, new, message = CONFIG_MESSAGES[case]
+    text, line = edit_config(CONFIG_TEXT[command], key, new)
+    assert config_error(tmp_path, capsys, command, text) == f"error: CFG:{line}: {message}\n"
+
+
+@pytest.mark.parametrize("command, key, new", [
+    ("train", "lambda", "lambda = -1"),
+    ("phase", "lambda", "lambda = -1"),
+    ("phase", "gamma_values", "gamma_min = -1\ngamma_max = 0.2\ngamma_count = 3"),
+], ids=["train", "phase", "phase_gamma_shorthand"])
+def test_unknown_key_is_reported_before_a_range_error(tmp_path, capsys, command, key, new):
+    text, line = edit_config(CONFIG_TEXT[command], key, new + "\ntypo = 3")
+    err = config_error(tmp_path, capsys, command, text)
+    assert err == f"error: CFG:{line}: unknown field 'typo'\n"
 
 
 def test_phase_bad_config_exits_2(tmp_path, capsys):

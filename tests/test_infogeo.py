@@ -3,7 +3,6 @@ import pytest
 
 from hopgeo.errors import ArgumentError, DegenerateSpectrumError, DimensionError, NumericError
 from hopgeo.infogeo import (
-    FisherMatrix,
     effective_dimension,
     fim_empirical_oracle,
     fisher_matrix,
@@ -14,7 +13,7 @@ from hopgeo.infogeo import (
     write_spectrum_csv,
 )
 from hopgeo.kernel_core import GramMatrix, KernelConfig, generate_patterns, gram
-from hopgeo.klr import loss_gradient, predict_probs
+from hopgeo.klr import loss_gradient
 
 
 def random_gram(rng, P):
@@ -25,7 +24,7 @@ def random_gram(rng, P):
 
 def test_fisher_at_zero_alpha_is_quarter_K_squared():
     K = gram(generate_patterns(5, 12, 8), KernelConfig(gamma=0.05))
-    G = fisher_matrix(np.zeros(5), K).values
+    G = fisher_matrix(np.zeros(5), K)
     assert np.allclose(G, 0.25 * K.values @ K.values, atol=1e-14)
 
 
@@ -34,7 +33,7 @@ def test_fisher_information_collapse_under_saturation():
     # fields |h| > 60 on every pattern: K ~ I so alpha of +-100 works
     alpha = np.array([100.0, -100.0, 100.0, -100.0])
     assert np.abs(K.values @ alpha).min() > 60
-    G = fisher_matrix(alpha, K).values
+    G = fisher_matrix(alpha, K)
     assert np.linalg.norm(G) < 1e-20 * np.linalg.norm(K.values) ** 2
 
 
@@ -42,27 +41,27 @@ def test_fisher_matches_enumeration_oracle():
     rng = np.random.default_rng(14)
     K = random_gram(rng, 5)
     alpha = rng.normal(size=5)
-    G = fisher_matrix(alpha, K).values
-    Go = fim_empirical_oracle(alpha, K).values
+    G = fisher_matrix(alpha, K)
+    Go = fim_empirical_oracle(alpha, K)
     assert np.abs(G - Go).max() < 1e-12
 
 
 def test_oracle_single_bernoulli():
     K = GramMatrix(values=np.array([[1.0]]), gamma=1.0)
-    G = fim_empirical_oracle(np.array([0.0]), K).values
+    G = fim_empirical_oracle(np.array([0.0]), K)
     assert G[0, 0] == pytest.approx(0.25, abs=1e-15)
 
 
 def test_oracle_saturated_pattern_contributes_nothing():
     K = GramMatrix(values=np.eye(2), gamma=1.0)
     alpha = np.array([50.0, 0.0])
-    G = fim_empirical_oracle(alpha, K).values
+    G = fim_empirical_oracle(alpha, K)
     assert abs(G[0, 0]) < 1e-20
     assert G[1, 1] == pytest.approx(0.25, abs=1e-15)
 
 
 def test_spectrum_identity():
-    spec = spectrum(FisherMatrix(values=np.eye(4)))
+    spec = spectrum(np.eye(4))
     assert np.allclose(spec.eigenvalues, 1.0)
     assert spec.d_eff == pytest.approx(4.0, abs=1e-12)
     assert spec.lambda_max == pytest.approx(1.0)
@@ -70,7 +69,7 @@ def test_spectrum_identity():
 
 def test_spectrum_rank_one():
     v = np.array([1.0, 2.0, -1.0, 0.5])
-    spec = spectrum(FisherMatrix(values=np.outer(v, v)))
+    spec = spectrum(np.outer(v, v))
     assert spec.d_eff == pytest.approx(1.0, abs=1e-10)
     assert spec.ratio_2_1 <= 1e-10
 
@@ -88,12 +87,12 @@ def test_spectrum_reconstruction():
     G = fisher_matrix(rng.normal(size=7), K)
     spec = spectrum(G)
     rebuilt = spec.eigenvectors @ np.diag(spec.eigenvalues) @ spec.eigenvectors.T
-    assert np.linalg.norm(rebuilt - G.values) <= 1e-8 * np.linalg.norm(G.values)
+    assert np.linalg.norm(rebuilt - G) <= 1e-8 * np.linalg.norm(G)
 
 
 def test_spectrum_rejects_nonfinite():
     with pytest.raises(NumericError):
-        spectrum(FisherMatrix(values=np.array([[np.nan]])))
+        spectrum(np.array([[np.nan]]))
 
 
 def test_effective_dimension_hand_values():
@@ -107,6 +106,21 @@ def test_effective_dimension_hand_values():
 def test_effective_dimension_degenerate():
     with pytest.raises(DegenerateSpectrumError):
         effective_dimension([0.0, 0.0])
+
+
+@pytest.mark.parametrize("eigenvalues, d_eff", [([1e-200], 1.0), ([1e-170, 1e-170], 2.0)])
+def test_effective_dimension_of_a_tiny_spectrum(eigenvalues, d_eff):
+    # unscaled, every lambda^2 here underflows to 0
+    assert effective_dimension(eigenvalues) == d_eff
+
+
+def test_effective_dimension_keeps_the_bits_of_the_unscaled_ratio():
+    rng = np.random.default_rng(16)
+    for _ in range(2000):
+        n = int(rng.integers(1, 65))
+        lam = 10.0 ** rng.uniform(-30, 30) * 10.0 ** rng.uniform(-12, 0, size=n)
+        lam[1:][rng.uniform(size=n - 1) < 0.2] = 0.0  # modes clamped at 0
+        assert effective_dimension(lam) == float(np.sum(lam)) ** 2 / float(np.sum(lam * lam))
 
 
 def test_neuron_spectra_groups_by_exact_bytes():
@@ -127,13 +141,13 @@ def test_neuron_spectra_groups_by_exact_bytes():
 
 def test_gradient_report_rejects_spectrum_of_other_size():
     K = GramMatrix(values=np.eye(3), gamma=1.0)
-    spec = spectrum(FisherMatrix(values=np.eye(2)))
+    spec = spectrum(np.eye(2))
     with pytest.raises(DimensionError):
         gradient_report(np.zeros(3), K, np.ones(3), 0.0, spec)
 
 
 def test_natural_gradient_identity_metric():
-    spec = spectrum(FisherMatrix(values=np.eye(3)))
+    spec = spectrum(np.eye(3))
     g = np.array([1.0, -2.0, 0.5])
     nat, retained = natural_gradient(g, spec)
     assert np.allclose(nat, g)
@@ -141,7 +155,7 @@ def test_natural_gradient_identity_metric():
 
 
 def test_natural_gradient_diagonal():
-    spec = spectrum(FisherMatrix(values=np.diag([4.0, 1.0])))
+    spec = spectrum(np.diag([4.0, 1.0]))
     nat, retained = natural_gradient(np.array([8.0, 3.0]), spec, rel_cutoff=1e-12)
     assert np.allclose(sorted(nat), [2.0, 3.0])
     assert retained == 2
@@ -149,17 +163,17 @@ def test_natural_gradient_diagonal():
 
 def test_natural_gradient_orthogonal_to_rank_one_metric():
     v = np.array([1.0, 0.0])
-    spec = spectrum(FisherMatrix(values=3.0 * np.outer(v, v)))
+    spec = spectrum(3.0 * np.outer(v, v))
     nat, retained = natural_gradient(np.array([0.0, 5.0]), spec)
     assert np.allclose(nat, 0.0)
     assert retained == 1
 
 
 def test_natural_gradient_validation():
-    spec = spectrum(FisherMatrix(values=np.eye(2)))
+    spec = spectrum(np.eye(2))
     with pytest.raises(ArgumentError):
         natural_gradient(np.ones(2), spec, rel_cutoff=2.0)
-    zero = spectrum(FisherMatrix(values=np.zeros((2, 2))))
+    zero = spectrum(np.zeros((2, 2)))
     with pytest.raises(DegenerateSpectrumError):
         natural_gradient(np.ones(2), zero)
 
@@ -179,8 +193,8 @@ def test_gradient_report_matches_dense_pseudoinverse_oracle():
     alpha = rng.normal(size=6)
     t = rng.integers(0, 2, size=6).astype(float)
     lam = 0.01
-    G = fisher_matrix(alpha, K).values
-    rep = gradient_report(alpha, K, t, lam, spectrum(FisherMatrix(values=G)), rel_cutoff=1e-12)
+    G = fisher_matrix(alpha, K)
+    rep = gradient_report(alpha, K, t, lam, spectrum(G), rel_cutoff=1e-12)
     grad = loss_gradient(alpha, K, t, lam)
     expected = grad @ np.linalg.pinv(G) @ grad
     assert rep.riemann_norm_sq == pytest.approx(expected, rel=1e-8)
@@ -212,7 +226,7 @@ def test_metric_identity_on_retained_subspace():
         keep = spec.eigenvalues > 1e-10 * spec.lambda_max
         V = spec.eigenvectors[:, keep]
         proj = V @ (V.T @ grad)
-        back = fisher_matrix(alpha, K).values @ nat
+        back = fisher_matrix(alpha, K) @ nat
         back_proj = V @ (V.T @ back)
         assert np.linalg.norm(back_proj - proj) <= 1e-8 * max(np.linalg.norm(proj), 1e-30)
 
@@ -226,7 +240,7 @@ def test_scale_covariance():
     G = fisher_matrix(alpha, K)
     for c in (3.0, 0.25):
         spec = spectrum(G)
-        scaled = spectrum(FisherMatrix(values=c * G.values))
+        scaled = spectrum(c * G)
         assert scaled.d_eff == pytest.approx(spec.d_eff, rel=1e-10)
         r1, _ = natural_gradient(grad, spec)
         ri1 = sum((spec.eigenvectors.T @ grad) ** 2 / spec.eigenvalues)
@@ -238,7 +252,7 @@ def test_rank1_residual_equals_orthogonal_component_in_rank1_limit():
     rng = np.random.default_rng(10)
     v = rng.normal(size=5)
     v /= np.linalg.norm(v)
-    G = FisherMatrix(values=2.0 * np.outer(v, v) + 1e-9 * np.eye(5))
+    G = 2.0 * np.outer(v, v) + 1e-9 * np.eye(5)
     spec = spectrum(G)
     assert spec.ratio_2_1 < 1e-6
     grad = rng.normal(size=5)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hopgeo.errors import LayoutError, NumericError
-from hopgeo.infogeo import FisherMatrix, spectrum
+from hopgeo.infogeo import spectrum
 from hopgeo.svgplot import FLAG_COLOR, _ramp_color, render_heatmap, render_spectrum_lines
 from hopgeo.sweep import SweepCell
 
@@ -136,8 +136,8 @@ def test_heatmap_unknown_metric():
 
 def test_spectrum_lines_document(tmp_path):
     specs = [
-        spectrum(FisherMatrix(values=np.diag([4.0, 1.0, 0.25, 0.0]))),
-        spectrum(FisherMatrix(values=np.diag([2.0, 2.0, 1.0, 0.5]))),
+        spectrum(np.diag([4.0, 1.0, 0.25, 0.0])),
+        spectrum(np.diag([2.0, 2.0, 1.0, 0.5])),
     ]
     out = tmp_path / "spec.svg"
     doc = render_spectrum_lines(specs, out)
@@ -147,15 +147,15 @@ def test_spectrum_lines_document(tmp_path):
 
 
 def test_spectrum_lines_zero_mode_hits_display_floor():
-    specs = [spectrum(FisherMatrix(values=np.diag([1.0, 0.0])))]
+    specs = [spectrum(np.diag([1.0, 0.0]))]
     doc = render_spectrum_lines(specs, None)
     assert "-16" in doc
 
 
 def test_spectrum_lines_skips_fully_degenerate_neuron():
     specs = [
-        spectrum(FisherMatrix(values=np.zeros((3, 3)))),
-        spectrum(FisherMatrix(values=np.eye(3))),
+        spectrum(np.zeros((3, 3))),
+        spectrum(np.eye(3)),
     ]
     doc = render_spectrum_lines(specs, None)
     assert doc.count("<polyline") == 1
