@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, field, replace
@@ -23,7 +22,8 @@ from pathlib import Path
 from . import __version__
 from .config import ConfigError, KVView, resolved
 from .dynamics import recall_batch
-from .errors import ArgumentError, DimensionError, FieldError, NumericError, TrainingDivergenceError
+from .errors import ArgumentError, DimensionError, FieldError, NumericError
+from .errors import TrainingDivergenceError, check_range
 from .infogeo import neuron_spectra, write_spectrum_csv
 from .kernel_core import (
     KernelConfig,
@@ -87,14 +87,10 @@ class TrainRun:
     train: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
-        if not (math.isfinite(self.gamma) and self.gamma > 0):
-            raise FieldError("gamma", f"must be positive and finite, got {self.gamma}")
-        if self.num_patterns < 1:
-            raise FieldError("num_patterns", f"must be >= 1, got {self.num_patterns}")
-        if self.num_neurons < 1:
-            raise FieldError("num_neurons", f"must be >= 1, got {self.num_neurons}")
-        if self.seed < 0:
-            raise FieldError("seed", f"must be >= 0, got {self.seed}")
+        check_range("num_patterns", self.num_patterns, 1)
+        check_range("num_neurons", self.num_neurons, 1)
+        check_range("gamma", self.gamma, 0, lo_open=True)
+        check_range("seed", self.seed, 0)
 
 
 def cmd_train(args, argv) -> int:
@@ -105,17 +101,10 @@ def cmd_train(args, argv) -> int:
         run.seed = args.seed
     out.mkdir(parents=True, exist_ok=True)
     patterns = generate_patterns(run.num_patterns, run.num_neurons, run.seed)
-    pat_path = out / "patterns.txt"
-    wt_path = out / "weights.txt"
-    try:
-        save_patterns(patterns, pat_path)
-        weights = train(patterns, KernelConfig(gamma=run.gamma), run.train)
-        save_weights(weights, wt_path)
-    except TrainingDivergenceError:
-        for p in (pat_path, wt_path):
-            if p.exists():
-                p.unlink()
-        raise
+    # trained before any artifact is written, so a divergent run leaves none
+    weights = train(patterns, KernelConfig(gamma=run.gamma), run.train)
+    save_patterns(patterns, out / "patterns.txt")
+    save_weights(weights, out / "weights.txt")
     _write_manifest(out, argv, resolved(run), {"pattern_seed": run.seed}, started)
     return EXIT_OK
 
@@ -174,14 +163,19 @@ def cmd_phase(args, argv) -> int:
 
 
 def cmd_recall(args, argv) -> int:
-    fractions = [float(v) for v in args.flip_fractions.split()]
+    # every flag is checked before an artifact is read
+    try:
+        fractions = [float(v) for v in args.flip_fractions.split()]
+    except ValueError:
+        raise FieldError("--flip-fractions",
+                         f"must be numbers, got {args.flip_fractions!r}") from None
     if not fractions:
-        raise ArgumentError("flip fractions list is empty")
+        raise FieldError("--flip-fractions", "must be nonempty")
     for f in fractions:
-        if not (0.0 <= f <= 1.0):
-            raise ArgumentError(f"flip fraction {f} outside [0, 1]")
-    if args.trials < 1:
-        raise ArgumentError(f"trials must be >= 1, got {args.trials}")
+        check_range("--flip-fractions", f, 0, 1)
+    check_range("--trials", args.trials, 1)
+    check_range("--max-steps", args.max_steps, 1)
+    check_range("--success-threshold", args.success_threshold, 0, 1, lo_open=True)
     patterns, weights = _load_artifacts(args.weights)
     kcfg = KernelConfig(gamma=weights.gamma)
     base_seed = args.seed if args.seed is not None else 0
@@ -286,8 +280,8 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0,) else 0
     try:
-        if getattr(args, "seed", None) is not None and args.seed < 0:
-            raise ArgumentError(f"--seed must be >= 0, got {args.seed}")
+        if getattr(args, "seed", None) is not None:
+            check_range("--seed", args.seed, 0)
         return args.func(args, argv)
     except (TrainingDivergenceError, NumericError) as e:
         print(f"numeric failure: {e}", file=sys.stderr)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, DimensionError
-from .kernel_core import KernelConfig, PatternSet
+from .errors import DimensionError, check_range
+from .kernel_core import KernelConfig, PatternSet, check_bipolar, rbf_of_inner
 from .klr import DualWeights
 
 DEFAULT_SUCCESS_THRESHOLD = 0.95
@@ -49,8 +49,7 @@ def local_field(state, patterns: PatternSet, weights: DualWeights, kcfg: KernelC
             f"state length {state.shape} does not match N={patterns.num_neurons}"
         )
     X = patterns.patterns.astype(float)
-    d2 = 2.0 * (patterns.num_neurons - X @ state.astype(float))
-    k = np.exp(-kcfg.gamma * d2)  # kernel values against each stored pattern
+    k = rbf_of_inner(X @ state.astype(float), patterns.num_neurons, kcfg.gamma)
     return weights.alpha.T @ k
 
 
@@ -90,10 +89,8 @@ def recall_batch(
     temporaries whatever M is; each RecallResult equals recall() of that
     cue alone, bit for bit.
     """
-    if max_steps < 1:
-        raise ArgumentError(f"max_steps must be >= 1, got {max_steps}")
-    if not (0.0 < success_threshold <= 1.0):
-        raise ArgumentError(f"success_threshold must be in (0, 1], got {success_threshold}")
+    check_range("max_steps", max_steps, 1)
+    check_range("success_threshold", success_threshold, 0, 1, lo_open=True)
     if len(target_indices) != len(cues):
         raise DimensionError(f"{len(target_indices)} targets for {len(cues)} cues")
     results = []
@@ -103,8 +100,7 @@ def recall_batch(
             raise DimensionError(
                 f"cue shape {block.shape[1:]} does not match N={patterns.num_neurons}"
             )
-        if not np.isin(block, (-1, 1)).all():
-            raise ArgumentError("cue entries must be exactly -1 or +1")
+        check_bipolar(block, "cue")
         targets = np.asarray(target_indices[start:start + RECALL_BLOCK], dtype=int)
         results.extend(
             _recall_block(block, targets, patterns, weights, kcfg, max_steps, success_threshold)
@@ -122,9 +118,12 @@ def _recall_block(cues, targets, patterns, weights, kcfg, max_steps, success_thr
     # included) is recomputed for its cue by local_field; every sign decision
     # is then the one the single-cue loop makes. The bound is taken as
     # max(k) * sum(|alpha|) >= k @ |alpha|, which costs no second matmul.
+    # A column whose alpha is all zero gives h = +-0 in any order, a tie that
+    # keeps the state, so its fields are sure however small the bound.
     X = patterns.patterns.astype(float)
     alpha = weights.alpha
     abs_alpha_sum = np.abs(alpha).sum(axis=0)
+    zero_column = abs_alpha_sum == 0.0
     N = patterns.num_neurons
     guard = 2.0 * patterns.num_patterns * np.finfo(float).eps
     results = [None] * cues.shape[0]
@@ -132,10 +131,10 @@ def _recall_block(cues, targets, patterns, weights, kcfg, max_steps, success_thr
     state = cues.astype(float)
     prev = state  # no state differs from itself, so step 1 finds no 2-cycle
     for steps in range(1, max_steps + 1):
-        k = np.exp(-kcfg.gamma * (2.0 * (N - state @ X.T)))
+        k = rbf_of_inner(state @ X.T, N, kcfg.gamma)
         h = k @ alpha
         bound = (guard * k.max(axis=1))[:, None] * abs_alpha_sum
-        sure = np.abs(h) > bound  # false near zero, and for nan
+        sure = (np.abs(h) > bound) | zero_column  # false near zero and for nan
         for r in np.flatnonzero(~sure.all(axis=1)):
             h[r] = local_field(state[r], patterns, weights, kcfg)
         new = np.sign(h)

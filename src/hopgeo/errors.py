@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one numeric range check."""
+
+import math
 
 
 class DimensionError(ValueError):
@@ -10,7 +12,7 @@ class ArgumentError(ValueError):
 
 
 class FieldError(ArgumentError):
-    """A named configuration field is outside its documented range.
+    """A named config field, flag or argument is outside its documented range.
 
     Config-file readers turn it into an error at the field's file and line.
     """
@@ -19,6 +21,22 @@ class FieldError(ArgumentError):
         self.field = field
         self.message = message
         super().__init__(f"{field} {message}")
+
+
+def check_range(field: str, value, lo, hi=math.inf, lo_open=False, hi_open=False) -> None:
+    """Raise FieldError naming `field` unless `value` is finite and lies between lo and hi.
+
+    A bound is inclusive unless its `*_open` flag is set; hi = inf sets none. The
+    message states the range: `must be >= 1, got 0`, `must lie in (0, 1], got 1.01`.
+    """
+    if hi == math.inf:
+        rule = f"be {'>' if lo_open else '>='} {lo:g}"
+    else:
+        rule = f"lie in {'(' if lo_open else '['}{lo:g}, {hi:g}{')' if hi_open else ']'}"
+    if not isinstance(value, int) and not math.isfinite(value):  # big ints overflow isfinite
+        raise FieldError(field, f"must be finite and {rule.removeprefix('be ')}, got {value}")
+    if not ((value > lo if lo_open else value >= lo) and (value < hi if hi_open else value <= hi)):
+        raise FieldError(field, f"must {rule}, got {value}")
 
 
 class TrainingDivergenceError(RuntimeError):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, DegenerateSpectrumError, DimensionError, NumericError
+from .errors import DegenerateSpectrumError, DimensionError, NumericError, check_range
 from .kernel_core import GramMatrix
 from .klr import loss_gradient, predict_probs
 
@@ -126,8 +126,7 @@ def spectrum(G: np.ndarray) -> FisherSpectrum:
 
 def _natural_gradient_parts(grad, spec: FisherSpectrum, rel_cutoff: float):
     # natural gradient, the gradient's coefficients on the retained modes, their eigenvalues
-    if not (0.0 < rel_cutoff < 1.0):
-        raise ArgumentError(f"rel_cutoff must lie in (0, 1), got {rel_cutoff}")
+    check_range("rel_cutoff", rel_cutoff, 0, 1, lo_open=True, hi_open=True)
     if spec.lambda_max <= 0.0:
         raise DegenerateSpectrumError("cannot invert an all-zero spectrum")
     keep = spec.eigenvalues > rel_cutoff * spec.lambda_max

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ArgumentError, DimensionError
+from .errors import ArgumentError, DimensionError, check_range
 
 
 @dataclass
@@ -27,8 +27,7 @@ class KernelConfig:
     gamma: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.gamma) and self.gamma > 0):
-            raise ArgumentError(f"gamma must be positive and finite, got {self.gamma}")
+        check_range("gamma", self.gamma, 0, lo_open=True)
 
 
 @dataclass
@@ -42,10 +41,9 @@ class PatternSet:
         self.patterns = np.asarray(self.patterns)
         if self.patterns.ndim != 2:
             raise DimensionError("patterns must be a P x N matrix")
-        if self.patterns.shape[0] < 1 or self.patterns.shape[1] < 1:
-            raise ArgumentError("P and N must both be at least 1")
-        if not np.isin(self.patterns, (-1, 1)).all():
-            raise ArgumentError("pattern entries must be exactly -1 or +1")
+        check_range("P", self.patterns.shape[0], 1)
+        check_range("N", self.patterns.shape[1], 1)
+        check_bipolar(self.patterns, "pattern")
 
     @property
     def num_patterns(self) -> int:
@@ -69,23 +67,32 @@ class GramMatrix:
             raise DimensionError("Gram matrix must be square")
 
 
-def gram(patterns: PatternSet, config: KernelConfig) -> GramMatrix:
-    """Gram matrix K[mu][nu] = kernel(xi_mu, xi_nu).
+def check_bipolar(values: np.ndarray, what: str) -> None:
+    """Raise ArgumentError unless every entry of `values` is -1 or +1."""
+    if not ((values == 1) | (values == -1)).all():
+        raise ArgumentError(f"{what} entries must be exactly -1 or +1")
 
-    For bipolar entries ||x - y||^2 = 2*(N - <x, y>); the inner products are
-    exact small integers, so the result is exactly symmetric with unit
-    diagonal by construction.
+
+def rbf_of_inner(inner, N: int, gamma: float):
+    """exp(-gamma ||x - y||^2) of +-1 vectors of length N from <x, y>: ||x - y||^2 = 2(N - <x, y>).
+
+    <x, y> is an exact integer in any order, so gram and both recall paths share bits.
     """
+    d2 = 2.0 * (N - inner)  # ||x - y||^2
+    return np.exp(-gamma * d2)
+
+
+def gram(patterns: PatternSet, config: KernelConfig) -> GramMatrix:
+    """Gram matrix K[mu][nu] = kernel(xi_mu, xi_nu), exactly symmetric with unit diagonal."""
     X = patterns.patterns.astype(float)
-    inner = X @ X.T
-    d2 = 2.0 * (patterns.num_neurons - inner)
-    return GramMatrix(values=np.exp(-config.gamma * d2), gamma=config.gamma)
+    K = rbf_of_inner(X @ X.T, patterns.num_neurons, config.gamma)
+    return GramMatrix(values=K, gamma=config.gamma)
 
 
 def generate_patterns(P: int, N: int, seed: int) -> PatternSet:
     """P x N matrix of i.i.d. uniform {-1,+1} entries from PCG64(seed)."""
-    if P < 1 or N < 1:
-        raise ArgumentError(f"P and N must be >= 1, got P={P}, N={N}")
+    check_range("P", P, 1)
+    check_range("N", N, 1)
     rng = np.random.Generator(np.random.PCG64(seed))
     pats = rng.integers(0, 2, size=(P, N), dtype=np.int64) * 2 - 1
     return PatternSet(patterns=pats, seed=int(seed))
@@ -97,8 +104,7 @@ def corrupt(pattern, flip_fraction: float, seed: int) -> np.ndarray:
     Rounding is half-away-from-zero; positions come from PCG64(seed).
     Applying the same corruption twice restores the input.
     """
-    if not (0.0 <= flip_fraction <= 1.0):
-        raise ArgumentError(f"flip_fraction must be in [0, 1], got {flip_fraction}")
+    check_range("flip_fraction", flip_fraction, 0, 1)
     pattern = np.asarray(pattern)
     n = pattern.shape[0]
     n_flip = int(math.floor(flip_fraction * n + 0.5))
@@ -119,6 +125,14 @@ def save_patterns(ps: PatternSet, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def read_text(path) -> str:
+    """The text of a file; ArgumentError names the file if it does not decode."""
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError:
+        raise ArgumentError(f"{path}: not a text file") from None
+
+
 def read_artifact(path, header: str, types: tuple, cast) -> tuple[list, np.ndarray]:
     """Parse a text artifact: a header line, then P rows of N values.
 
@@ -127,11 +141,7 @@ def read_artifact(path, header: str, types: tuple, cast) -> tuple[list, np.ndarr
     ragged or non-numeric file raises ArgumentError or DimensionError
     naming the file.
     """
-    path = Path(path)
-    try:
-        lines = path.read_text().splitlines()
-    except UnicodeDecodeError:
-        raise ArgumentError(f"{path}: not a text file") from None
+    lines = read_text(path).splitlines()
     fields = lines[0].split() if lines else []
     try:
         head = [t(v) for t, v in zip(types, fields, strict=True)]

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ArgumentError, DimensionError, FieldError, TrainingDivergenceError
+from .errors import ArgumentError, DimensionError, TrainingDivergenceError, check_range
 from .kernel_core import GramMatrix, KernelConfig, PatternSet, gram, read_artifact
 
 # Loss may not increase by more than this between accepted epochs.
@@ -34,14 +34,10 @@ class TrainConfig:
     grad_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise FieldError("lambda", f"must be >= 0, got {self.lam}")
-        if self.learning_rate <= 0:
-            raise FieldError("learning_rate", f"must be > 0, got {self.learning_rate}")
-        if self.max_epochs < 1:
-            raise FieldError("max_epochs", f"must be >= 1, got {self.max_epochs}")
-        if self.grad_tol <= 0:
-            raise FieldError("grad_tol", f"must be > 0, got {self.grad_tol}")
+        check_range("lambda", self.lam, 0)
+        check_range("learning_rate", self.learning_rate, 0, lo_open=True)
+        check_range("max_epochs", self.max_epochs, 1)
+        check_range("grad_tol", self.grad_tol, 0, lo_open=True)
 
 
 @dataclass
@@ -109,8 +105,7 @@ def loss(alpha_col, K: GramMatrix, targets, lam: float) -> float:
     """Cross-entropy over stored patterns plus (lam/2) alpha' K alpha."""
     alpha_col = np.asarray(alpha_col, dtype=float)
     t = np.asarray(targets, dtype=float)
-    if lam < 0:
-        raise ArgumentError("lambda must be >= 0")
+    check_range("lambda", lam, 0)
     if alpha_col.shape != t.shape or alpha_col.shape != (K.values.shape[0],):
         raise DimensionError("alpha, targets and Gram matrix sizes disagree")
     h = K.values @ alpha_col

@@ -2,10 +2,10 @@
 
 Every grid cell trains fresh networks and measures Fisher-geometry
 scalars plus (optionally) recall success. Seeding is a stated 64-bit
-mix: the seed of trial t in cell (gi, li) is
-numpy.random.SeedSequence([base_seed, gi, li, t]).generate_state(1),
-which makes cells independent and runs reproducible bit-for-bit at any
-worker count.
+mix, seed64: the seed of trial t in cell (gi, li) is the first uint64 of
+numpy.random.SeedSequence([base_seed, gi, li, t]), and the cell's own seed
+that of [base_seed, gi, li]. Cells are independent and runs reproducible
+bit-for-bit at any worker count.
 
 run_cell returns a cell's per-neuron and per-trial records; aggregate
 turns them into its SweepCell: arithmetic mean over neurons within a
@@ -20,6 +20,7 @@ in divergence_count.
 from __future__ import annotations
 
 import csv
+import io
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, field, fields
 from typing import NamedTuple, get_type_hints
@@ -28,9 +29,9 @@ import numpy as np
 
 from .config import KVView
 from .dynamics import recall_batch
-from .errors import ArgumentError, FieldError
+from .errors import ArgumentError, FieldError, check_range
 from .infogeo import DEFAULT_REL_CUTOFF, GradientReport, gradient_report, neuron_spectra
-from .kernel_core import KernelConfig, corrupt, generate_patterns, gram
+from .kernel_core import KernelConfig, corrupt, generate_patterns, gram, read_text
 from .klr import DualWeights, TrainConfig, all_targets, fit_dual_weights
 
 
@@ -96,32 +97,23 @@ class GridConfig:
         for name in ("gamma_values", "load_values"):
             if not getattr(self, name):
                 raise FieldError(name, "must be nonempty")
-        if any(g <= 0 for g in self.gamma_values):
-            raise FieldError("gamma_values", "must be positive")
+        for gamma in self.gamma_values:
+            check_range("gamma_values", gamma, 0, lo_open=True)
+        for load in self.load_values:
+            check_range("load_values", load, 0, 1, lo_open=True)
         if list(self.gamma_values) != sorted(self.gamma_values):
             raise FieldError("gamma_values", "must be ascending")
         if list(self.load_values) != sorted(self.load_values):
             raise FieldError("load_values", "must be ascending")
-        if any(not (0 < l <= 1) for l in self.load_values):
-            raise FieldError("load_values", "must lie in (0, 1]")
+        check_range("num_neurons", self.num_neurons, 1)
         if round(self.num_neurons * min(self.load_values)) < 1:
             raise FieldError("load_values", "times num_neurons must round to at least 1 pattern")
-        if self.trials_per_cell < 1:
-            raise FieldError("trials_per_cell", f"must be >= 1, got {self.trials_per_cell}")
-        if self.base_seed < 0:
-            raise FieldError("base_seed", f"must be >= 0, got {self.base_seed}")
-        if not (0.0 <= self.recall_flip_fraction <= 1.0):
-            raise FieldError(
-                "recall_flip_fraction", f"must lie in [0, 1], got {self.recall_flip_fraction}"
-            )
-        if not (0.0 < self.success_threshold <= 1.0):
-            raise FieldError(
-                "success_threshold", f"must lie in (0, 1], got {self.success_threshold}"
-            )
-        if not (0.0 < self.rel_cutoff < 1.0):
-            raise FieldError("rel_cutoff", f"must lie in (0, 1), got {self.rel_cutoff}")
-        if self.recall_max_steps < 1:
-            raise FieldError("recall_max_steps", f"must be >= 1, got {self.recall_max_steps}")
+        check_range("trials_per_cell", self.trials_per_cell, 1)
+        check_range("base_seed", self.base_seed, 0)
+        check_range("recall_flip_fraction", self.recall_flip_fraction, 0, 1)
+        check_range("success_threshold", self.success_threshold, 0, 1, lo_open=True)
+        check_range("rel_cutoff", self.rel_cutoff, 0, 1, lo_open=True, hi_open=True)
+        check_range("recall_max_steps", self.recall_max_steps, 1)
         self.metrics = tuple(self.metrics)
         unknown = set(self.metrics) - set(METRICS)
         if unknown:
@@ -155,17 +147,9 @@ class CellRecords:
     recall_hits: np.ndarray | None
 
 
-def cell_seed(base_seed: int, gamma_index: int, load_index: int) -> int:
-    """64-bit cell identity derived from grid position via SeedSequence."""
-    ss = np.random.SeedSequence([int(base_seed), int(gamma_index), int(load_index)])
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
-
-
-def trial_seed(base_seed: int, gamma_index: int, load_index: int, trial: int) -> int:
-    ss = np.random.SeedSequence(
-        [int(base_seed), int(gamma_index), int(load_index), int(trial)]
-    )
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
+def seed64(*keys) -> int:
+    """The first 64-bit word of SeedSequence(keys), the one seeding scheme of a sweep."""
+    return int(np.random.SeedSequence([int(k) for k in keys]).generate_state(1, np.uint64)[0])
 
 
 def run_cell(
@@ -184,7 +168,7 @@ def run_cell(
     diverged = []
     recall_hits = []
     for t in range(cfg.trials_per_cell):
-        seed = trial_seed(cfg.base_seed, gamma_index, load_index, t)
+        seed = seed64(cfg.base_seed, gamma_index, load_index, t)
         patterns = generate_patterns(P, N, seed)
         K = gram(patterns, kcfg)
         T = all_targets(patterns)
@@ -204,8 +188,8 @@ def run_cell(
             )
             cues = [
                 corrupt(patterns.patterns[mu], cfg.recall_flip_fraction,
-                        trial_seed(cfg.base_seed, gamma_index, load_index,
-                                   cfg.trials_per_cell + t * P + mu))
+                        seed64(cfg.base_seed, gamma_index, load_index,
+                               cfg.trials_per_cell + t * P + mu))
                 for mu in range(P)
             ]
             results = recall_batch(
@@ -223,7 +207,7 @@ def run_cell(
         load=load,
         P=P,
         N=N,
-        seed=cell_seed(cfg.base_seed, gamma_index, load_index),
+        seed=seed64(cfg.base_seed, gamma_index, load_index),
         diverged=np.array(diverged),
         recall_hits=np.array(recall_hits) if want_recall else None,
         **per_neuron,
@@ -309,17 +293,16 @@ def write_grid_csv(cells: list, path) -> None:
 def read_grid_csv(path) -> list:
     """Cells of a grid.csv; ArgumentError names the file when columns or values are bad."""
     cells = []
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        missing = [c for c in CSV_COLUMNS if c not in (reader.fieldnames or [])]
-        if missing:
-            raise ArgumentError(f"{path}: missing columns: {', '.join(missing)}")
-        for row in reader:
-            try:
-                cell = SweepCell(**{name: _COLUMN_TYPES[name](row[name]) for name in CSV_COLUMNS})
-            except (TypeError, ValueError):  # TypeError: a short row leaves fields None
-                raise ArgumentError(f"{path}:{reader.line_num}: malformed row") from None
-            cells.append(cell)
+    reader = csv.DictReader(io.StringIO(read_text(path), newline=""))
+    missing = [c for c in CSV_COLUMNS if c not in (reader.fieldnames or [])]
+    if missing:
+        raise ArgumentError(f"{path}: missing columns: {', '.join(missing)}")
+    for row in reader:
+        try:
+            cell = SweepCell(**{name: _COLUMN_TYPES[name](row[name]) for name in CSV_COLUMNS})
+        except (TypeError, ValueError):  # TypeError: a short row leaves fields None
+            raise ArgumentError(f"{path}:{reader.line_num}: malformed row") from None
+        cells.append(cell)
     return cells
 
 
@@ -335,9 +318,9 @@ def grid_config_from_file(path) -> GridConfig:
         raise view.error("gamma_values", "need gamma_values or gamma_min/max/count")
 
     def gamma_values():  # called after the unknown-key check, like the other range checks
-        for key, value in (("gamma_min", lo), ("gamma_max", hi), ("gamma_count", count)):
-            if not value > 0:
-                raise FieldError(key, f"must be positive, got {value}")
+        check_range("gamma_min", lo, 0, lo_open=True)
+        check_range("gamma_max", hi, 0, lo_open=True)
+        check_range("gamma_count", count, 1)
         if hi < lo:
             raise FieldError("gamma_max", f"must be >= gamma_min, got {hi}")
         return list(np.logspace(np.log10(lo), np.log10(hi), count))

@@ -1,13 +1,15 @@
 import json
+from dataclasses import fields, is_dataclass
+from typing import get_type_hints
 
 import pytest
 
-from hopgeo.cli import main
+from hopgeo.cli import TrainRun, main
 from hopgeo.infogeo import fisher_matrix, spectrum, write_spectrum_csv
 from hopgeo.kernel_core import KernelConfig, gram, load_patterns
 from hopgeo.klr import load_weights
 from hopgeo.svgplot import render_spectrum_lines
-from hopgeo.sweep import CSV_COLUMNS
+from hopgeo.sweep import CSV_COLUMNS, GridConfig
 
 
 def train_cfg_text(**overrides):
@@ -511,6 +513,14 @@ GRID_RANGE_ERRORS = {
     "unit_rel_cutoff": ("num_neurons = 8", "rel_cutoff = 1\nnum_neurons = 8", "rel_cutoff"),
     "rel_cutoff_above_1": ("num_neurons = 8", "rel_cutoff = 2\nnum_neurons = 8", "rel_cutoff"),
     "nan_rel_cutoff": ("num_neurons = 8", "rel_cutoff = nan\nnum_neurons = 8", "rel_cutoff"),
+    "nan_gamma": ("gamma_values = 0.02 0.2", "gamma_values = nan", "gamma_values"),
+    "inf_gamma": ("gamma_values = 0.02 0.2", "gamma_values = 0.02 inf", "gamma_values"),
+    "inf_gamma_max": ("gamma_values = 0.02 0.2",
+                      "gamma_max = inf\ngamma_min = 0.02\ngamma_count = 3", "gamma_max"),
+    "zero_num_neurons": ("num_neurons = 8", "num_neurons = 0", "num_neurons"),
+    "nan_lambda": ("lambda = 1e-5", "lambda = nan", "lambda"),
+    "inf_learning_rate": ("learning_rate = 0.02", "learning_rate = inf", "learning_rate"),
+    "nan_grad_tol": ("num_neurons = 8", "grad_tol = nan\nnum_neurons = 8", "grad_tol"),
 }
 
 
@@ -524,6 +534,62 @@ def test_phase_range_error_names_file_line_and_field(tmp_path, capsys, case):
     assert main(["phase", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert_one_line_error(capsys, f"{cfg}:{line}: field '{field}': ")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("num_neurons", 0), ("lambda", "nan"), ("learning_rate", "inf"), ("grad_tol", "nan"),
+])
+def test_train_range_error_names_file_line_and_field(tmp_path, capsys, key, value):
+    code, out = run_train(tmp_path, **{key: value})
+    assert code == 2
+    line = [k.split(" = ")[0] for k in train_cfg_text().splitlines()].index(key) + 1
+    assert_one_line_error(capsys, f"{tmp_path / 'train.cfg'}:{line}: field '{key}': ")
+    assert not out.exists()
+
+
+def float_keys(cls):
+    """The keys of a config dataclass whose fields hold floats, nested dataclasses included."""
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        if is_dataclass(hints[f.name]):
+            yield from float_keys(hints[f.name])
+        elif hints[f.name] in (float, list[float]):
+            yield f.metadata.get("key", f.name)
+
+
+@pytest.mark.parametrize("command, key, value", [
+    (command, key, value)
+    for command, cls in (("train", TrainRun), ("phase", GridConfig))
+    for key in float_keys(cls)
+    for value in ("nan", "inf", "-inf")
+])
+def test_every_float_key_rejects_nonfinite_values(tmp_path, capsys, command, key, value):
+    text = CONFIG_TEXT[command]
+    if f"\n{key} = " in "\n" + text:
+        text, line = edit_config(text, key, f"{key} = {value}")
+    else:
+        text, line = text + f"{key} = {value}\n", len(text.splitlines()) + 1
+    err = config_error(tmp_path, capsys, command, text)
+    assert err.startswith(f"error: CFG:{line}: field '{key}': must be finite")
+    assert err.count("\n") == 1
+
+
+RECALL_FLAGS = {"--flip-fractions": "0.1", "--trials": "1", "--max-steps": "100",
+                "--success-threshold": "0.95"}
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--flip-fractions", "abc"), ("--flip-fractions", ""), ("--flip-fractions", "0.1 1.5"),
+    ("--flip-fractions", "nan"), ("--trials", "0"), ("--max-steps", "0"),
+    ("--success-threshold", "0"), ("--success-threshold", "inf"),
+])
+def test_recall_flag_error_names_the_flag_before_reading_artifacts(tmp_path, capsys, flag, value):
+    argv = ["recall", "--weights", str(tmp_path / "missing"), "--out", str(tmp_path / "r.csv")]
+    for name, default in RECALL_FLAGS.items():
+        argv += [name, value if name == flag else default]
+    assert main(argv) == 2
+    assert_one_line_error(capsys, f"error: {flag} must ")
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_render_unknown_metric_exits_2(tmp_path):

@@ -266,3 +266,33 @@ def test_recall_batch_argument_checks():
         recall_batch(np.ones((1, 5), dtype=int), [0], ps, w, kcfg)
     with pytest.raises(ArgumentError):
         recall_batch(np.zeros((1, 4), dtype=int), [0], ps, w, kcfg)
+
+
+def test_zero_alpha_columns_are_sure_ties_and_never_recomputed(monkeypatch):
+    # a column frozen at alpha = 0 has field +-0 in any summation order: a tie
+    # that keeps the state, decided without recomputing the cue's fields
+    rng = np.random.default_rng(7)
+    P, N = 8, 40
+    ps = generate_patterns(P, N, 3)
+    kcfg = KernelConfig(gamma=0.02)
+    alpha = rng.standard_normal((P, N))
+    alpha[:, ::3] = 0.0
+    alpha[:, 1] = -0.0
+    w = DualWeights(alpha=alpha, gamma=kcfg.gamma, lam=0.0, trained_epochs=0)
+    targets = rng.integers(0, P, 150)
+    cues = np.array([corrupt(ps.patterns[t], 0.2, seed) for seed, t in enumerate(targets)])
+    recomputes = []
+
+    def counting_field(*args, **kwargs):
+        recomputes.append(args[0])
+        return local_field(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "local_field", counting_field)
+    batch = recall_batch(cues, targets, ps, w, kcfg, max_steps=6)
+    assert recomputes == []
+    for cue, t, got in zip(cues, targets, batch):
+        want = _reference_recall(cue, t, ps, w, kcfg, 6, dynamics.DEFAULT_SUCCESS_THRESHOLD)
+        assert np.array_equal(got.final_state, want.final_state)
+        assert (got.overlap, got.converged, got.steps, got.success) == (
+            want.overlap, want.converged, want.steps, want.success
+        )

@@ -15,12 +15,11 @@ from hopgeo.sweep import (
     GridConfig,
     SweepCell,
     aggregate,
-    cell_seed,
     grid_config_from_file,
     read_grid_csv,
     run_cell,
     run_grid,
-    trial_seed,
+    seed64,
     write_grid_csv,
 )
 
@@ -65,15 +64,16 @@ def test_grid_config_validation():
 
 
 def test_seed_derivation_is_stable_and_distinct():
-    s = trial_seed(123, 0, 1, 2)
-    assert s == trial_seed(123, 0, 1, 2)
+    s = seed64(123, 0, 1, 2)
+    assert s == seed64(123, 0, 1, 2)
+    assert s == int(np.random.SeedSequence([123, 0, 1, 2]).generate_state(1, np.uint64)[0])
     assert 0 <= s < 2**64
     seen = {
-        trial_seed(123, gi, li, t)
+        seed64(123, gi, li, t)
         for gi in range(3) for li in range(3) for t in range(3)
     }
     assert len(seen) == 27
-    assert cell_seed(123, 0, 1) != cell_seed(123, 1, 0)
+    assert seed64(123, 0, 1) != seed64(123, 1, 0)
 
 
 def test_single_pattern_cell_has_unit_effective_dimension():
@@ -274,7 +274,7 @@ def _reference_run_cell(gamma, load, cfg, gamma_index, load_index):
     per_trial = {k: [] for k in means}
     reports, diverged, recall_hits = [], [], []
     for t in range(cfg.trials_per_cell):
-        seed = trial_seed(cfg.base_seed, gamma_index, load_index, t)
+        seed = seed64(cfg.base_seed, gamma_index, load_index, t)
         patterns = generate_patterns(P, N, seed)
         K = gram(patterns, kcfg)
         T = all_targets(patterns)
@@ -295,8 +295,8 @@ def _reference_run_cell(gamma, load, cfg, gamma_index, load_index):
             )
             cues = [
                 corrupt(patterns.patterns[mu], cfg.recall_flip_fraction,
-                        trial_seed(cfg.base_seed, gamma_index, load_index,
-                                   cfg.trials_per_cell + t * P + mu))
+                        seed64(cfg.base_seed, gamma_index, load_index,
+                               cfg.trials_per_cell + t * P + mu))
                 for mu in range(P)
             ]
             results = recall_batch(
@@ -305,7 +305,7 @@ def _reference_run_cell(gamma, load, cfg, gamma_index, load_index):
                 success_threshold=cfg.success_threshold,
             )
             recall_hits.append(sum(r.success for r in results))
-    seed = cell_seed(cfg.base_seed, gamma_index, load_index)
+    seed = seed64(cfg.base_seed, gamma_index, load_index)
     records = CellRecords(
         gamma=gamma, load=load, P=P, N=N, seed=seed,
         diverged=np.array(diverged),
