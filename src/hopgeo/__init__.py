@@ -10,4 +10,10 @@ Subpackages:
     svgplot     -- self-contained SVG heatmaps and spectrum plots
 """
 
+import os
+
+# One BLAS thread per process unless the caller chose a count: parallelism comes from
+# --workers, and other counts change result bits. numpy reads it once, so set it first.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 __version__ = "0.1.0"

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field, replace
@@ -21,8 +22,8 @@ from pathlib import Path
 
 from . import __version__
 from .config import ConfigError, KVView, resolved
-from .dynamics import recall_batch
-from .errors import ArgumentError, DimensionError, FieldError, NumericError
+from .dynamics import DEFAULT_MAX_STEPS, DEFAULT_SUCCESS_THRESHOLD, recall_batch
+from .errors import ArgumentError, DimensionError, FieldError, LayoutError, NumericError
 from .errors import TrainingDivergenceError, check_range
 from .infogeo import neuron_spectra, write_spectrum_csv
 from .kernel_core import (
@@ -65,6 +66,7 @@ def _write_manifest(out_dir: Path, argv, resolved_config: dict, seeds: dict, sta
         "command_line": list(argv),
         "resolved_config": resolved_config,
         "seeds": seeds,
+        "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
         "started": started,
         "finished": datetime.now(timezone.utc).isoformat(),
         "outputs": outputs,
@@ -150,7 +152,7 @@ def cmd_phase(args, argv) -> int:
     cells = [aggregate(rec) for rec in run_grid(cfg, workers=args.workers)]
     write_grid_csv(cells, out / "grid.csv")
     for metric in cfg.metrics:
-        render_heatmap(cells, metric, METRICS[metric].log10, out / f"{metric}.svg")
+        render_heatmap(cells, metric, out / f"{metric}.svg")
     degen = sum(c.degenerate_count for c in cells)
     diverg = sum(c.divergence_count for c in cells)
     if degen or diverg:
@@ -177,7 +179,6 @@ def cmd_recall(args, argv) -> int:
     check_range("--max-steps", args.max_steps, 1)
     check_range("--success-threshold", args.success_threshold, 0, 1, lo_open=True)
     patterns, weights = _load_artifacts(args.weights)
-    kcfg = KernelConfig(gamma=weights.gamma)
     base_seed = args.seed if args.seed is not None else 0
     lines = ["trial,target,flip_fraction,steps,converged,overlap,success"]
     summary = {}
@@ -191,7 +192,7 @@ def cmd_recall(args, argv) -> int:
                 for mu in range(patterns.num_patterns)
             ]
             results = recall_batch(
-                cues, range(patterns.num_patterns), patterns, weights, kcfg,
+                cues, range(patterns.num_patterns), patterns, weights,
                 max_steps=args.max_steps,
                 success_threshold=args.success_threshold,
             )
@@ -213,13 +214,22 @@ def cmd_render(args, argv) -> int:
     cells = read_grid_csv(args.grid)
     if not cells:
         raise ArgumentError(f"{args.grid}: no grid cells after the header")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    metrics = args.metrics.split() if args.metrics else list(METRICS)
+    if args.metrics:
+        metrics = args.metrics.split()
+    else:  # a column with no finite value was not measured: recall_rate when recall did not run
+        metrics = [m for m, (column, _) in METRICS.items()
+                   if any(math.isfinite(getattr(c, column)) for c in cells)]
     for metric in metrics:
         if metric not in METRICS:
             raise ArgumentError(f"unknown metric {metric!r}")
-        render_heatmap(cells, metric, METRICS[metric].log10, out / f"{metric}.svg")
+    try:  # every heatmap is made before any is written
+        docs = {metric: render_heatmap(cells, metric, None) for metric in metrics}
+    except (NumericError, LayoutError) as e:
+        raise type(e)(f"{args.grid}: {e}") from None
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for metric, doc in docs.items():
+        (out / f"{metric}.svg").write_text(doc)
     return EXIT_OK
 
 
@@ -258,8 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flip-fractions", required=True,
                    help="whitespace-separated corruption fractions in [0,1]")
     p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--max-steps", type=int, default=100)
-    p.add_argument("--success-threshold", type=float, default=0.95)
+    p.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
+    p.add_argument("--success-threshold", type=float, default=DEFAULT_SUCCESS_THRESHOLD)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_recall)

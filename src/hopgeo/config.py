@@ -14,10 +14,10 @@ as the {key: value} a manifest records.
 from __future__ import annotations
 
 from dataclasses import MISSING, fields, is_dataclass
-from pathlib import Path
 from typing import get_type_hints
 
 from .errors import FieldError
+from .kernel_core import read_text
 
 
 class ConfigError(ValueError):
@@ -30,7 +30,7 @@ class ConfigError(ValueError):
 def read_kv_file(path) -> dict:
     """Parse a flat key-value file into {key: (raw_value, line_number)}."""
     out: dict[str, tuple[str, int]] = {}
-    text = Path(path).read_text()
+    text = read_text(path)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

@@ -15,10 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, check_range
-from .kernel_core import KernelConfig, PatternSet, check_bipolar, rbf_of_inner
+from .kernel_core import PatternSet, check_bipolar, rbf_of_inner
 from .klr import DualWeights
 
+# the recall defaults of the API, the `recall` flags and the grid config keys
 DEFAULT_SUCCESS_THRESHOLD = 0.95
+DEFAULT_MAX_STEPS = 100
 # cues stepped together by recall_batch; bounds its (block, P) and (block, N) temporaries
 RECALL_BLOCK = 64
 
@@ -41,15 +43,15 @@ def overlap(state, pattern) -> float:
     return float(state @ pattern) / state.shape[0]
 
 
-def local_field(state, patterns: PatternSet, weights: DualWeights, kcfg: KernelConfig):
-    """h_i = sum_nu alpha_nu_i K(state, xi_nu) for every neuron i."""
+def local_field(state, patterns: PatternSet, weights: DualWeights):
+    """h_i = sum_nu alpha_nu_i K(state, xi_nu) for every neuron i, K of width weights.gamma."""
     state = np.asarray(state)
     if state.shape != (patterns.num_neurons,):
         raise DimensionError(
             f"state length {state.shape} does not match N={patterns.num_neurons}"
         )
     X = patterns.patterns.astype(float)
-    k = rbf_of_inner(X @ state.astype(float), patterns.num_neurons, kcfg.gamma)
+    k = rbf_of_inner(X @ state.astype(float), patterns.num_neurons, weights.gamma)
     return weights.alpha.T @ k
 
 
@@ -58,8 +60,7 @@ def recall(
     target_index: int,
     patterns: PatternSet,
     weights: DualWeights,
-    kcfg: KernelConfig,
-    max_steps: int = 100,
+    max_steps: int = DEFAULT_MAX_STEPS,
     success_threshold: float = DEFAULT_SUCCESS_THRESHOLD,
 ) -> RecallResult:
     """Iterate synchronous updates until a fixed point, 2-cycle, or max_steps.
@@ -68,8 +69,7 @@ def recall(
     converged=False. This is recall_batch on a batch of one cue.
     """
     return recall_batch(
-        np.asarray(cue)[None, :], [target_index], patterns, weights, kcfg,
-        max_steps, success_threshold,
+        np.asarray(cue)[None, :], [target_index], patterns, weights, max_steps, success_threshold
     )[0]
 
 
@@ -78,8 +78,7 @@ def recall_batch(
     target_indices,
     patterns: PatternSet,
     weights: DualWeights,
-    kcfg: KernelConfig,
-    max_steps: int = 100,
+    max_steps: int = DEFAULT_MAX_STEPS,
     success_threshold: float = DEFAULT_SUCCESS_THRESHOLD,
 ) -> list:
     """recall() of cues[m] toward pattern target_indices[m], for every m.
@@ -103,12 +102,12 @@ def recall_batch(
         check_bipolar(block, "cue")
         targets = np.asarray(target_indices[start:start + RECALL_BLOCK], dtype=int)
         results.extend(
-            _recall_block(block, targets, patterns, weights, kcfg, max_steps, success_threshold)
+            _recall_block(block, targets, patterns, weights, max_steps, success_threshold)
         )
     return results
 
 
-def _recall_block(cues, targets, patterns, weights, kcfg, max_steps, success_threshold):
+def _recall_block(cues, targets, patterns, weights, max_steps, success_threshold):
     # Each step computes the kernel values of all live cues with one matmul
     # and their fields with another. The distances are sums of +-1 products,
     # exact in any order, and exp is elementwise, so k has local_field's bits.
@@ -131,12 +130,12 @@ def _recall_block(cues, targets, patterns, weights, kcfg, max_steps, success_thr
     state = cues.astype(float)
     prev = state  # no state differs from itself, so step 1 finds no 2-cycle
     for steps in range(1, max_steps + 1):
-        k = rbf_of_inner(state @ X.T, N, kcfg.gamma)
+        k = rbf_of_inner(state @ X.T, N, weights.gamma)
         h = k @ alpha
         bound = (guard * k.max(axis=1))[:, None] * abs_alpha_sum
         sure = (np.abs(h) > bound) | zero_column  # false near zero and for nan
         for r in np.flatnonzero(~sure.all(axis=1)):
-            h[r] = local_field(state[r], patterns, weights, kcfg)
+            h[r] = local_field(state[r], patterns, weights)
         new = np.sign(h)
         tie = np.abs(new) != 1.0  # h == 0 or nan: neither h > 0 nor h < 0, so keep the value
         new[tie] = state[tie]

@@ -46,13 +46,10 @@ class TrainingDivergenceError(RuntimeError):
     or count the failure without re-deriving it.
     """
 
-    def __init__(self, neuron: int, epoch: int, detail: str = ""):
+    def __init__(self, neuron: int, epoch: int):
         self.neuron = neuron
         self.epoch = epoch
-        msg = f"training diverged at neuron {neuron}, epoch {epoch}"
-        if detail:
-            msg += f": {detail}"
-        super().__init__(msg)
+        super().__init__(f"training diverged at neuron {neuron}, epoch {epoch}")
 
 
 class DegenerateSpectrumError(ValueError):

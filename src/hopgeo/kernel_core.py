@@ -59,7 +59,6 @@ class GramMatrix:
     """P x P kernel matrix over stored patterns; symmetric PSD with unit diagonal."""
 
     values: np.ndarray
-    gamma: float
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -86,7 +85,7 @@ def gram(patterns: PatternSet, config: KernelConfig) -> GramMatrix:
     """Gram matrix K[mu][nu] = kernel(xi_mu, xi_nu), exactly symmetric with unit diagonal."""
     X = patterns.patterns.astype(float)
     K = rbf_of_inner(X @ X.T, patterns.num_neurons, config.gamma)
-    return GramMatrix(values=K, gamma=config.gamma)
+    return GramMatrix(values=K)
 
 
 def generate_patterns(P: int, N: int, seed: int) -> PatternSet:

@@ -42,7 +42,7 @@ class TrainConfig:
 
 @dataclass
 class DualWeights:
-    """alpha[:, i] is the dual coefficient vector of neuron i."""
+    """alpha[:, i] is the dual coefficient vector of neuron i; gamma is its kernel's width."""
 
     alpha: np.ndarray  # (P, N)
     gamma: float
@@ -50,6 +50,7 @@ class DualWeights:
     trained_epochs: int
 
     def __post_init__(self):
+        check_range("gamma", self.gamma, 0, lo_open=True)
         self.alpha = np.asarray(self.alpha, dtype=float)
         if self.alpha.ndim != 2:
             raise DimensionError("alpha must be a P x N matrix")
@@ -269,7 +270,6 @@ def load_weights(path) -> DualWeights:
         path, "P N gamma lambda epochs", (int, int, float, float, int), float
     )
     try:
-        KernelConfig(gamma=gamma)
         return DualWeights(alpha=alpha, gamma=gamma, lam=lam, trained_epochs=epochs)
     except ArgumentError as e:
         raise ArgumentError(f"{path}: {e}") from None

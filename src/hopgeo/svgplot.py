@@ -36,12 +36,24 @@ def _fmt(v: float) -> str:
     return f"{v:.4g}"
 
 
+def _svg(W: int, H: int, body: list, out_path) -> str:
+    """The W x H SVG document of the `body` elements on white; written to out_path unless None."""
+    doc = "\n".join([
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" height="{H}" '
+        f'viewBox="0 0 {W} {H}" font-family="monospace" font-size="11">',
+        f'<rect width="{W}" height="{H}" fill="white"/>',
+        *body,
+        "</svg>",
+    ]) + "\n"
+    if out_path is not None:
+        Path(out_path).write_text(doc)
+    return doc
+
+
 def _grid_layout(cells):
     gammas = sorted({c.gamma for c in cells})
     loads = sorted({c.load for c in cells})
-    lookup = {}
-    for c in cells:
-        lookup[(c.gamma, c.load)] = c
+    lookup = {(c.gamma, c.load): c for c in cells}
     if len(lookup) != len(cells) or len(cells) != len(gammas) * len(loads):
         raise LayoutError(
             f"cells do not form a rectangle: {len(cells)} cells, "
@@ -50,11 +62,11 @@ def _grid_layout(cells):
     return gammas, loads, lookup
 
 
-def render_heatmap(cells, metric: str, log10: bool, out_path) -> str:
-    """Write (and return) an SVG heatmap of one metric over the grid."""
+def render_heatmap(cells, metric: str, out_path) -> str:
+    """Write (and return) an SVG heatmap of one metric over the grid, on the metric's scale."""
     if metric not in METRICS:
         raise NumericError(f"unknown metric {metric!r}")
-    attr = METRICS[metric].column
+    attr, log10 = METRICS[metric]
     gammas, loads, lookup = _grid_layout(cells)
 
     values = {}
@@ -93,12 +105,7 @@ def render_heatmap(cells, metric: str, log10: bool, out_path) -> str:
     H = mt + cell_h * len(loads) + mb
     title = f"log10({metric})" if log10 else metric
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" height="{H}" '
-        f'viewBox="0 0 {W} {H}" font-family="monospace" font-size="11">',
-        f'<rect width="{W}" height="{H}" fill="white"/>',
-        f'<text x="{ml}" y="{mt - 28}" font-size="14">{title}</text>',
-    ]
+    parts = [f'<text x="{ml}" y="{mt - 28}" font-size="14">{title}</text>']
     # cells: loads increase upward (row 0 at the bottom)
     for li, load in enumerate(loads):
         y = mt + cell_h * (len(loads) - 1 - li)
@@ -146,11 +153,7 @@ def render_heatmap(cells, metric: str, log10: bool, out_path) -> str:
         )
     parts.append(f'<text x="{bar_x + 22}" y="{mt + 10}">max {_fmt(vmax)}</text>')
     parts.append(f'<text x="{bar_x + 22}" y="{mt + bar_h}">min {_fmt(vmin)}</text>')
-    parts.append("</svg>")
-    doc = "\n".join(parts) + "\n"
-    if out_path is not None:
-        Path(out_path).write_text(doc)
-    return doc
+    return _svg(W, H, parts, out_path)
 
 
 def render_spectrum_lines(specs, out_path) -> str:
@@ -181,9 +184,6 @@ def render_spectrum_lines(specs, out_path) -> str:
         return mt + ph * (ymax - v) / max(ymax - ymin, 1e-12)
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" height="{H}" '
-        f'viewBox="0 0 {W} {H}" font-family="monospace" font-size="11">',
-        f'<rect width="{W}" height="{H}" fill="white"/>',
         f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" stroke="black"/>',
         f'<text x="{ml}" y="{mt - 10}">log10(lambda_k / lambda_1) per neuron</text>',
         f'<text x="{ml + pw / 2}" y="{H - 14}" text-anchor="middle">mode index k</text>',
@@ -198,8 +198,4 @@ def render_spectrum_lines(specs, out_path) -> str:
             f'<polyline points="{pts}" fill="none" stroke="#c03020" '
             f'stroke-width="1" stroke-opacity="0.35"/>'
         )
-    parts.append("</svg>")
-    doc = "\n".join(parts) + "\n"
-    if out_path is not None:
-        Path(out_path).write_text(doc)
-    return doc
+    return _svg(W, H, parts, out_path)

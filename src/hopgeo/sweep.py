@@ -28,7 +28,7 @@ from typing import NamedTuple, get_type_hints
 import numpy as np
 
 from .config import KVView
-from .dynamics import recall_batch
+from .dynamics import DEFAULT_MAX_STEPS, DEFAULT_SUCCESS_THRESHOLD, recall_batch
 from .errors import ArgumentError, FieldError, check_range
 from .infogeo import DEFAULT_REL_CUTOFF, GradientReport, gradient_report, neuron_spectra
 from .kernel_core import KernelConfig, corrupt, generate_patterns, gram, read_text
@@ -64,7 +64,7 @@ _COLUMN_TYPES = get_type_hints(SweepCell)  # column -> int or float
 
 class Metric(NamedTuple):
     column: str  # the SweepCell field a heatmap of the metric draws
-    log10: bool  # whether that heatmap takes log10 unless told otherwise
+    log10: bool  # whether that heatmap takes log10
 
 
 # the metrics a config may select, in the order `render` draws them by default
@@ -90,8 +90,8 @@ class GridConfig:
     # recall_rate, which runs recall in every cell, is opt-in
     metrics: tuple[str, ...] = tuple(METRICS)[:5]
     recall_flip_fraction: float = 0.1
-    success_threshold: float = 0.95
-    recall_max_steps: int = 100
+    success_threshold: float = DEFAULT_SUCCESS_THRESHOLD
+    recall_max_steps: int = DEFAULT_MAX_STEPS
 
     def __post_init__(self):
         for name in ("gamma_values", "load_values"):
@@ -124,8 +124,8 @@ class GridConfig:
 class CellRecords:
     """What run_cell measured in one cell, before aggregation.
 
-    Per neuron: every field of its GradientReport, as a (trials, N) array in
-    neuron order. Per trial: `diverged`, the neurons the descent monitor froze,
+    Per neuron, `neurons` maps each GradientReport field to a (trials, N) array
+    in neuron order. Per trial: `diverged`, the neurons the descent monitor froze,
     and `recall_hits`, the cues recalled (None unless recall_rate is a metric).
     """
 
@@ -134,15 +134,7 @@ class CellRecords:
     P: int
     N: int
     seed: int
-    euclid_norm_sq: np.ndarray
-    riemann_norm_sq: np.ndarray
-    rank1_residual: np.ndarray
-    retained_modes: np.ndarray
-    lambda_max: np.ndarray
-    d_eff: np.ndarray
-    ratio_2_1: np.ndarray
-    ratio_tail: np.ndarray
-    degenerate: np.ndarray
+    neurons: dict[str, np.ndarray]
     diverged: np.ndarray
     recall_hits: np.ndarray | None
 
@@ -162,7 +154,6 @@ def run_cell(
     """Train and measure one (gamma, load) grid point over all trials."""
     N = cfg.num_neurons
     P = max(1, int(round(load * N)))
-    kcfg = KernelConfig(gamma=gamma)
     want_recall = "recall_rate" in cfg.metrics
     reports = []  # per trial, the GradientReport of every neuron in neuron order
     diverged = []
@@ -170,7 +161,7 @@ def run_cell(
     for t in range(cfg.trials_per_cell):
         seed = seed64(cfg.base_seed, gamma_index, load_index, t)
         patterns = generate_patterns(P, N, seed)
-        K = gram(patterns, kcfg)
+        K = gram(patterns, KernelConfig(gamma=gamma))
         T = all_targets(patterns)
         res = fit_dual_weights(K.values, T, cfg.train)
         diverged.append(len(res.diverged))
@@ -193,24 +184,23 @@ def run_cell(
                 for mu in range(P)
             ]
             results = recall_batch(
-                cues, range(P), patterns, weights, kcfg,
+                cues, range(P), patterns, weights,
                 max_steps=cfg.recall_max_steps,
                 success_threshold=cfg.success_threshold,
             )
             recall_hits.append(sum(r.success for r in results))
-    per_neuron = {
-        f.name: np.array([[getattr(rep, f.name) for rep in row] for row in reports])
-        for f in fields(GradientReport)
-    }
     return CellRecords(
         gamma=gamma,
         load=load,
         P=P,
         N=N,
         seed=seed64(cfg.base_seed, gamma_index, load_index),
+        neurons={
+            f.name: np.array([[getattr(rep, f.name) for rep in row] for row in reports])
+            for f in fields(GradientReport)
+        },
         diverged=np.array(diverged),
         recall_hits=np.array(recall_hits) if want_recall else None,
-        **per_neuron,
     )
 
 
@@ -227,7 +217,8 @@ def aggregate(rec: CellRecords) -> SweepCell:
     """The SweepCell (grid.csv row) of one cell's records."""
     def sd(values):
         return float(np.std(_trial_means(values), ddof=0))
-    trials = rec.lambda_max.shape[0]
+    n = rec.neurons
+    trials = len(rec.diverged)
     return SweepCell(
         gamma=rec.gamma,
         load=rec.load,
@@ -235,18 +226,18 @@ def aggregate(rec: CellRecords) -> SweepCell:
         N=rec.N,
         seed=rec.seed,
         trials=trials,
-        lambda_max_mean=trial_mean(rec.lambda_max),
-        lambda_max_sd=sd(rec.lambda_max),
-        d_eff_mean=trial_mean(rec.d_eff),
-        d_eff_sd=sd(rec.d_eff),
-        euclid_norm_sq_mean=trial_mean(rec.euclid_norm_sq),
-        riemann_norm_sq_mean=trial_mean(rec.riemann_norm_sq),
-        rank1_residual_mean=trial_mean(rec.rank1_residual),
+        lambda_max_mean=trial_mean(n["lambda_max"]),
+        lambda_max_sd=sd(n["lambda_max"]),
+        d_eff_mean=trial_mean(n["d_eff"]),
+        d_eff_sd=sd(n["d_eff"]),
+        euclid_norm_sq_mean=trial_mean(n["euclid_norm_sq"]),
+        riemann_norm_sq_mean=trial_mean(n["riemann_norm_sq"]),
+        rank1_residual_mean=trial_mean(n["rank1_residual"]),
         recall_rate=(
             int(rec.recall_hits.sum()) / (trials * rec.P)
             if rec.recall_hits is not None else float("nan")
         ),
-        degenerate_count=int(rec.degenerate.sum()),
+        degenerate_count=int(n["degenerate"].sum()),
         divergence_count=int(rec.diverged.sum()),
     )
 

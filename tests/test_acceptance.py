@@ -49,7 +49,7 @@ def record(name: str, ok: bool, detail: str = ""):
 
 def random_instance(rng, P):
     B = rng.normal(size=(P, P))
-    K = GramMatrix(values=B @ B.T / P + 0.05 * np.eye(P), gamma=float("nan"))
+    K = GramMatrix(values=B @ B.T / P + 0.05 * np.eye(P))
     alpha = rng.normal(scale=0.8, size=P)
     t = rng.integers(0, 2, size=P).astype(float)
     return K, alpha, t
@@ -70,9 +70,9 @@ def grid():
         row.append(SimpleNamespace(
             **dataclasses.asdict(aggregate(rec)),
             gamma_index=len(row),
-            ratio_2_1_mean=trial_mean(rec.ratio_2_1),
-            ratio_tail_mean=trial_mean(rec.ratio_tail),
-            retained_total=int(rec.retained_modes.sum()),
+            ratio_2_1_mean=trial_mean(rec.neurons["ratio_2_1"]),
+            ratio_tail_mean=trial_mean(rec.neurons["ratio_tail"]),
+            retained_total=int(rec.neurons["retained_modes"].sum()),
         ))
     return rows
 
@@ -240,14 +240,14 @@ def test_c9_memory_function():
     weights = train(patterns, kcfg, tcfg)
     exact_ok = True
     for mu in range(P):
-        r = recall(patterns.patterns[mu], mu, patterns, weights, kcfg)
+        r = recall(patterns.patterns[mu], mu, patterns, weights)
         exact_ok = exact_ok and r.converged and r.overlap == 1.0
     hits = 0
     total = 0
     for t in range(20):
         for mu in range(P):
             cue = corrupt(patterns.patterns[mu], 0.1, 1_000 + t * P + mu)
-            r = recall(cue, mu, patterns, weights, kcfg)
+            r = recall(cue, mu, patterns, weights)
             hits += int(r.success)
             total += 1
     rate = hits / total

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields, is_dataclass
+from pathlib import Path
 from typing import get_type_hints
 
 import pytest
@@ -403,6 +407,42 @@ def test_unknown_key_is_reported_before_a_range_error(tmp_path, capsys, command,
     assert err == f"error: CFG:{line}: unknown field 'typo'\n"
 
 
+@pytest.mark.parametrize("command", sorted(CONFIG_TEXT))
+def test_non_utf8_config_exits_2_naming_the_file(tmp_path, capsys, command):
+    cfg = tmp_path / f"{command}.cfg"
+    cfg.write_bytes(CONFIG_TEXT[command].encode() + b"\xff\xfe = 3\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert_one_line_error(capsys, f"{cfg}: not a text file")
+    assert not out.exists()
+
+
+def test_blas_runs_one_thread_unless_the_caller_sets_a_count(tmp_path):
+    # At P = N = 256 a second OpenBLAS thread changes the bits of eigh, so an
+    # unset thread count must give the bytes of one thread on any machine.
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("gamma_values = 0.001\nload_values = 1.0\nnum_neurons = 256\n"
+                   "max_epochs = 40\nlearning_rate = 0.1\nlambda = 1e-6\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    grids, recorded = {}, {}
+    for threads in (None, "1", "2"):
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        out = tmp_path / f"threads-{threads}"
+        run = subprocess.run(
+            [sys.executable, "-m", "hopgeo.cli", "phase", "--config", str(cfg), "--out", str(out),
+             "--workers", "1"], env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert run.returncode == 0, run.stderr
+        grids[threads] = (out / "grid.csv").read_bytes()
+        recorded[threads] = json.loads((out / "manifest.json").read_text())["openblas_num_threads"]
+    assert grids[None] == grids["1"]
+    assert recorded == {None: "1", "1": "1", "2": "2"}
+
+
 def test_phase_bad_config_exits_2(tmp_path, capsys):
     cfg = tmp_path / "grid.cfg"
     cfg.write_text("gamma_values = 0.1\nload_values = 0.5\n")  # missing num_neurons
@@ -459,6 +499,39 @@ def test_render_from_existing_grid(tmp_path):
     assert code == 0
     assert (rout / "lambda_max.svg").read_bytes() == (out / "lambda_max.svg").read_bytes()
     assert (rout / "d_eff.svg").read_bytes() == (out / "d_eff.svg").read_bytes()
+
+
+def default_phase(tmp_path):
+    """grid.csv of a one-cell `phase` run with the default metrics, so recall_rate is nan."""
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("gamma_values = 0.1\nload_values = 0.25\nnum_neurons = 16\nmax_epochs = 50\n")
+    out = tmp_path / "phase"
+    assert main(["phase", "--config", str(cfg), "--out", str(out), "--workers", "1"]) == 0
+    return out
+
+
+def test_render_by_default_draws_what_the_grid_holds(tmp_path):
+    out = default_phase(tmp_path)
+    rout = tmp_path / "rendered"
+    assert main(["render", "--grid", str(out / "grid.csv"), "--out", str(rout)]) == 0
+    names = sorted(p.name for p in rout.iterdir())
+    assert names == sorted(f"{m}.svg" for m in GridConfig.metrics)
+    assert len(names) == 5
+    for name in names:
+        assert (rout / name).read_bytes() == (out / name).read_bytes()
+
+
+@pytest.mark.parametrize("metrics", ["recall_rate", "d_eff recall_rate"])
+def test_render_of_an_unmeasured_metric_names_the_grid_and_writes_no_svg(tmp_path, capsys,
+                                                                          metrics):
+    grid = default_phase(tmp_path) / "grid.csv"
+    capsys.readouterr()
+    rout = tmp_path / "rendered"
+    assert main(["render", "--grid", str(grid), "--metrics", metrics, "--out", str(rout)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"numeric failure: {grid}: ") and err.count("\n") == 1, err
+    assert "recall_rate" in err
+    assert not rout.exists()
 
 
 def test_render_header_only_grid_exits_2_and_writes_no_svg(tmp_path, capsys):

@@ -30,10 +30,10 @@ def test_local_field_matches_loop_oracle():
     w = train(ps, kcfg, TrainConfig(lam=1e-3, learning_rate=0.05,
                                     max_epochs=500, grad_tol=1e-6))
     state = corrupt(ps.patterns[1], 0.25, 3)
-    h = local_field(state, ps, w, kcfg)
+    h = local_field(state, ps, w)
     for i in range(ps.num_neurons):
         expected = sum(
-            w.alpha[nu, i] * math.exp(-kcfg.gamma * float(np.sum((state - ps.patterns[nu]) ** 2)))
+            w.alpha[nu, i] * math.exp(-w.gamma * float(np.sum((state - ps.patterns[nu]) ** 2)))
             for nu in range(ps.num_patterns)
         )
         assert h[i] == pytest.approx(expected, rel=1e-10, abs=1e-14)
@@ -43,19 +43,18 @@ def test_local_field_length_check():
     ps = generate_patterns(2, 8, 1)
     w = DualWeights(alpha=np.zeros((2, 8)), gamma=0.1, lam=0.0, trained_epochs=0)
     with pytest.raises(DimensionError):
-        local_field(np.ones(7), ps, w, KernelConfig(gamma=0.1))
+        local_field(np.ones(7), ps, w)
 
 
 def test_zero_weights_freeze_the_state():
     # all fields are zero, ties keep the current value
     ps = generate_patterns(3, 10, 2)
     w = DualWeights(alpha=np.zeros((3, 10)), gamma=0.1, lam=0.0, trained_epochs=0)
-    kcfg = KernelConfig(gamma=0.1)
     state = corrupt(ps.patterns[0], 0.3, 4)
-    new, changed = _step(state, ps, w, kcfg)
+    new, changed = _step(state, ps, w)
     assert changed == 0
     assert np.array_equal(new, state)
-    res = recall(state, 0, ps, w, kcfg, max_steps=5)
+    res = recall(state, 0, ps, w, max_steps=5)
     assert res.converged
     assert res.steps == 1
     assert np.array_equal(res.final_state, state)
@@ -67,7 +66,7 @@ def test_stored_cue_is_fixed_point_after_training():
     w = train(ps, kcfg, TrainConfig(lam=1e-6, learning_rate=0.02,
                                     max_epochs=20000, grad_tol=1e-6))
     for mu in range(ps.num_patterns):
-        res = recall(ps.patterns[mu], mu, ps, w, kcfg, max_steps=10)
+        res = recall(ps.patterns[mu], mu, ps, w, max_steps=10)
         assert res.converged
         assert res.steps == 1
         assert res.overlap == 1.0
@@ -80,7 +79,7 @@ def test_recall_from_corrupted_cue():
     w = train(ps, kcfg, TrainConfig(lam=1e-6, learning_rate=0.02,
                                     max_epochs=20000, grad_tol=1e-6))
     cue = corrupt(ps.patterns[2], 0.1, 99)
-    res = recall(cue, 2, ps, w, kcfg)
+    res = recall(cue, 2, ps, w)
     assert res.converged
     assert res.overlap == 1.0
     assert res.success
@@ -96,9 +95,9 @@ def test_two_cycle_detected_and_not_converged():
     c = 5.0
     alpha = np.array([[-c, -c], [c, c]])
     w = DualWeights(alpha=alpha, gamma=kcfg.gamma, lam=0.0, trained_epochs=1)
-    h = local_field(X[0], ps, w, kcfg)
+    h = local_field(X[0], ps, w)
     assert np.all(h < 0)  # pushes toward -x
-    res = recall(X[0].copy(), 0, ps, w, kcfg, max_steps=50)
+    res = recall(X[0].copy(), 0, ps, w, max_steps=50)
     assert not res.converged
     assert res.steps < 50
     # the better-overlap member of the cycle is the target itself
@@ -111,7 +110,7 @@ def test_max_steps_exhaustion_reports_not_converged():
     kcfg = KernelConfig(gamma=0.1)
     alpha = np.array([[-5.0, -5.0], [5.0, 5.0]])
     w = DualWeights(alpha=alpha, gamma=kcfg.gamma, lam=0.0, trained_epochs=1)
-    res = recall(X[0].copy(), 0, ps, w, kcfg, max_steps=1)
+    res = recall(X[0].copy(), 0, ps, w, max_steps=1)
     assert not res.converged
     assert res.steps == 1
 
@@ -119,34 +118,32 @@ def test_max_steps_exhaustion_reports_not_converged():
 def test_recall_argument_validation():
     ps = generate_patterns(2, 4, 0)
     w = DualWeights(alpha=np.zeros((2, 4)), gamma=0.1, lam=0.0, trained_epochs=0)
-    kcfg = KernelConfig(gamma=0.1)
     with pytest.raises(ArgumentError):
-        recall(ps.patterns[0], 0, ps, w, kcfg, max_steps=0)
+        recall(ps.patterns[0], 0, ps, w, max_steps=0)
     with pytest.raises(ArgumentError):
-        recall(ps.patterns[0], 0, ps, w, kcfg, success_threshold=1.5)
+        recall(ps.patterns[0], 0, ps, w, success_threshold=1.5)
 
 
 def test_success_threshold_boundary():
     ps = generate_patterns(1, 20, 3)
     w = DualWeights(alpha=np.zeros((1, 20)), gamma=0.1, lam=0.0, trained_epochs=0)
-    kcfg = KernelConfig(gamma=0.1)
     cue = corrupt(ps.patterns[0], 0.05, 1)  # one flip -> overlap 0.9
-    res = recall(cue, 0, ps, w, kcfg, success_threshold=0.9)
+    res = recall(cue, 0, ps, w, success_threshold=0.9)
     assert res.overlap == pytest.approx(0.9)
     assert res.success
-    res = recall(cue, 0, ps, w, kcfg, success_threshold=0.95)
+    res = recall(cue, 0, ps, w, success_threshold=0.95)
     assert not res.success
 
 
-def _step(state, patterns, weights, kcfg):
+def _step(state, patterns, weights):
     """One synchronous update; returns (new_state, number of flipped neurons)."""
     state = np.asarray(state)
-    h = local_field(state, patterns, weights, kcfg)
+    h = local_field(state, patterns, weights)
     new = np.where(h > 0, 1, np.where(h < 0, -1, state)).astype(state.dtype)
     return new, int(np.count_nonzero(new != state))
 
 
-def _reference_recall(cue, target_index, patterns, weights, kcfg, max_steps, success_threshold):
+def _reference_recall(cue, target_index, patterns, weights, max_steps, success_threshold):
     """The single-cue loop recall() ran before cues were batched; the oracle."""
     target = patterns.patterns[target_index]
     state = np.asarray(cue).copy()
@@ -154,7 +151,7 @@ def _reference_recall(cue, target_index, patterns, weights, kcfg, max_steps, suc
     converged = False
     steps = 0
     for _ in range(max_steps):
-        new, changed = _step(state, patterns, weights, kcfg)
+        new, changed = _step(state, patterns, weights)
         steps += 1
         if changed == 0:
             converged = True
@@ -228,12 +225,12 @@ def test_batched_recall_matches_single_cue_reference(monkeypatch):
         recomputes.clear()
         with monkeypatch.context() as m:
             m.setattr(dynamics, "local_field", counting_field)
-            batch = recall_batch(cues, targets, ps, w, kcfg, max_steps, threshold)
+            batch = recall_batch(cues, targets, ps, w, max_steps, threshold)
         if kind == "near_tie":
             near_tie_recomputes += len(recomputes)
         assert len(batch) == M
         for cue, t, got in zip(cues, targets, batch):
-            want = _reference_recall(cue, t, ps, w, kcfg, max_steps, threshold)
+            want = _reference_recall(cue, t, ps, w, max_steps, threshold)
             assert got.final_state.dtype == want.final_state.dtype
             assert np.array_equal(got.final_state, want.final_state)
             assert got.overlap == want.overlap
@@ -258,14 +255,13 @@ def test_batched_recall_matches_single_cue_reference(monkeypatch):
 def test_recall_batch_argument_checks():
     ps = generate_patterns(2, 4, 0)
     w = DualWeights(alpha=np.zeros((2, 4)), gamma=0.1, lam=0.0, trained_epochs=0)
-    kcfg = KernelConfig(gamma=0.1)
-    assert recall_batch(np.empty((0, 4), dtype=int), [], ps, w, kcfg) == []
+    assert recall_batch(np.empty((0, 4), dtype=int), [], ps, w) == []
     with pytest.raises(DimensionError):
-        recall_batch(ps.patterns, [0], ps, w, kcfg)
+        recall_batch(ps.patterns, [0], ps, w)
     with pytest.raises(DimensionError):
-        recall_batch(np.ones((1, 5), dtype=int), [0], ps, w, kcfg)
+        recall_batch(np.ones((1, 5), dtype=int), [0], ps, w)
     with pytest.raises(ArgumentError):
-        recall_batch(np.zeros((1, 4), dtype=int), [0], ps, w, kcfg)
+        recall_batch(np.zeros((1, 4), dtype=int), [0], ps, w)
 
 
 def test_zero_alpha_columns_are_sure_ties_and_never_recomputed(monkeypatch):
@@ -288,10 +284,10 @@ def test_zero_alpha_columns_are_sure_ties_and_never_recomputed(monkeypatch):
         return local_field(*args, **kwargs)
 
     monkeypatch.setattr(dynamics, "local_field", counting_field)
-    batch = recall_batch(cues, targets, ps, w, kcfg, max_steps=6)
+    batch = recall_batch(cues, targets, ps, w, max_steps=6)
     assert recomputes == []
     for cue, t, got in zip(cues, targets, batch):
-        want = _reference_recall(cue, t, ps, w, kcfg, 6, dynamics.DEFAULT_SUCCESS_THRESHOLD)
+        want = _reference_recall(cue, t, ps, w, 6, dynamics.DEFAULT_SUCCESS_THRESHOLD)
         assert np.array_equal(got.final_state, want.final_state)
         assert (got.overlap, got.converged, got.steps, got.success) == (
             want.overlap, want.converged, want.steps, want.success

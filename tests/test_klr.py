@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hopgeo import klr
-from hopgeo.errors import DimensionError, TrainingDivergenceError
+from hopgeo.errors import ArgumentError, DimensionError, TrainingDivergenceError
 from hopgeo.kernel_core import GramMatrix, KernelConfig, generate_patterns, gram
 from hopgeo.klr import (
     DESCENT_SLACK,
@@ -29,7 +29,7 @@ def random_instance(rng, P):
     B = rng.normal(size=(P, P))
     K = B @ B.T / P + np.eye(P) * 0.1
     return (
-        GramMatrix(values=K, gamma=float("nan")),
+        GramMatrix(values=K),
         rng.normal(scale=0.8, size=P),
         rng.integers(0, 2, size=P).astype(float),
     )
@@ -52,7 +52,7 @@ def test_predict_probs_zero_alpha():
 
 
 def test_predict_probs_scalar_case():
-    K = GramMatrix(values=np.array([[1.0]]), gamma=1.0)
+    K = GramMatrix(values=np.array([[1.0]]))
     assert predict_probs(np.array([2.0]), K)[0] == pytest.approx(0.8807970779778823)
 
 
@@ -66,7 +66,7 @@ def test_predict_probs_matches_loop_oracle():
 
 
 def test_predict_probs_dimension_mismatch():
-    K = GramMatrix(values=np.eye(3), gamma=1.0)
+    K = GramMatrix(values=np.eye(3))
     with pytest.raises(DimensionError):
         predict_probs(np.zeros(4), K)
 
@@ -97,14 +97,14 @@ def test_loss_matches_high_precision_oracle():
 
 
 def test_loss_stable_under_saturation():
-    K = GramMatrix(values=np.eye(2), gamma=1.0)
+    K = GramMatrix(values=np.eye(2))
     val = loss(np.array([800.0, -800.0]), K, np.array([1.0, 0.0]), 0.0)
     assert math.isfinite(val)
     assert val == pytest.approx(0.0, abs=1e-12)
 
 
 def test_gradient_identity_kernel_case():
-    K = GramMatrix(values=np.eye(2), gamma=1.0)
+    K = GramMatrix(values=np.eye(2))
     g = loss_gradient(np.zeros(2), K, np.array([1.0, 0.0]), 0.0)
     assert np.allclose(g, [-0.5, 0.5])
 
@@ -352,3 +352,69 @@ def test_fit_matches_gathering_reference_bit_for_bit(monkeypatch):
 def test_dual_weights_rejects_nonfinite():
     with pytest.raises(Exception):
         DualWeights(alpha=np.array([[np.inf]]), gamma=1.0, lam=0.0, trained_epochs=1)
+
+
+@pytest.mark.parametrize("gamma", [0.0, -1.0, float("nan"), float("inf")])
+def test_dual_weights_rejects_a_bad_gamma(gamma):
+    with pytest.raises(ArgumentError, match="gamma"):
+        DualWeights(alpha=np.zeros((1, 1)), gamma=gamma, lam=0.0, trained_epochs=0)
+
+
+def _reference_optimum(K, T, lam):
+    """Exact-optimum oracle for descent: damped Newton in the dual, one neuron at a time.
+
+    The gradient is K (p - t + lam alpha) and the Hessian K (D K + lam I), with
+    D = diag(p (1 - p)), so the Newton step is d = (D K + lam I)^-1 (p - t + lam alpha).
+    It is halved until the loss does not rise by more than rounding. Returns the (P, N) alpha.
+    """
+    P, N = T.shape
+    G = GramMatrix(values=K)
+    A = np.zeros((P, N))
+    for i in range(N):
+        a, t = A[:, i], T[:, i]
+        f = loss(a, G, t, lam)
+        for _ in range(100):
+            p = sigmoid(K @ a)
+            d = np.linalg.solve(np.diag(p * (1 - p)) @ K + lam * np.eye(P), p - t + lam * a)
+            step, limit = 1.0, f + 4 * np.finfo(float).eps * abs(f)
+            while loss(a - step * d, G, t, lam) > limit and step > 1e-12:
+                step /= 2
+            new = loss(a - step * d, G, t, lam)
+            if new > limit or np.linalg.norm(loss_gradient(a, G, t, lam)) < 1e-13:
+                break
+            a, f = a - step * d, new
+        A[:, i] = a
+    return A
+
+
+def test_descent_agrees_with_the_exact_optimum():
+    # The loss is lam * lambda_min(K)-strongly convex (its Hessian is K D K + lam K),
+    # so a converged neuron lies within |grad| / (lam lambda_min(K)) of the optimum;
+    # the oracle's own distance to it is bounded the same way by its gradient.
+    # A neuron that stopped on the epoch budget can only have a higher loss.
+    rng = np.random.default_rng(12)
+    seen = {"converged": 0, "stopped": 0}
+    for c in range(8):
+        P, N = int(rng.integers(2, 9)), int(rng.integers(10, 17))
+        ps = generate_patterns(P, N, c)
+        K = gram(ps, KernelConfig(gamma=float(rng.uniform(0.1, 0.5))))
+        G, T = K.values, all_targets(ps)
+        lam_min = np.linalg.eigvalsh(G)[0]
+        assert lam_min > 0.1  # no two patterns coincide
+        lam = float(10 ** rng.uniform(-1.5, -0.5))
+        cfg = TrainConfig(lam=lam, learning_rate=0.5, max_epochs=(40, 3000)[c % 2], grad_tol=1e-8)
+        res = fit_dual_weights(G, T, cfg)
+        assert not res.diverged
+        best = _reference_optimum(G, T, lam)
+        for i in range(N):
+            got, opt, t = res.alpha[:, i], best[:, i], T[:, i]
+            if res.converged[i]:
+                seen["converged"] += 1
+                radius = sum(
+                    np.linalg.norm(loss_gradient(a, K, t, lam)) for a in (got, opt)
+                ) / (lam * lam_min)
+                assert np.linalg.norm(got - opt) <= radius
+            else:
+                seen["stopped"] += 1
+                assert loss(opt, K, t, lam) <= loss(got, K, t, lam)
+    assert min(seen.values()) > 0, seen

@@ -27,8 +27,11 @@ FAST_TRAIN = TrainConfig(lam=1e-4, learning_rate=0.02, max_epochs=300, grad_tol=
 
 
 def record_bits(rec):
-    """Every field of a CellRecords, floats by their exact bits (nan and -0.0 included)."""
+    """Every field of a CellRecords, every per-neuron array included, floats by their exact
+    bits (nan and -0.0 included)."""
     def bits(v):
+        if isinstance(v, dict):
+            return {k: bits(x) for k, x in v.items()}
         if isinstance(v, np.ndarray):
             return v.dtype.str, v.shape, [bits(x) for x in v.ravel().tolist()]
         return v.hex() if isinstance(v, float) else v
@@ -300,7 +303,7 @@ def _reference_run_cell(gamma, load, cfg, gamma_index, load_index):
                 for mu in range(P)
             ]
             results = recall_batch(
-                cues, range(P), patterns, weights, kcfg,
+                cues, range(P), patterns, weights,
                 max_steps=cfg.recall_max_steps,
                 success_threshold=cfg.success_threshold,
             )
@@ -308,10 +311,10 @@ def _reference_run_cell(gamma, load, cfg, gamma_index, load_index):
     seed = seed64(cfg.base_seed, gamma_index, load_index)
     records = CellRecords(
         gamma=gamma, load=load, P=P, N=N, seed=seed,
+        neurons={f.name: np.array([[getattr(rep, f.name) for rep in row] for row in reports])
+                 for f in dataclasses.fields(GradientReport)},
         diverged=np.array(diverged),
         recall_hits=np.array(recall_hits) if want_recall else None,
-        **{f.name: np.array([[getattr(rep, f.name) for rep in row] for row in reports])
-           for f in dataclasses.fields(GradientReport)},
     )
 
     def sd(vals):
