@@ -18,6 +18,7 @@ import os
 import sys
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -39,6 +40,7 @@ from .sweep import (
     METRICS,
     aggregate,
     grid_config_from_file,
+    pool_map,
     read_grid_csv,
     run_grid,
     write_grid_csv,
@@ -179,35 +181,50 @@ def cmd_recall(args, argv) -> int:
     check_range("--max-steps", args.max_steps, 1)
     check_range("--success-threshold", args.success_threshold, 0, 1, lo_open=True)
     patterns, weights = _load_artifacts(args.weights)
-    base_seed = args.seed if args.seed is not None else 0
-    lines = ["trial,target,flip_fraction,steps,converged,overlap,success"]
+    # a task is one flip fraction over a contiguous run of its trials; rows keep task order
+    runs = min(args.trials, args.workers)
+    tasks = [
+        (fi, frac, range(args.trials * j // runs, args.trials * (j + 1) // runs))
+        for fi, frac in enumerate(fractions)
+        for j in range(runs)
+    ]
+    recall_trials = partial(_recall_trials, patterns, weights, args.seed or 0,
+                            args.max_steps, args.success_threshold)
+    done = pool_map(recall_trials, tasks, args.workers)
     summary = {}
     for fi, frac in enumerate(fractions):
-        hits = 0
-        total = 0
-        for t in range(args.trials):
-            cues = [
-                corrupt(patterns.patterns[mu], frac,
-                        ((base_seed * 1_000_003 + fi) * 1_000_003 + t) * 1_000_003 + mu)
-                for mu in range(patterns.num_patterns)
-            ]
-            results = recall_batch(
-                cues, range(patterns.num_patterns), patterns, weights,
-                max_steps=args.max_steps,
-                success_threshold=args.success_threshold,
-            )
-            for mu, r in enumerate(results):
-                hits += int(r.success)
-                total += 1
-                lines.append(
-                    f"{t},{mu},{frac:.17g},{r.steps},{str(r.converged).lower()},"
-                    f"{r.overlap:.17g},{str(r.success).lower()}"
-                )
-        summary[frac] = hits / total
+        hits = sum(h for h, _ in done[fi * runs:(fi + 1) * runs])
+        summary[frac] = hits / (args.trials * patterns.num_patterns)
+    text = "trial,target,flip_fraction,steps,converged,overlap,success\n"
+    text += "".join(rows for _, rows in done)
     for frac, rate in summary.items():
-        lines.append(f"# success_rate flip_fraction={frac:.17g} rate={rate:.17g}")
-    Path(args.out).write_text("\n".join(lines) + "\n")
+        text += f"# success_rate flip_fraction={frac:.17g} rate={rate:.17g}\n"
+    Path(args.out).write_text(text)
     return EXIT_OK
+
+
+def _recall_trials(patterns, weights, base_seed, max_steps, success_threshold, task):
+    """The recall hits of one (fraction index, fraction, trials) task, and its recall.csv rows."""
+    fi, frac, trials = task
+    hits = 0
+    rows = []
+    for t in trials:
+        cues = [
+            corrupt(patterns.patterns[mu], frac,
+                    ((base_seed * 1_000_003 + fi) * 1_000_003 + t) * 1_000_003 + mu)
+            for mu in range(patterns.num_patterns)
+        ]
+        results = recall_batch(
+            cues, range(patterns.num_patterns), patterns, weights,
+            max_steps=max_steps, success_threshold=success_threshold,
+        )
+        for mu, r in enumerate(results):
+            hits += int(r.success)
+            rows.append(
+                f"{t},{mu},{frac:.17g},{r.steps},{str(r.converged).lower()},"
+                f"{r.overlap:.17g},{str(r.success).lower()}\n"
+            )
+    return hits, "".join(rows)
 
 
 def cmd_render(args, argv) -> int:
@@ -243,7 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, out_help):
         p.add_argument("--out", required=True, help=out_help)
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
+        p.add_argument("--seed", type=int, default=None,
+                       help="override config seed (recall: the cue seed, default 0)")
         p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
                        help="parallel worker cap")
 
@@ -270,8 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
     p.add_argument("--success-threshold", type=float, default=DEFAULT_SUCCESS_THRESHOLD)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", required=True, help="output CSV path")
+    add_common(p, "output CSV path")
     p.set_defaults(func=cmd_recall)
 
     p = sub.add_parser("render", help="re-render heatmap SVGs from an existing grid CSV")
@@ -292,6 +309,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "seed", None) is not None:
             check_range("--seed", args.seed, 0)
+        if hasattr(args, "workers"):
+            check_range("--workers", args.workers, 1)
         return args.func(args, argv)
     except (TrainingDivergenceError, NumericError) as e:
         print(f"numeric failure: {e}", file=sys.stderr)

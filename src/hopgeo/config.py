@@ -75,18 +75,17 @@ class KVView:
         if key not in self.entries:
             return None
         value, line = self.entries[key]
-        if hint == tuple[str, ...]:
-            return tuple(value.split())
         parse, what = {  # the parser, and what a value that fails it is not
             float: (float, "a number"),
             int: (int, "an integer"),
             list[float]: (lambda text: [float(v) for v in text.split()], "a list of numbers"),
+            tuple[str, ...]: (lambda text: tuple(text.split()), "a list of names"),
         }[hint]
         try:
             parsed = parse(value)
         except ValueError:
             raise ConfigError(self.path, line, f"field {key!r}: not {what}: {value!r}") from None
-        if parsed == []:
+        if parsed in ([], ()):
             raise ConfigError(self.path, line, f"field {key!r}: empty list")
         return parsed
 

@@ -142,23 +142,32 @@ def _recall_block(cues, targets, patterns, weights, max_steps, success_threshold
         fixed = (new == state).all(axis=1)
         cycle = ~fixed & (new == prev).all(axis=1)
         done = fixed | cycle if steps < max_steps else np.ones_like(fixed)
-        for r in np.flatnonzero(done):
-            target = patterns.patterns[targets[ids[r]]]
-            final = new[r]  # equals state[r] at a fixed point
-            if cycle[r]:
-                # 2-cycle: keep whichever of the two states matches the target better
-                final = prev[r] if overlap(prev[r], target) > overlap(state[r], target) else state[r]
+        d = done.nonzero()[0]
+        if d.size:  # the cues that finish at this step
+            rows = ids[d]
+            tgt = X[targets[rows]]
+            final = new[d]  # equals state at a fixed point
+            if cycle.any():  # 2-cycle: keep whichever of the two states matches the target better
+                c = cycle[d]
+                prev_better = c & (_dots(prev[d], tgt) > _dots(state[d], tgt))
+                final[prev_better] = prev[d[prev_better]]
+                final[c & ~prev_better] = state[d[c & ~prev_better]]
+            m = _dots(final, tgt) / N  # overlap() of each final state, bit for bit
             final = final.astype(cues.dtype)
-            m = overlap(final, target)
-            results[ids[r]] = RecallResult(
-                final_state=final,
-                overlap=m,
-                converged=bool(fixed[r]),
-                steps=steps,
-                success=m >= success_threshold,
-            )
-        live = ~done
-        if not live.any():
-            break
-        ids, prev, state = ids[live], state[live], new[live]
+            success = (m >= success_threshold).tolist()
+            for i, row, mi, conv, ok in zip(rows.tolist(), final, m.tolist(),
+                                            fixed[d].tolist(), success):
+                results[i] = RecallResult(
+                    final_state=row, overlap=mi, converged=conv, steps=steps, success=ok
+                )
+            if d.size == len(done):
+                break
+            live = ~done
+            ids, state, new = ids[live], state[live], new[live]
+        prev, state = state, new
     return results
+
+
+def _dots(a, b):
+    # row-wise inner products of +-1 rows: integers, so exact in any summation order
+    return np.einsum("ij,ij->i", a, b)

@@ -22,6 +22,9 @@ class FieldError(ArgumentError):
         self.message = message
         super().__init__(f"{field} {message}")
 
+    def __reduce__(self):  # so that it crosses a process pool as itself
+        return type(self), (self.field, self.message)
+
 
 def check_range(field: str, value, lo, hi=math.inf, lo_open=False, hi_open=False) -> None:
     """Raise FieldError naming `field` unless `value` is finite and lies between lo and hi.
@@ -50,6 +53,9 @@ class TrainingDivergenceError(RuntimeError):
         self.neuron = neuron
         self.epoch = epoch
         super().__init__(f"training diverged at neuron {neuron}, epoch {epoch}")
+
+    def __reduce__(self):
+        return type(self), (self.neuron, self.epoch)
 
 
 class DegenerateSpectrumError(ValueError):

@@ -242,6 +242,22 @@ def aggregate(rec: CellRecords) -> SweepCell:
     )
 
 
+def pool_map(fn, tasks, workers: int) -> list:
+    """[fn(task) for task in tasks], in task order, on at most `workers` processes.
+
+    The pool has at most one worker per task; with one worker or one task
+    there is no pool and fn runs in this process. Every worker has exited
+    when this returns or raises. `fn` and the tasks must pickle, and an
+    exception a task raises is re-raised here.
+    """
+    tasks = list(tasks)
+    workers = min(workers, len(tasks))
+    if workers <= 1:
+        return [fn(task) for task in tasks]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, tasks))
+
+
 def _cell_task(args):
     cfg, gi, li = args
     return (li, gi), run_cell(cfg.gamma_values[gi], cfg.load_values[li], cfg, gi, li)
@@ -252,20 +268,15 @@ def run_grid(cfg: GridConfig, workers: int = 1) -> list:
 
     Cells are independent; scheduling never changes values or order. Tasks
     are submitted largest load (so largest P, the longest descent) first, so
-    that a pool does not end waiting on one long cell. The pool has at most
-    one worker per cell.
+    that a pool does not end waiting on one long cell. The pool (pool_map)
+    has at most one worker per cell.
     """
     tasks = [
         (cfg, gi, li)
         for li in reversed(range(len(cfg.load_values)))
         for gi in range(len(cfg.gamma_values))
     ]
-    workers = min(workers, len(tasks))
-    if workers <= 1:
-        results = [_cell_task(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_cell_task, tasks))
+    results = pool_map(_cell_task, tasks, workers)
     results.sort(key=lambda kv: kv[0])
     return [rec for _, rec in results]
 

@@ -117,12 +117,12 @@ def test_damaged_grid_csv_is_refused(runs, data):
 
 
 CONFIG_JUNK = [b"@", b"!", b"?", b";", b'"', b"\x00", b"\x7f", b"\x80", b"\xff"]
-# values that no parser of the type hint accepts; an empty metrics list is valid
+# values that no parser of the type hint accepts
 WRONG_TYPED = {
     int: ["1.5", "1e3", "0x10", "ten", "1 2", ""],
     float: ["abc", "1,5", "0x1p3", "1..5", "true", "1 2", ""],
     list[float]: ["a b", "0.1,0.2", "0.1 x", ""],
-    tuple[str, ...]: ["1 2", "lambda_max 3", "True"],
+    tuple[str, ...]: ["1 2", "lambda_max 3", "True", ""],
 }
 CONFIGS = {  # command: (its config dataclass, a valid value for every key)
     "train": (TrainRun, {

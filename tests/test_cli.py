@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -8,7 +9,9 @@ from typing import get_type_hints
 
 import pytest
 
+from hopgeo import cli, sweep
 from hopgeo.cli import TrainRun, main
+from hopgeo.errors import FieldError, NumericError
 from hopgeo.infogeo import fisher_matrix, spectrum, write_spectrum_csv
 from hopgeo.kernel_core import KernelConfig, gram, load_patterns
 from hopgeo.klr import load_weights
@@ -113,17 +116,22 @@ def test_train_negative_seed_exits_2_at_its_line_and_writes_nothing(tmp_path, ca
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["train", "phase", "recall"])
-def test_negative_seed_flag_exits_2_naming_it_and_writes_nothing(tmp_path, capsys, command):
+def small_run_argv(tmp_path, command):
+    """The arguments of a small valid run of `command`, all but --out."""
     _, net = run_train(tmp_path)
     grid_cfg = tmp_path / "grid.cfg"
     grid_cfg.write_text(grid_cfg_text())
-    out = tmp_path / "out"
-    argv = {
+    return {
         "train": ["train", "--config", str(tmp_path / "train.cfg")],
         "phase": ["phase", "--config", str(grid_cfg)],
         "recall": ["recall", "--weights", str(net), "--flip-fractions", "0.1", "--trials", "1"],
     }[command]
+
+
+@pytest.mark.parametrize("command", ["train", "phase", "recall"])
+def test_negative_seed_flag_exits_2_naming_it_and_writes_nothing(tmp_path, capsys, command):
+    argv = small_run_argv(tmp_path, command)
+    out = tmp_path / "out"
     capsys.readouterr()
     assert main(argv + ["--out", str(out), "--seed", "-1"]) == 2
     assert_one_line_error(capsys, "--seed")
@@ -365,6 +373,7 @@ CONFIG_MESSAGES = {
     "not_a_list_of_numbers": ("load_values", "load_values = 0.25 x",
                               "field 'load_values': not a list of numbers: '0.25 x'"),
     "empty_list": ("load_values", "load_values =", "field 'load_values': empty list"),
+    "empty_metrics": ("metrics", "metrics =", "field 'metrics': empty list"),
     "missing_required_field": ("num_neurons", None, "missing required field 'num_neurons'"),
     "unknown_field": ("num_neurons", "num_neurons = 8\ntypo = 3", "unknown field 'typo'"),
     "duplicate_key": ("num_neurons", "num_neurons = 8\nnum_neurons = 8",
@@ -388,7 +397,7 @@ def config_error(tmp_path, capsys, command, text):
     (command, case)
     for command in CONFIG_TEXT
     for case in sorted(CONFIG_MESSAGES)
-    if command == "phase" or CONFIG_MESSAGES[case][0] != "load_values"  # train has no list key
+    if f"{CONFIG_MESSAGES[case][0]} = " in CONFIG_TEXT[command]  # train has no list key
 ])
 def test_config_error_message(tmp_path, capsys, command, case):
     key, new, message = CONFIG_MESSAGES[case]
@@ -478,6 +487,83 @@ def test_recall_multiple_fractions_and_determinism(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     summaries = [l for l in p1.read_text().splitlines() if l.startswith("#")]
     assert len(summaries) == 2
+
+
+def recall_rows(text):
+    return [line.split(",") for line in text.splitlines()[1:] if not line.startswith("#")]
+
+
+def test_recall_csv_bytes_do_not_depend_on_worker_count(tmp_path):
+    _, net = run_train(tmp_path)
+    args = ["recall", "--weights", str(net), "--flip-fractions", "0 0.25 0.5",
+            "--trials", "3", "--max-steps", "1", "--seed", "4"]
+    outputs = []
+    for workers in ("1", "2", "5000"):
+        out = tmp_path / f"recall-{workers}.csv"
+        assert main(args + ["--workers", workers, "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+    rows = recall_rows(outputs[0].decode())
+    assert len(rows) == 3 * 3 * 3  # fractions x trials x patterns
+    assert [r[0] for r in rows[:9]] == ["0"] * 3 + ["1"] * 3 + ["2"] * 3  # trial order kept
+    assert {tuple(r[3:5]) for r in rows} == {("1", "true"), ("1", "false")}  # some hit --max-steps
+    assert multiprocessing.active_children() == []  # no pool worker outlives the command
+
+
+def test_recall_pool_has_at_most_one_worker_per_task(tmp_path, pool_sizes):
+    _, net = run_train(tmp_path)
+    out = tmp_path / "r.csv"
+
+    def recall(fractions, trials, workers):
+        return main(["recall", "--weights", str(net), "--flip-fractions", fractions,
+                     "--trials", trials, "--workers", workers, "--out", str(out)])
+
+    assert recall("0 0.1", "3", "5000") == 0  # a task per (fraction, trial)
+    assert recall("0 0.1", "3", "2") == 0  # a task per (fraction, half of its trials)
+    assert recall("0.1", "1", "5000") == 0  # one task: no pool
+    assert pool_sizes == [6, 2]
+
+
+@pytest.mark.parametrize("command, error, code", [
+    ("recall", NumericError("non-finite field"), 3),
+    ("recall", FieldError("max_steps", "must be >= 1, got 0"), 2),
+    ("phase", NumericError("non-finite field"), 3),
+    ("phase", FieldError("gamma", "must be > 0, got 0"), 2),
+])
+def test_error_inside_a_pool_task_exits_with_one_line(tmp_path, capsys, monkeypatch,
+                                                      command, error, code):
+    _, net = run_train(tmp_path)
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(grid_cfg_text())
+
+    def fail(*args, **kwargs):
+        raise error
+
+    # the pool forks after the patch, so its workers raise too
+    monkeypatch.setattr(*{"recall": (cli, "recall_batch"), "phase": (sweep, "run_cell")}[command],
+                        fail)
+    argv = {
+        "recall": ["recall", "--weights", str(net), "--flip-fractions", "0 0.1", "--trials", "2"],
+        "phase": ["phase", "--config", str(cfg)],
+    }[command]
+    capsys.readouterr()
+    assert main(argv + ["--workers", "2", "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert str(error) in err
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("command", ["train", "phase", "recall"])
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_exits_2_naming_it_and_writes_nothing(tmp_path, capsys, command,
+                                                               workers):
+    argv = small_run_argv(tmp_path, command)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(argv + ["--out", str(out), "--workers", workers]) == 2
+    assert_one_line_error(capsys, f"error: --workers must be >= 1, got {workers}")
+    assert not out.exists()
 
 
 def test_recall_bad_fraction_exits_2(tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from hopgeo import sweep
 from hopgeo.config import ConfigError
 from hopgeo.dynamics import recall_batch
-from hopgeo.errors import ArgumentError
+from hopgeo.errors import ArgumentError, FieldError
 from hopgeo.infogeo import GradientReport, fisher_matrix, gradient_report, spectrum
 from hopgeo.kernel_core import KernelConfig, corrupt, generate_patterns, gram
 from hopgeo.klr import DualWeights, TrainConfig, all_targets, fit_dual_weights
@@ -114,27 +115,25 @@ def test_worker_count_does_not_change_results():
     assert [record_bits(x) for x in a] == [record_bits(y) for y in b]
 
 
-def test_pool_has_at_most_one_worker_per_cell(monkeypatch):
-    made = []
-
-    class RecordingPool:  # runs the tasks in this process; records the pool size asked for
-        def __init__(self, max_workers):
-            made.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
+def test_pool_has_at_most_one_worker_per_cell(pool_sizes):
     cfg = tiny_config(gamma_values=[0.1])
     assert [rec.load for rec in run_grid(cfg, workers=5000)] == [0.25, 0.5]
     run_grid(tiny_config(gamma_values=[0.1], load_values=[0.5]), workers=5000)
-    assert made == [2]  # the one-cell grid ran without a pool
+    assert pool_sizes == [2]  # the one-cell grid ran without a pool
+
+
+def _even(k):
+    if k % 2:
+        raise FieldError(f"k{k}", "must be even")
+    return k
+
+
+def test_pool_map_keeps_task_order_and_reraises_task_errors():
+    assert sweep.pool_map(abs, [-3, 1, -2, 5], workers=2) == [3, 1, 2, 5]
+    with pytest.raises(FieldError) as e:  # raised in a worker, re-raised as itself here
+        sweep.pool_map(_even, [0, 2, 1, 4], workers=2)
+    assert (e.value.field, str(e.value)) == ("k1", "k1 must be even")
+    assert multiprocessing.active_children() == []  # no worker outlives the pool
 
 
 def test_grid_csv_roundtrip(tmp_path):
