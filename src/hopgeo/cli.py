@@ -2,10 +2,11 @@
 
 Subcommands: train, spectrum, phase, recall, render. Exit codes are a
 stable contract: 0 success, 2 usage/config errors, 3 numeric failures.
-Every output directory receives a manifest.json recording the command
-line, resolved configuration, seeds, tool version, timestamps, and
-sha256 digests of the emitted files (the manifest itself is excluded
-from digest comparisons, so reruns are byte-identical apart from it).
+The output directories of train and phase receive a manifest.json
+recording the command line, resolved configuration, seeds, tool version,
+timestamps, and sha256 digests of the emitted files (the manifest itself
+is excluded from digest comparisons, so reruns are byte-identical apart
+from it).
 """
 
 from __future__ import annotations
@@ -23,18 +24,11 @@ from pathlib import Path
 
 from . import __version__
 from .config import ConfigError, KVView, resolved
-from .dynamics import DEFAULT_MAX_STEPS, DEFAULT_SUCCESS_THRESHOLD, recall_batch
+from .dynamics import DEFAULT_MAX_STEPS, DEFAULT_SUCCESS_THRESHOLD, recall_trial
 from .errors import ArgumentError, DimensionError, FieldError, LayoutError, NumericError
 from .errors import TrainingDivergenceError, check_range
 from .infogeo import neuron_spectra, write_spectrum_csv
-from .kernel_core import (
-    KernelConfig,
-    corrupt,
-    generate_patterns,
-    gram,
-    load_patterns,
-    save_patterns,
-)
+from .kernel_core import KernelConfig, generate_patterns, gram, load_patterns, save_patterns
 from .klr import TrainConfig, load_weights, save_weights, train
 from .sweep import (
     METRICS,
@@ -140,7 +134,7 @@ def cmd_spectrum(args, argv) -> int:
             specs[i] = spec
     write_spectrum_csv(specs, args.out)
     if args.svg:
-        render_spectrum_lines(specs, args.svg)
+        Path(args.svg).write_text(render_spectrum_lines(specs))
     return EXIT_OK
 
 
@@ -153,8 +147,7 @@ def cmd_phase(args, argv) -> int:
     out.mkdir(parents=True, exist_ok=True)
     cells = [aggregate(rec) for rec in run_grid(cfg, workers=args.workers)]
     write_grid_csv(cells, out / "grid.csv")
-    for metric in cfg.metrics:
-        render_heatmap(cells, metric, out / f"{metric}.svg")
+    _write_heatmaps(cells, cfg.metrics, out, out / "grid.csv")
     degen = sum(c.degenerate_count for c in cells)
     diverg = sum(c.divergence_count for c in cells)
     if degen or diverg:
@@ -191,13 +184,11 @@ def cmd_recall(args, argv) -> int:
     recall_trials = partial(_recall_trials, patterns, weights, args.seed or 0,
                             args.max_steps, args.success_threshold)
     done = pool_map(recall_trials, tasks, args.workers)
-    summary = {}
-    for fi, frac in enumerate(fractions):
-        hits = sum(h for h, _ in done[fi * runs:(fi + 1) * runs])
-        summary[frac] = hits / (args.trials * patterns.num_patterns)
     text = "trial,target,flip_fraction,steps,converged,overlap,success\n"
     text += "".join(rows for _, rows in done)
-    for frac, rate in summary.items():
+    for fi, frac in enumerate(fractions):  # one line per given fraction, repeats included
+        hits = sum(h for h, _ in done[fi * runs:(fi + 1) * runs])
+        rate = hits / (args.trials * patterns.num_patterns)
         text += f"# success_rate flip_fraction={frac:.17g} rate={rate:.17g}\n"
     Path(args.out).write_text(text)
     return EXIT_OK
@@ -209,15 +200,9 @@ def _recall_trials(patterns, weights, base_seed, max_steps, success_threshold, t
     hits = 0
     rows = []
     for t in trials:
-        cues = [
-            corrupt(patterns.patterns[mu], frac,
-                    ((base_seed * 1_000_003 + fi) * 1_000_003 + t) * 1_000_003 + mu)
-            for mu in range(patterns.num_patterns)
-        ]
-        results = recall_batch(
-            cues, range(patterns.num_patterns), patterns, weights,
-            max_steps=max_steps, success_threshold=success_threshold,
-        )
+        first = ((base_seed * 1_000_003 + fi) * 1_000_003 + t) * 1_000_003
+        seeds = [first + mu for mu in range(patterns.num_patterns)]
+        results = recall_trial(patterns, weights, frac, seeds, max_steps, success_threshold)
         for mu, r in enumerate(results):
             hits += int(r.success)
             rows.append(
@@ -239,15 +224,23 @@ def cmd_render(args, argv) -> int:
     for metric in metrics:
         if metric not in METRICS:
             raise ArgumentError(f"unknown metric {metric!r}")
-    try:  # every heatmap is made before any is written
-        docs = {metric: render_heatmap(cells, metric, None) for metric in metrics}
+    _write_heatmaps(cells, metrics, Path(args.out), args.grid)
+    return EXIT_OK
+
+
+def _write_heatmaps(cells, metrics, out: Path, grid) -> None:
+    """Write out/<metric>.svg for every metric; errors name `grid`, the cells' grid.csv.
+
+    Every heatmap is made before any is written, so a metric that cannot be
+    drawn leaves no SVG.
+    """
+    try:
+        docs = {metric: render_heatmap(cells, metric) for metric in metrics}
     except (NumericError, LayoutError) as e:
-        raise type(e)(f"{args.grid}: {e}") from None
-    out = Path(args.out)
+        raise type(e)(f"{grid}: {e}") from None
     out.mkdir(parents=True, exist_ok=True)
     for metric, doc in docs.items():
         (out / f"{metric}.svg").write_text(doc)
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

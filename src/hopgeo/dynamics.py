@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, check_range
-from .kernel_core import PatternSet, check_bipolar, rbf_of_inner
+from .kernel_core import PatternSet, check_bipolar, corrupt, rbf_of_inner
 from .klr import DualWeights
 
 # the recall defaults of the API, the `recall` flags and the grid config keys
@@ -105,6 +105,24 @@ def recall_batch(
             _recall_block(block, targets, patterns, weights, max_steps, success_threshold)
         )
     return results
+
+
+def recall_trial(
+    patterns: PatternSet,
+    weights: DualWeights,
+    flip_fraction: float,
+    seeds,
+    max_steps: int = DEFAULT_MAX_STEPS,
+    success_threshold: float = DEFAULT_SUCCESS_THRESHOLD,
+) -> list:
+    """recall_batch of corrupt(pattern mu, flip_fraction, seeds[mu]) toward mu, for every mu.
+
+    One trial of the memory function; `recall` and the sweep's recall_rate both run it.
+    """
+    cues = [corrupt(xi, flip_fraction, seed)
+            for xi, seed in zip(patterns.patterns, seeds, strict=True)]
+    return recall_batch(cues, range(patterns.num_patterns), patterns, weights,
+                        max_steps, success_threshold)
 
 
 def _recall_block(cues, targets, patterns, weights, max_steps, success_threshold):

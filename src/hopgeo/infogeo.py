@@ -46,18 +46,8 @@ class GradientReport:
     degenerate: bool
 
 
-def _check_pair(alpha_col, K: GramMatrix) -> np.ndarray:
-    alpha_col = np.asarray(alpha_col, dtype=float)
-    if alpha_col.shape != (K.values.shape[0],):
-        raise DimensionError(
-            f"alpha length {alpha_col.shape} does not match Gram size {K.values.shape}"
-        )
-    return alpha_col
-
-
 def fisher_matrix(alpha_col, K: GramMatrix) -> np.ndarray:
     """The (P, P) matrix G = K diag(p(1-p)) K, symmetrized as (G + G')/2."""
-    alpha_col = _check_pair(alpha_col, K)
     p = predict_probs(alpha_col, K)
     d = p * (1.0 - p)
     G = (K.values * d) @ K.values
@@ -72,7 +62,6 @@ def fim_empirical_oracle(alpha_col, K: GramMatrix) -> np.ndarray:
     probabilities and the score outer products summed over patterns.
     Deliberately loop-based and independent of fisher_matrix.
     """
-    alpha_col = _check_pair(alpha_col, K)
     P = K.values.shape[0]
     p = predict_probs(alpha_col, K)
     G = np.zeros((P, P))
@@ -180,41 +169,34 @@ def gradient_report(
     rank1_residual measures how much of the Euclidean gradient escapes the
     top Fisher mode: ||grad - lambda_1 (v1' natgrad) v1|| / max(||grad||, 1e-30).
     """
-    alpha_col = _check_pair(alpha_col, K)
-    if spec.eigenvalues.shape != alpha_col.shape:
+    if spec.eigenvalues.shape != (K.values.shape[0],):
         raise DimensionError(
-            f"spectrum of {spec.eigenvalues.size} modes does not match alpha length {alpha_col.size}"
+            f"spectrum of {spec.eigenvalues.size} modes does not match Gram size {K.values.shape}"
         )
     grad = loss_gradient(alpha_col, K, targets, lam)
     euclid = float(grad @ grad)
-    if spec.lambda_max <= 0.0:
-        return GradientReport(
-            euclid_norm_sq=euclid,
-            riemann_norm_sq=0.0,
-            rank1_residual=0.0 if euclid == 0.0 else 1.0,
-            retained_modes=0,
-            lambda_max=0.0,
-            d_eff=0.0,
-            ratio_2_1=spec.ratio_2_1,
-            ratio_tail=spec.ratio_tail,
-            degenerate=True,
-        )
-    nat, coeffs, lam_kept = _natural_gradient_parts(grad, spec, rel_cutoff)
-    riemann = float(np.sum(coeffs * coeffs / lam_kept))
-    v1 = spec.eigenvectors[:, 0]
-    rank1_term = spec.lambda_max * float(v1 @ nat) * v1
-    gnorm = float(np.linalg.norm(grad))
-    residual = float(np.linalg.norm(grad - rank1_term)) / max(gnorm, 1e-30)
+    # a degenerate spectrum (lambda_max and d_eff are +0.0) has no mode to invert
+    degenerate = spec.lambda_max <= 0.0
+    if degenerate:
+        riemann, residual, retained = 0.0, 0.0 if euclid == 0.0 else 1.0, 0
+    else:
+        nat, coeffs, lam_kept = _natural_gradient_parts(grad, spec, rel_cutoff)
+        riemann = float(np.sum(coeffs * coeffs / lam_kept))
+        v1 = spec.eigenvectors[:, 0]
+        rank1_term = spec.lambda_max * float(v1 @ nat) * v1
+        gnorm = float(np.linalg.norm(grad))
+        residual = float(np.linalg.norm(grad - rank1_term)) / max(gnorm, 1e-30)
+        retained = lam_kept.size
     return GradientReport(
         euclid_norm_sq=euclid,
         riemann_norm_sq=riemann,
         rank1_residual=residual,
-        retained_modes=lam_kept.size,
+        retained_modes=retained,
         lambda_max=spec.lambda_max,
         d_eff=spec.d_eff,
         ratio_2_1=spec.ratio_2_1,
         ratio_tail=spec.ratio_tail,
-        degenerate=False,
+        degenerate=degenerate,
     )
 
 

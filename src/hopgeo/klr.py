@@ -102,24 +102,25 @@ def predict_probs(alpha_col: np.ndarray, K: GramMatrix) -> np.ndarray:
     return sigmoid(K.values @ alpha_col)
 
 
-def loss(alpha_col, K: GramMatrix, targets, lam: float) -> float:
-    """Cross-entropy over stored patterns plus (lam/2) alpha' K alpha."""
+def _field(alpha_col, K: GramMatrix, targets):
+    """(alpha, t, h = K alpha) of one neuron; DimensionError unless their sizes agree."""
     alpha_col = np.asarray(alpha_col, dtype=float)
     t = np.asarray(targets, dtype=float)
-    check_range("lambda", lam, 0)
     if alpha_col.shape != t.shape or alpha_col.shape != (K.values.shape[0],):
         raise DimensionError("alpha, targets and Gram matrix sizes disagree")
-    h = K.values @ alpha_col
+    return alpha_col, t, K.values @ alpha_col
+
+
+def loss(alpha_col, K: GramMatrix, targets, lam: float) -> float:
+    """Cross-entropy over stored patterns plus (lam/2) alpha' K alpha."""
+    check_range("lambda", lam, 0)
+    alpha_col, t, h = _field(alpha_col, K, targets)
     return float(np.sum(_bce_terms(h, t, np.exp(-np.abs(h)))) + 0.5 * lam * alpha_col @ h)
 
 
 def loss_gradient(alpha_col, K: GramMatrix, targets, lam: float) -> np.ndarray:
     """grad = K (p - t) + lam K alpha."""
-    alpha_col = np.asarray(alpha_col, dtype=float)
-    t = np.asarray(targets, dtype=float)
-    if alpha_col.shape != t.shape or alpha_col.shape != (K.values.shape[0],):
-        raise DimensionError("alpha, targets and Gram matrix sizes disagree")
-    h = K.values @ alpha_col
+    _, t, h = _field(alpha_col, K, targets)
     return K.values @ (sigmoid(h) - t) + lam * h
 
 

@@ -11,7 +11,6 @@ values under a log10 transform) are drawn in a reserved gray.
 from __future__ import annotations
 
 import math
-from pathlib import Path
 
 from .errors import LayoutError, NumericError
 from .sweep import METRICS
@@ -36,18 +35,15 @@ def _fmt(v: float) -> str:
     return f"{v:.4g}"
 
 
-def _svg(W: int, H: int, body: list, out_path) -> str:
-    """The W x H SVG document of the `body` elements on white; written to out_path unless None."""
-    doc = "\n".join([
+def _svg(W: int, H: int, body: list) -> str:
+    """The W x H SVG document of the `body` elements on white."""
+    return "\n".join([
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" height="{H}" '
         f'viewBox="0 0 {W} {H}" font-family="monospace" font-size="11">',
         f'<rect width="{W}" height="{H}" fill="white"/>',
         *body,
         "</svg>",
     ]) + "\n"
-    if out_path is not None:
-        Path(out_path).write_text(doc)
-    return doc
 
 
 def _grid_layout(cells):
@@ -62,8 +58,8 @@ def _grid_layout(cells):
     return gammas, loads, lookup
 
 
-def render_heatmap(cells, metric: str, out_path) -> str:
-    """Write (and return) an SVG heatmap of one metric over the grid, on the metric's scale."""
+def render_heatmap(cells, metric: str) -> str:
+    """The SVG heatmap of one metric over the grid, on the metric's scale."""
     if metric not in METRICS:
         raise NumericError(f"unknown metric {metric!r}")
     attr, log10 = METRICS[metric]
@@ -153,11 +149,11 @@ def render_heatmap(cells, metric: str, out_path) -> str:
         )
     parts.append(f'<text x="{bar_x + 22}" y="{mt + 10}">max {_fmt(vmax)}</text>')
     parts.append(f'<text x="{bar_x + 22}" y="{mt + bar_h}">min {_fmt(vmin)}</text>')
-    return _svg(W, H, parts, out_path)
+    return _svg(W, H, parts)
 
 
-def render_spectrum_lines(specs, out_path) -> str:
-    """Per-neuron log10(lambda_k / lambda_1) vs k, one polyline per neuron."""
+def render_spectrum_lines(specs) -> str:
+    """The SVG of per-neuron log10(lambda_k / lambda_1) vs k, one polyline per neuron."""
     floor = -16.0  # display floor for zero modes
     series = []
     for spec in specs:
@@ -198,4 +194,4 @@ def render_spectrum_lines(specs, out_path) -> str:
             f'<polyline points="{pts}" fill="none" stroke="#c03020" '
             f'stroke-width="1" stroke-opacity="0.35"/>'
         )
-    return _svg(W, H, parts, out_path)
+    return _svg(W, H, parts)

@@ -28,10 +28,10 @@ from typing import NamedTuple, get_type_hints
 import numpy as np
 
 from .config import KVView
-from .dynamics import DEFAULT_MAX_STEPS, DEFAULT_SUCCESS_THRESHOLD, recall_batch
+from .dynamics import DEFAULT_MAX_STEPS, DEFAULT_SUCCESS_THRESHOLD, recall_trial
 from .errors import ArgumentError, FieldError, check_range
 from .infogeo import DEFAULT_REL_CUTOFF, GradientReport, gradient_report, neuron_spectra
-from .kernel_core import KernelConfig, corrupt, generate_patterns, gram, read_text
+from .kernel_core import KernelConfig, generate_patterns, gram, read_text
 from .klr import DualWeights, TrainConfig, all_targets, fit_dual_weights
 
 
@@ -177,17 +177,10 @@ def run_cell(
             weights = DualWeights(
                 alpha=res.alpha, gamma=gamma, lam=cfg.train.lam, trained_epochs=res.epochs
             )
-            cues = [
-                corrupt(patterns.patterns[mu], cfg.recall_flip_fraction,
-                        seed64(cfg.base_seed, gamma_index, load_index,
-                               cfg.trials_per_cell + t * P + mu))
-                for mu in range(P)
-            ]
-            results = recall_batch(
-                cues, range(P), patterns, weights,
-                max_steps=cfg.recall_max_steps,
-                success_threshold=cfg.success_threshold,
-            )
+            first = cfg.trials_per_cell + t * P  # the seed keys of this trial's cues
+            seeds = [seed64(cfg.base_seed, gamma_index, load_index, first + mu) for mu in range(P)]
+            results = recall_trial(patterns, weights, cfg.recall_flip_fraction, seeds,
+                                   cfg.recall_max_steps, cfg.success_threshold)
             recall_hits.append(sum(r.success for r in results))
     return CellRecords(
         gamma=gamma,

@@ -199,7 +199,7 @@ def test_spectrum_with_duplicate_columns_matches_per_neuron_spectra(tmp_path):
     K = gram(load_patterns(out / "patterns.txt"), KernelConfig(gamma=w.gamma))
     specs = [spectrum(fisher_matrix(w.alpha[:, i], K)) for i in range(40)]
     write_spectrum_csv(specs, tmp_path / "want.csv")
-    render_spectrum_lines(specs, tmp_path / "want.svg")
+    (tmp_path / "want.svg").write_text(render_spectrum_lines(specs))
     assert main(["spectrum", "--weights", str(out), "--out", str(tmp_path / "got.csv"),
                  "--svg", str(tmp_path / "got.svg")]) == 0
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
@@ -310,6 +310,27 @@ def test_phase_writes_grid_and_svgs(tmp_path, capsys):
     for metric in ("lambda_max", "d_eff", "rank1_residual"):
         assert (out / f"{metric}.svg").exists()
     assert (out / "manifest.json").exists()
+
+
+def test_phase_writes_no_svg_when_a_heatmap_fails(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(grid_cfg_text())
+    out = tmp_path / "phase"
+    render = cli.render_heatmap
+    drawn = []
+
+    def fail_on_the_second(cells, metric):
+        drawn.append(metric)
+        if len(drawn) == 2:
+            raise NumericError(f"cannot draw {metric}")
+        return render(cells, metric)
+
+    monkeypatch.setattr(cli, "render_heatmap", fail_on_the_second)
+    capsys.readouterr()
+    assert main(["phase", "--config", str(cfg), "--out", str(out), "--workers", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err == f"numeric failure: {out / 'grid.csv'}: cannot draw d_eff\n"
+    assert not list(out.glob("*.svg"))
 
 
 def test_phase_worker_count_invariance(tmp_path):
@@ -493,6 +514,25 @@ def recall_rows(text):
     return [line.split(",") for line in text.splitlines()[1:] if not line.startswith("#")]
 
 
+def test_recall_writes_one_summary_line_per_given_fraction(tmp_path):
+    _, net = run_train(tmp_path)
+    fractions = ["0.3", "0", "0.3"]
+    out = tmp_path / "r.csv"
+    assert main(["recall", "--weights", str(net), "--flip-fractions", " ".join(fractions),
+                 "--trials", "2", "--seed", "1", "--workers", "2", "--out", str(out)]) == 0
+    text = out.read_text()
+    rows = recall_rows(text)
+    summaries = [line for line in text.splitlines() if line.startswith("#")]
+    per_fraction = 2 * 3  # trials x patterns; the fractions' rows come in the given order
+    assert len(rows) == len(fractions) * per_fraction
+    assert len(summaries) == len(fractions)
+    for fi, (frac, line) in enumerate(zip(fractions, summaries)):
+        block = rows[fi * per_fraction:(fi + 1) * per_fraction]
+        assert all(float(row[2]) == float(frac) for row in block)
+        rate = sum(row[6] == "true" for row in block) / per_fraction
+        assert line == f"# success_rate flip_fraction={float(frac):.17g} rate={rate:.17g}"
+
+
 def test_recall_csv_bytes_do_not_depend_on_worker_count(tmp_path):
     _, net = run_train(tmp_path)
     args = ["recall", "--weights", str(net), "--flip-fractions", "0 0.25 0.5",
@@ -540,7 +580,7 @@ def test_error_inside_a_pool_task_exits_with_one_line(tmp_path, capsys, monkeypa
         raise error
 
     # the pool forks after the patch, so its workers raise too
-    monkeypatch.setattr(*{"recall": (cli, "recall_batch"), "phase": (sweep, "run_cell")}[command],
+    monkeypatch.setattr(*{"recall": (cli, "recall_trial"), "phase": (sweep, "run_cell")}[command],
                         fail)
     argv = {
         "recall": ["recall", "--weights", str(net), "--flip-fractions", "0 0.1", "--trials", "2"],

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hopgeo import dynamics
-from hopgeo.dynamics import RecallResult, local_field, overlap, recall, recall_batch
+from hopgeo.dynamics import RecallResult, local_field, overlap, recall, recall_batch, recall_trial
 from hopgeo.errors import ArgumentError, DimensionError
 from hopgeo.kernel_core import KernelConfig, PatternSet, corrupt, generate_patterns, gram
 from hopgeo.klr import DualWeights, TrainConfig, all_targets, fit_dual_weights, train
@@ -292,3 +292,21 @@ def test_zero_alpha_columns_are_sure_ties_and_never_recomputed(monkeypatch):
         assert (got.overlap, got.converged, got.steps, got.success) == (
             want.overlap, want.converged, want.steps, want.success
         )
+
+
+def test_recall_trial_recalls_every_pattern_from_its_own_seed():
+    ps = generate_patterns(5, 24, 2)
+    w = DualWeights(alpha=np.random.default_rng(1).standard_normal((5, 24)), gamma=0.05,
+                    lam=0.0, trained_epochs=0)
+    seeds = [11, 7, 11, 3, 0]
+    got = recall_trial(ps, w, 0.25, seeds, max_steps=4, success_threshold=0.8)
+    cues = [corrupt(ps.patterns[mu], 0.25, seed) for mu, seed in enumerate(seeds)]
+    want = recall_batch(cues, range(5), ps, w, 4, 0.8)
+    assert len(got) == 5
+    for g, r in zip(got, want):
+        assert np.array_equal(g.final_state, r.final_state)
+        assert (g.overlap, g.converged, g.steps, g.success) == (
+            r.overlap, r.converged, r.steps, r.success
+        )
+    with pytest.raises(ValueError):  # one seed per stored pattern
+        recall_trial(ps, w, 0.25, seeds[:4])

@@ -1,6 +1,8 @@
-"""Every name a module of the package or of the tests imports is used in it."""
+"""Every name a module of the package or of the tests imports is used in it, and every
+function the benchmark's tracer wraps exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -33,3 +35,25 @@ def test_the_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def traced_functions() -> list:
+    """The (module, function) pairs of TRACED in perfbench/tracer.py, read without running it."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    table = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets] == ["TRACED"])
+    return [(ast.literal_eval(row.elts[0]), ast.literal_eval(row.elts[1])) for row in table.elts]
+
+
+TRACED = traced_functions()
+
+
+def test_the_tracer_wraps_functions_of_every_layer():
+    assert {module for module, _ in TRACED} >= {
+        "kernel_core", "klr", "infogeo", "dynamics", "sweep", "svgplot", "cli"
+    }
+
+
+@pytest.mark.parametrize("module, name", TRACED, ids=lambda v: v)
+def test_every_traced_function_exists(module, name):
+    assert callable(getattr(importlib.import_module(f"hopgeo.{module}"), name, None))

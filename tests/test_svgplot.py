@@ -45,11 +45,9 @@ def test_ramp_endpoints_and_clipping():
     assert _ramp_color(7.0) == _ramp_color(1.0)
 
 
-def test_heatmap_basic_document(tmp_path):
+def test_heatmap_basic_document():
     cells = grid_2x2()
-    out = tmp_path / "map.svg"
-    doc = render_heatmap(cells, "d_eff", out_path=out)
-    assert out.read_text() == doc
+    doc = render_heatmap(cells, "d_eff")
     assert doc.startswith("<svg")
     assert doc.rstrip().endswith("</svg>")
     assert doc.count("<rect") >= 4
@@ -59,8 +57,8 @@ def test_heatmap_basic_document(tmp_path):
         assert label in doc
 
 
-def test_heatmap_single_cell(tmp_path):
-    doc = render_heatmap([make_cell(0.1, 0.5)], "lambda_max", out_path=tmp_path / "one.svg")
+def test_heatmap_single_cell():
+    doc = render_heatmap([make_cell(0.1, 0.5)], "lambda_max")
     assert "<svg" in doc
     # constant field: min and max annotations agree
     assert "max 0" in doc
@@ -68,7 +66,7 @@ def test_heatmap_single_cell(tmp_path):
 
 
 def test_heatmap_constant_field_midpoint_color():
-    doc = render_heatmap(grid_2x2(), "recall_rate", out_path=None)
+    doc = render_heatmap(grid_2x2(), "recall_rate")
     assert _ramp_color(0.5) in doc
 
 
@@ -76,13 +74,13 @@ def test_heatmap_colorbar_annotations_span_data():
     cells = grid_2x2()
     cells[0].d_eff_mean = 1.0
     cells[3].d_eff_mean = 9.0
-    doc = render_heatmap(cells, "d_eff", out_path=None)
+    doc = render_heatmap(cells, "d_eff")
     assert "min 1" in doc
     assert "max 9" in doc
     # log10 transform: annotations are exponents
     cells[0].lambda_max_mean = 1e-8
     cells[3].lambda_max_mean = 100.0
-    doc = render_heatmap(cells, "lambda_max", out_path=None)
+    doc = render_heatmap(cells, "lambda_max")
     assert "min -8" in doc
     assert "max 2" in doc
 
@@ -90,7 +88,7 @@ def test_heatmap_colorbar_annotations_span_data():
 def test_heatmap_flags_fully_degenerate_cells():
     cells = grid_2x2()
     cells[1].degenerate_count = cells[1].trials * cells[1].N
-    doc = render_heatmap(cells, "d_eff", out_path=None)
+    doc = render_heatmap(cells, "d_eff")
     assert FLAG_COLOR in doc
 
 
@@ -98,10 +96,10 @@ def test_heatmap_flags_nonpositive_under_log10():
     cells = grid_2x2()
     cells[2].lambda_max_mean = 0.0
     cells[2].rank1_residual_mean = 0.0
-    doc = render_heatmap(cells, "lambda_max", out_path=None)
+    doc = render_heatmap(cells, "lambda_max")
     assert FLAG_COLOR in doc
     # a zero on a linear scale is not flagged
-    doc = render_heatmap(cells, "rank1_residual", out_path=None)
+    doc = render_heatmap(cells, "rank1_residual")
     assert FLAG_COLOR not in doc
 
 
@@ -109,46 +107,44 @@ def test_heatmap_nonfinite_unflagged_raises():
     cells = grid_2x2()
     cells[0].rank1_residual_mean = float("nan")
     with pytest.raises(NumericError):
-        render_heatmap(cells, "rank1_residual", out_path=None)
+        render_heatmap(cells, "rank1_residual")
 
 
 def test_heatmap_nonfinite_flagged_cell_is_gray():
     cells = grid_2x2()
     cells[0].rank1_residual_mean = float("nan")
     cells[0].degenerate_count = cells[0].trials * cells[0].N
-    doc = render_heatmap(cells, "rank1_residual", out_path=None)
+    doc = render_heatmap(cells, "rank1_residual")
     assert FLAG_COLOR in doc
 
 
 def test_heatmap_ragged_grid_raises():
     cells = grid_2x2()[:3]
     with pytest.raises(LayoutError):
-        render_heatmap(cells, "d_eff", out_path=None)
+        render_heatmap(cells, "d_eff")
     dupes = grid_2x2() + [make_cell(0.01, 0.25)]
     with pytest.raises(LayoutError):
-        render_heatmap(dupes, "d_eff", out_path=None)
+        render_heatmap(dupes, "d_eff")
 
 
 def test_heatmap_unknown_metric():
     with pytest.raises(NumericError):
-        render_heatmap(grid_2x2(), "bogus", out_path=None)
+        render_heatmap(grid_2x2(), "bogus")
 
 
-def test_spectrum_lines_document(tmp_path):
+def test_spectrum_lines_document():
     specs = [
         spectrum(np.diag([4.0, 1.0, 0.25, 0.0])),
         spectrum(np.diag([2.0, 2.0, 1.0, 0.5])),
     ]
-    out = tmp_path / "spec.svg"
-    doc = render_spectrum_lines(specs, out)
-    assert out.read_text() == doc
+    doc = render_spectrum_lines(specs)
     assert doc.count("<polyline") == 2
     assert "mode index k" in doc
 
 
 def test_spectrum_lines_zero_mode_hits_display_floor():
     specs = [spectrum(np.diag([1.0, 0.0]))]
-    doc = render_spectrum_lines(specs, None)
+    doc = render_spectrum_lines(specs)
     assert "-16" in doc
 
 
@@ -157,5 +153,5 @@ def test_spectrum_lines_skips_fully_degenerate_neuron():
         spectrum(np.zeros((3, 3))),
         spectrum(np.eye(3)),
     ]
-    doc = render_spectrum_lines(specs, None)
+    doc = render_spectrum_lines(specs)
     assert doc.count("<polyline") == 1
