@@ -28,7 +28,8 @@ from .dynamics import DEFAULT_MAX_STEPS, DEFAULT_SUCCESS_THRESHOLD, recall_trial
 from .errors import ArgumentError, DimensionError, FieldError, LayoutError, NumericError
 from .errors import TrainingDivergenceError, check_range
 from .infogeo import neuron_spectra, write_spectrum_csv
-from .kernel_core import KernelConfig, generate_patterns, gram, load_patterns, save_patterns
+from .kernel_core import KernelConfig, format_row, format_value, generate_patterns, gram
+from .kernel_core import load_patterns, save_patterns
 from .klr import TrainConfig, load_weights, save_weights, train
 from .sweep import (
     METRICS,
@@ -189,7 +190,7 @@ def cmd_recall(args, argv) -> int:
     for fi, frac in enumerate(fractions):  # one line per given fraction, repeats included
         hits = sum(h for h, _ in done[fi * runs:(fi + 1) * runs])
         rate = hits / (args.trials * patterns.num_patterns)
-        text += f"# success_rate flip_fraction={frac:.17g} rate={rate:.17g}\n"
+        text += f"# success_rate flip_fraction={format_value(frac)} rate={format_value(rate)}\n"
     Path(args.out).write_text(text)
     return EXIT_OK
 
@@ -205,25 +206,25 @@ def _recall_trials(patterns, weights, base_seed, max_steps, success_threshold, t
         results = recall_trial(patterns, weights, frac, seeds, max_steps, success_threshold)
         for mu, r in enumerate(results):
             hits += int(r.success)
-            rows.append(
-                f"{t},{mu},{frac:.17g},{r.steps},{str(r.converged).lower()},"
-                f"{r.overlap:.17g},{str(r.success).lower()}\n"
-            )
+            row = (t, mu, frac, r.steps, r.converged, r.overlap, r.success)
+            rows.append(format_row(row, ",") + "\n")
     return hits, "".join(rows)
 
 
 def cmd_render(args, argv) -> int:
+    if args.metrics is not None:  # checked before the grid is read
+        metrics = args.metrics.split()
+        if not metrics:
+            raise FieldError("--metrics", "must be nonempty")
+        for metric in metrics:
+            if metric not in METRICS:
+                raise ArgumentError(f"unknown metric {metric!r}")
     cells = read_grid_csv(args.grid)
     if not cells:
         raise ArgumentError(f"{args.grid}: no grid cells after the header")
-    if args.metrics:
-        metrics = args.metrics.split()
-    else:  # a column with no finite value was not measured: recall_rate when recall did not run
+    if args.metrics is None:  # the measured metrics: recall_rate is all nan without recall
         metrics = [m for m, (column, _) in METRICS.items()
                    if any(math.isfinite(getattr(c, column)) for c in cells)]
-    for metric in metrics:
-        if metric not in METRICS:
-            raise ArgumentError(f"unknown metric {metric!r}")
     _write_heatmaps(cells, metrics, Path(args.out), args.grid)
     return EXIT_OK
 

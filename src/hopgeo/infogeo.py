@@ -11,13 +11,12 @@ sigmoid saturation is real behavior of the model and must stay visible.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateSpectrumError, DimensionError, NumericError, check_range
-from .kernel_core import GramMatrix
+from .kernel_core import GramMatrix, format_row
 from .klr import loss_gradient, predict_probs
 
 DEFAULT_REL_CUTOFF = 1e-10
@@ -202,11 +201,12 @@ def gradient_report(
 
 def write_spectrum_csv(specs: list[FisherSpectrum], path) -> None:
     """Columns: neuron,k,lambda_k,lambda_k_over_lambda_1 (one row per mode)."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["neuron", "k", "lambda_k", "lambda_k_over_lambda_1"])
+    with open(path, "w") as f:
+        f.write("neuron,k,lambda_k,lambda_k_over_lambda_1\n")
         for i, spec in enumerate(specs):
-            lam1 = spec.lambda_max
-            for k, lk in enumerate(spec.eigenvalues, start=1):
-                ratio = lk / lam1 if lam1 > 0 else 0.0
-                w.writerow([i, k, f"{lk:.17g}", f"{ratio:.17g}"])
+            lam = spec.eigenvalues
+            ratios = lam / spec.lambda_max if spec.lambda_max > 0 else np.zeros_like(lam)
+            f.writelines(
+                format_row((i, k, lk, r), ",") + "\n"
+                for k, (lk, r) in enumerate(zip(lam.tolist(), ratios.tolist()), start=1)
+            )

@@ -116,11 +116,26 @@ def corrupt(pattern, flip_fraction: float, seed: int) -> np.ndarray:
     return out
 
 
+def format_value(v) -> str:
+    """The text of a value in any artifact: a float to 17 significant digits, so it reads
+    back with the same bits; a bool as `true` or `false`; an int as its digits.
+    Writers pass Python values (`tolist()`), not numpy scalars."""
+    if isinstance(v, float):
+        return f"{v:.17g}"
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return str(v)
+
+
+def format_row(values, sep: str = " ") -> str:
+    """The values' texts (format_value) joined by `sep`."""
+    return sep.join(map(format_value, values))
+
+
 def save_patterns(ps: PatternSet, path) -> None:
     """Text format: header line `P N seed`, then P lines of N +/-1 integers."""
-    lines = [f"{ps.num_patterns} {ps.num_neurons} {ps.seed}"]
-    for row in ps.patterns:
-        lines.append(" ".join(str(int(v)) for v in row))
+    lines = [format_row([ps.num_patterns, ps.num_neurons, ps.seed])]
+    lines += [format_row(row) for row in ps.patterns.tolist()]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -132,13 +147,14 @@ def read_text(path) -> str:
         raise ArgumentError(f"{path}: not a text file") from None
 
 
-def read_artifact(path, header: str, types: tuple, cast) -> tuple[list, np.ndarray]:
-    """Parse a text artifact: a header line, then P rows of N values.
+def read_artifact(path, header: str, types: tuple, cast, make):
+    """The artifact make(body, *rest) of a text file: a header line, then P rows of N values.
 
     `header` names the header fields, `types` converts them; the first two
-    are P and N. `cast` converts each body value. An empty, truncated,
-    ragged or non-numeric file raises ArgumentError or DimensionError
-    naming the file.
+    are P and N, and the rest follow the body into `make`, the artifact's
+    constructor. `cast` converts each body value. An empty, truncated,
+    ragged or non-numeric file, or one whose values `make` refuses, raises
+    ArgumentError or DimensionError naming the file.
     """
     lines = read_text(path).splitlines()
     fields = lines[0].split() if lines else []
@@ -158,12 +174,11 @@ def read_artifact(path, header: str, types: tuple, cast) -> tuple[list, np.ndarr
         raise ArgumentError(f"{path}: body holds a value that is not a number") from None
     if any(len(r) != N for r in rows):
         raise DimensionError(shape_msg)
-    return head, np.array(rows)
+    try:
+        return make(np.array(rows), *head[2:])
+    except ArgumentError as e:
+        raise ArgumentError(f"{path}: {e}") from None
 
 
 def load_patterns(path) -> PatternSet:
-    (_, _, seed), pats = read_artifact(path, "P N seed", (int, int, int), int)
-    try:
-        return PatternSet(patterns=pats, seed=seed)
-    except ArgumentError as e:
-        raise ArgumentError(f"{path}: {e}") from None
+    return read_artifact(path, "P N seed", (int, int, int), int, PatternSet)

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ArgumentError, DimensionError, TrainingDivergenceError, check_range
-from .kernel_core import GramMatrix, KernelConfig, PatternSet, gram, read_artifact
+from .kernel_core import GramMatrix, KernelConfig, PatternSet, format_row, gram, read_artifact
 
 # Loss may not increase by more than this between accepted epochs.
 DESCENT_SLACK = 1e-12
@@ -258,19 +258,14 @@ def train(patterns: PatternSet, kcfg: KernelConfig, tcfg: TrainConfig) -> DualWe
 
 
 def save_weights(w: DualWeights, path) -> None:
-    """Header `P N gamma lambda epochs`, then P lines of N floats (17 sig digits)."""
+    """Header `P N gamma lambda epochs`, then P lines of N floats (kernel_core.format_row)."""
     P, N = w.alpha.shape
-    lines = [f"{P} {N} {w.gamma:.17g} {w.lam:.17g} {w.trained_epochs}"]
-    for row in w.alpha:
-        lines.append(" ".join(f"{v:.17g}" for v in row))
+    lines = [format_row([P, N, w.gamma, w.lam, w.trained_epochs])]
+    lines += [format_row(row) for row in w.alpha.tolist()]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def load_weights(path) -> DualWeights:
-    (_, _, gamma, lam, epochs), alpha = read_artifact(
-        path, "P N gamma lambda epochs", (int, int, float, float, int), float
+    return read_artifact(
+        path, "P N gamma lambda epochs", (int, int, float, float, int), float, DualWeights
     )
-    try:
-        return DualWeights(alpha=alpha, gamma=gamma, lam=lam, trained_epochs=epochs)
-    except ArgumentError as e:
-        raise ArgumentError(f"{path}: {e}") from None

@@ -3,9 +3,10 @@
 Heatmaps draw one rectangle per sweep cell on an index-uniform lattice:
 gamma columns are labeled with their values (log-spaced grids therefore
 read as a log axis), loads rows with theirs. The color ramp runs dark to
-bright through fixed perceptually-ordered anchor colors. Cells that are
-flagged (fully degenerate spectra, non-finite values, or nonpositive
-values under a log10 transform) are drawn in a reserved gray.
+bright through fixed perceptually-ordered anchor colors. A cell with no
+drawn value (fully degenerate spectra, or a nonpositive value under a
+log10 transform) is drawn in a reserved gray; a non-finite value in any
+other cell raises NumericError.
 """
 
 from __future__ import annotations
@@ -65,34 +66,22 @@ def render_heatmap(cells, metric: str) -> str:
     attr, log10 = METRICS[metric]
     gammas, loads, lookup = _grid_layout(cells)
 
-    values = {}
-    flagged = {}
+    values = {}  # the drawn value of each unflagged cell; the others are gray
     for key, c in lookup.items():
         v = getattr(c, attr)
-        flag = c.degenerate_count >= c.trials * c.N
+        if c.degenerate_count >= c.trials * c.N:
+            continue
         if not math.isfinite(v):
-            if not flag:
-                raise NumericError(
-                    f"non-finite unflagged value for {metric} at gamma={c.gamma}, load={c.load}"
-                )
-            flagged[key] = True
-            continue
-        if flag:
-            flagged[key] = True
-            continue
+            raise NumericError(
+                f"non-finite unflagged value for {metric} at gamma={c.gamma}, load={c.load}"
+            )
         if log10:
             if v <= 0.0:
-                flagged[key] = True
                 continue
             v = math.log10(v)
         values[key] = v
-        flagged[key] = False
 
-    finite = list(values.values())
-    if finite:
-        vmin, vmax = min(finite), max(finite)
-    else:
-        vmin = vmax = 0.0
+    vmin, vmax = (min(values.values()), max(values.values())) if values else (0.0, 0.0)
     span = vmax - vmin
 
     cell_w, cell_h = 36, 36
@@ -107,12 +96,11 @@ def render_heatmap(cells, metric: str) -> str:
         y = mt + cell_h * (len(loads) - 1 - li)
         for gi, g in enumerate(gammas):
             x = ml + cell_w * gi
-            key = (g, load)
-            if flagged[key]:
+            v = values.get((g, load))
+            if v is None:
                 color = FLAG_COLOR
             else:
-                u = 0.5 if span == 0.0 else (values[key] - vmin) / span
-                color = _ramp_color(u)
+                color = _ramp_color(0.5 if span == 0.0 else (v - vmin) / span)
             parts.append(
                 f'<rect x="{x}" y="{y}" width="{cell_w}" height="{cell_h}" '
                 f'fill="{color}" stroke="white" stroke-width="0.5"/>'

@@ -23,6 +23,7 @@ import csv
 import io
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, field, fields
+from pathlib import Path
 from typing import NamedTuple, get_type_hints
 
 import numpy as np
@@ -31,7 +32,7 @@ from .config import KVView
 from .dynamics import DEFAULT_MAX_STEPS, DEFAULT_SUCCESS_THRESHOLD, recall_trial
 from .errors import ArgumentError, FieldError, check_range
 from .infogeo import DEFAULT_REL_CUTOFF, GradientReport, gradient_report, neuron_spectra
-from .kernel_core import KernelConfig, generate_patterns, gram, read_text
+from .kernel_core import KernelConfig, format_row, generate_patterns, gram, read_text
 from .klr import DualWeights, TrainConfig, all_targets, fit_dual_weights
 
 
@@ -57,7 +58,7 @@ class SweepCell:
     divergence_count: int = 0
 
 
-# grid.csv: int columns are written with str, float columns to 17 significant digits
+# grid.csv: the values of a row are written by kernel_core.format_row
 CSV_COLUMNS = [f.name for f in fields(SweepCell)]
 _COLUMN_TYPES = get_type_hints(SweepCell)  # column -> int or float
 
@@ -275,14 +276,8 @@ def run_grid(cfg: GridConfig, workers: int = 1) -> list:
 
 
 def write_grid_csv(cells: list, path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(CSV_COLUMNS)
-        for c in cells:
-            w.writerow(
-                str(v) if _COLUMN_TYPES[name] is int else f"{v:.17g}"
-                for name, v in zip(CSV_COLUMNS, astuple(c))
-            )
+    rows = [",".join(CSV_COLUMNS)] + [format_row(astuple(c), ",") for c in cells]
+    Path(path).write_text("\n".join(rows) + "\n")
 
 
 def read_grid_csv(path) -> list:

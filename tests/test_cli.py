@@ -243,6 +243,8 @@ DAMAGE = {
     "empty": lambda text: "",
     "truncated": lambda text: text[: len(text) // 2],
     "garbled": lambda text: text.replace("\n", "\nx", 1),
+    "zero_rows": lambda text: "0" + text[text.index(" "):],  # header P = 0
+    "ragged": lambda text: text.rstrip("\n").rsplit(" ", 1)[0] + "\n",  # last row one short
 }
 
 
@@ -256,6 +258,18 @@ def test_damaged_artifact_exits_2_with_one_line(tmp_path, capsys, command, artif
     capsys.readouterr()
     assert run_on_artifacts(command, out, tmp_path) == 2
     assert_one_line_error(capsys, artifact)
+
+
+@pytest.mark.parametrize("command", ["spectrum", "recall"])
+@pytest.mark.parametrize("entry", ["0", "2"])
+def test_non_bipolar_patterns_exit_2_naming_the_file(tmp_path, capsys, command, entry):
+    _, out = run_train(tmp_path)
+    path = out / "patterns.txt"
+    header, first, rest = path.read_text().split("\n", 2)
+    path.write_text("\n".join([header, entry + first[first.index(" "):], rest]))
+    capsys.readouterr()
+    assert run_on_artifacts(command, out, tmp_path) == 2
+    assert_one_line_error(capsys, f"{path}: pattern entries must be exactly -1 or +1")
 
 
 @pytest.mark.parametrize("command", ["spectrum", "recall"])
@@ -399,6 +413,8 @@ CONFIG_MESSAGES = {
     "unknown_field": ("num_neurons", "num_neurons = 8\ntypo = 3", "unknown field 'typo'"),
     "duplicate_key": ("num_neurons", "num_neurons = 8\nnum_neurons = 8",
                       "duplicate key 'num_neurons'"),
+    "no_equals_sign": ("num_neurons", "num_neurons 8",
+                       "expected 'key = value', got 'num_neurons 8'"),
 }
 CONFIG_TEXT = {"train": train_cfg_text(), "phase": grid_cfg_text()}
 
@@ -716,6 +732,9 @@ GRID_RANGE_ERRORS = {
     "inf_gamma": ("gamma_values = 0.02 0.2", "gamma_values = 0.02 inf", "gamma_values"),
     "inf_gamma_max": ("gamma_values = 0.02 0.2",
                       "gamma_max = inf\ngamma_min = 0.02\ngamma_count = 3", "gamma_max"),
+    "gamma_max_below_gamma_min": ("gamma_values = 0.02 0.2",
+                                  "gamma_max = 0.02\ngamma_min = 0.2\ngamma_count = 3",
+                                  "gamma_max"),
     "zero_num_neurons": ("num_neurons = 8", "num_neurons = 0", "num_neurons"),
     "nan_lambda": ("lambda = 1e-5", "lambda = nan", "lambda"),
     "inf_learning_rate": ("learning_rate = 0.02", "learning_rate = inf", "learning_rate"),
@@ -791,13 +810,19 @@ def test_recall_flag_error_names_the_flag_before_reading_artifacts(tmp_path, cap
     assert not (tmp_path / "r.csv").exists()
 
 
-def test_render_unknown_metric_exits_2(tmp_path):
+def test_render_unknown_metric_exits_2(tmp_path, capsys):
     cfg = tmp_path / "grid.cfg"
     cfg.write_text(grid_cfg_text())
     out = tmp_path / "phase"
     assert main(["phase", "--config", str(cfg), "--out", str(out), "--workers", "1"]) == 0
-    assert main(["render", "--grid", str(out / "grid.csv"),
-                 "--metrics", "bogus", "--out", str(tmp_path / "x")]) == 2
+    for metrics, message in [("bogus", "unknown metric 'bogus'"),
+                             ("", "--metrics must be nonempty"),
+                             (" ", "--metrics must be nonempty")]:
+        capsys.readouterr()
+        assert main(["render", "--grid", str(out / "grid.csv"),
+                     "--metrics", metrics, "--out", str(tmp_path / "x")]) == 2
+        assert_one_line_error(capsys, f"error: {message}")
+        assert not (tmp_path / "x").exists()
 
 
 def test_version_flag_exits_zero():

@@ -1,5 +1,5 @@
-"""Every name a module of the package or of the tests imports is used in it, and every
-function the benchmark's tracer wraps exists."""
+"""Every name a module of the package or of the tests imports is used in it, every
+function the benchmark's tracer wraps exists, and only kernel_core formats artifact values."""
 
 import ast
 import importlib
@@ -35,6 +35,30 @@ def test_the_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def value_formats(source: str) -> list:
+    """The lines of `source` that hold a `.17g` format spec or call csv.writer."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        spec = isinstance(node, ast.Constant) and ".17g" in str(node.value)
+        writer = (isinstance(node, ast.Attribute) and node.attr == "writer"
+                  and getattr(node.value, "id", None) == "csv")
+        if spec or writer:
+            found.add(node.lineno)
+    return sorted(found)
+
+
+def test_the_scan_finds_a_value_format():
+    source = ('import csv\nw = csv.writer(f)\ns = f"{v:.17g}"\n'
+              't = format(v, ".17g")\nu = "{:.4g}"\n')
+    assert value_formats(source) == [2, 3, 4]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.parent.name == "hopgeo"
+                                  and p.name != "kernel_core.py"], ids=lambda p: p.name)
+def test_only_kernel_core_formats_artifact_values(path):
+    assert value_formats(path.read_text()) == []
 
 
 def traced_functions() -> list:

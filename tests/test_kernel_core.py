@@ -1,8 +1,9 @@
 import math
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hopgeo.errors import ArgumentError
@@ -10,6 +11,8 @@ from hopgeo.kernel_core import (
     KernelConfig,
     PatternSet,
     corrupt,
+    format_row,
+    format_value,
     generate_patterns,
     gram,
     load_patterns,
@@ -147,6 +150,33 @@ def test_pattern_serialization_roundtrip(tmp_path):
     assert np.array_equal(back.patterns, ps.patterns)
     header = path.read_text().splitlines()[0]
     assert header == "5 12 99"
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(-0.0)
+@example(5e-324)
+@example(1.7976931348623157e308)
+@example(-1.7976931348623157e308)
+def test_format_value_reads_every_finite_float_back_with_its_bits(x):
+    assert struct.pack("<d", float(format_value(x))) == struct.pack("<d", x)
+
+
+def test_format_value_keeps_nan_ints_and_bools():
+    assert math.isnan(float(format_value(math.nan)))
+    assert [format_value(v) for v in (True, False, 0, -7, 2**64 + 1)] == [
+        "true", "false", "0", "-7", "18446744073709551617"
+    ]
+
+
+@given(st.integers())
+def test_format_value_writes_an_int_as_its_digits(n):
+    assert format_value(n) == str(n)
+
+
+def test_format_row_joins_the_values_of_a_row():
+    assert format_row([3, 0.5, True, -0.0]) == "3 0.5 true -0"
+    assert format_row([1.0, False], ",") == "1,false"
 
 
 def test_distance_convention_is_four_hamming():

@@ -155,3 +155,10 @@ def test_spectrum_lines_skips_fully_degenerate_neuron():
     ]
     doc = render_spectrum_lines(specs)
     assert doc.count("<polyline") == 1
+
+
+def test_heatmap_of_all_flagged_cells_is_gray():
+    cells = grid_2x2(degenerate_count=2 * 16, d_eff_mean=float("nan"))
+    doc = render_heatmap(cells, "d_eff")
+    assert doc.count(f'fill="{FLAG_COLOR}"') == 4
+    assert "max 0" in doc and "min 0" in doc  # no drawn value: the color bar spans 0 to 0

@@ -1,8 +1,15 @@
 import dataclasses
+import math
 import multiprocessing
+import struct
+import tempfile
+from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopgeo import sweep
 from hopgeo.config import ConfigError
@@ -161,6 +168,27 @@ def test_grid_csv_int_columns_roundtrip_exactly(tmp_path):
     write_grid_csv([cell], path)
     assert path.read_text().splitlines()[1].split(",")[4] == "9007199254740993"
     assert repr(read_grid_csv(path)) == repr([cell])  # every field, nan included
+
+
+# a column's values: any int, or any float with nan as the one nan that "nan" reads back as
+COLUMN_VALUES = {int: st.integers(0, 2**64), float: st.floats(allow_nan=False) | st.just(math.nan)}
+
+
+def value_bits(v):
+    return struct.pack("<d", v) if isinstance(v, float) else v
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.builds(SweepCell, **{name: COLUMN_VALUES[hint] for name, hint
+                                        in get_type_hints(SweepCell).items()}), max_size=4))
+def test_grid_csv_reads_back_every_cell_with_its_bits(cells):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "grid.csv"
+        write_grid_csv(cells, path)
+        back = read_grid_csv(path)
+    assert [[value_bits(v) for v in dataclasses.astuple(c)] for c in back] == [
+        [value_bits(v) for v in dataclasses.astuple(c)] for c in cells
+    ]
 
 
 def test_worker_count_does_not_change_csv_bytes(tmp_path):
