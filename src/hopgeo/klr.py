@@ -127,7 +127,7 @@ def loss_gradient(alpha_col, K: GramMatrix, targets, lam: float) -> np.ndarray:
 @dataclass
 class FitResult:
     alpha: np.ndarray                 # (P, N) final iterates, C order
-    epochs: int                       # epochs actually run
+    epochs: int                       # epochs run, except one where all active columns diverged
     diverged: list[tuple[int, int]]   # (neuron, epoch) of each column reverted by the monitor
     converged: np.ndarray             # bool per neuron: reached grad_tol
 
@@ -137,111 +137,111 @@ def _block_size(P: int, N: int) -> int:
     return min(MAX_BLOCK, max(1, (BLOCK_BYTES // (8 * P * N) - 3) // 4))
 
 
-def _descend_blocks(K: np.ndarray, T: np.ndarray, cfg: TrainConfig):
-    """Step every column in blocks of epochs until the first epoch that trips a check.
+def _descend_blocks(K, T, cfg: TrainConfig, start: int, A, prev_A, prev_loss, idx):
+    """Step the columns idx from epoch `start` in blocks until one of them trips a check.
 
-    Each epoch only steps: H = K @ A, E = exp(-|H|), Grad and A - lr*Grad go to
-    one slot per epoch. Once per block the monitor's loss and the grad_tol test
-    run over the stacked slots, with the expressions and reduction order of the
-    per-epoch loop. Returns (e, A_e, A_{e-1}, loss_{e-1}) for the first epoch e
-    at which a column fails the loss check or reaches grad_tol, or
-    e = max_epochs if none does; the later slots are dropped.
+    An epoch only steps: H = K @ A, E = exp(-|H|), Grad and A - lr*Grad go to one
+    slot per epoch. Once per block the monitor's loss and the grad_tol test run over
+    the stacked slots, with the expressions and reduction order of fit_dual_weights'
+    tripping epoch. Blocks grow from one epoch to _block_size, so an early trip drops
+    few epochs. A, prev_A and prev_loss hold each column's A_start, A_{start-1} and
+    loss at start - 1 (A None: all zero). Returns (e, A_e, A_{e-1}, loss_{e-1}) of
+    the columns idx at the first epoch e that trips a check, or at e = max_epochs.
     """
-    P, N = T.shape
-    B = _block_size(P, N)
+    P, n = K.shape[0], idx.size
+    B = _block_size(P, n)
     # slot s + 1 holds the A of the block's epoch s, slot 0 the epoch before the block;
-    # Ab[s].T is a (P, N) F-ordered view, the layout of a gather A[:, idx]
-    Ab = np.zeros((B + 2, N, P))
-    Hb, Eb, Gb = (np.empty((B, P, N)) for _ in range(3))
-    S = np.empty((P, N))
-    L = np.full((B + 1, N), np.inf)  # L[s + 1]: loss at epoch s; L[0]: the epoch before
-    start = 0
-    # epochs after a tripping one are dropped and the tripping one is re-evaluated
-    # with warnings on, so floating-point warnings are silenced here
-    with np.errstate(all="ignore"):
-        while start < cfg.max_epochs:
-            b = min(B, cfg.max_epochs - start)
-            for s in range(b):
-                A, H, E, G = Ab[s + 1].T, Hb[s], Eb[s], Gb[s]
-                np.matmul(K, A, out=H)
-                np.exp(np.negative(np.abs(H, out=E), out=E), out=E)
-                np.subtract(_logistic(H, E, out=S, den=G), T, out=S)
-                np.matmul(K, S, out=G)
-                G += np.multiply(cfg.lam, H, out=S)
-                np.subtract(A, np.multiply(cfg.learning_rate, G, out=S), out=Ab[s + 2].T)
-            # the checks overwrite the Grad, E and H slots; only the A slots are kept
-            Hs, Es, Gs, ls = Hb[:b], Eb[:b], Gb[:b], L[1:b + 1]
-            done = np.sqrt(np.sum(np.multiply(Gs, Gs, out=Gs), axis=1)) < cfg.grad_tol
-            np.sum(_bce_terms(Hs, T, Es, out=Gs), axis=1, out=ls)
-            As = Ab[1:b + 1].transpose(0, 2, 1)
-            ls += 0.5 * cfg.lam * np.sum(np.multiply(As, Hs, out=Hs), axis=1)
-            bad = ~np.isfinite(ls) | (ls > L[:b] + DESCENT_SLACK)
-            tripped = np.flatnonzero((bad | done).any(axis=1))
-            if tripped.size:
-                k = int(tripped[0])
-                return start + k, Ab[k + 1].T, Ab[k].T, L[k].copy()
-            Ab[0], Ab[1] = Ab[b], Ab[b + 1]  # slot by slot: an overlapping copy would buffer
-            L[0] = L[b]
-            start += b
+    # Ab[s].T is a (P, n) F-ordered view, the layout of a gather A[:, idx]
+    Ab = (np.zeros if A is None else np.empty)((B + 2, n, P))
+    if A is not None:  # gathered straight into the slots, with no copy of A[:, idx]
+        np.take(prev_A, idx, axis=1, out=Ab[0].T, mode="clip")
+        np.take(A, idx, axis=1, out=Ab[1].T, mode="clip")
+    Ta = T if n == T.shape[1] else T[:, idx]
+    Hb, Eb, Gb = (np.empty((B, P, n)) for _ in range(3))
+    S = np.empty((P, n))
+    L = np.empty((B + 1, n))  # L[s + 1]: loss at epoch s; L[0]: the epoch before
+    L[0] = prev_loss[idx]
+    size = 1
+    while start < cfg.max_epochs:
+        b = min(size, cfg.max_epochs - start)
+        for s in range(b):
+            Ae, H, E, G = Ab[s + 1].T, Hb[s], Eb[s], Gb[s]
+            np.matmul(K, Ae, out=H)
+            np.exp(np.negative(np.abs(H, out=E), out=E), out=E)
+            np.subtract(_logistic(H, E, out=S, den=G), Ta, out=S)
+            np.matmul(K, S, out=G)
+            G += np.multiply(cfg.lam, H, out=S)
+            np.subtract(Ae, np.multiply(cfg.learning_rate, G, out=S), out=Ab[s + 2].T)
+        # the checks overwrite the Grad, E and H slots; only the A slots are kept
+        Hs, Es, Gs, ls = Hb[:b], Eb[:b], Gb[:b], L[1:b + 1]
+        done = np.sqrt(np.sum(np.multiply(Gs, Gs, out=Gs), axis=1)) < cfg.grad_tol
+        np.sum(_bce_terms(Hs, Ta, Es, out=Gs), axis=1, out=ls)
+        As = Ab[1:b + 1].transpose(0, 2, 1)
+        ls += 0.5 * cfg.lam * np.sum(np.multiply(As, Hs, out=Hs), axis=1)
+        bad = ~np.isfinite(ls) | (ls > L[:b] + DESCENT_SLACK)
+        tripped = np.flatnonzero((bad | done).any(axis=1))
+        if tripped.size:  # the later slots are dropped
+            k = int(tripped[0])
+            return start + k, Ab[k + 1].T, Ab[k].T, L[k].copy()
+        Ab[0], Ab[1] = Ab[b], Ab[b + 1]  # slot by slot: an overlapping copy would buffer
+        L[0] = L[b]
+        start += b
+        size = min(2 * size, B)
     return start, Ab[1].T, Ab[0].T, L[0].copy()
 
 
 def fit_dual_weights(K: np.ndarray, T: np.ndarray, cfg: TrainConfig) -> FitResult:
     """Gradient descent on every neuron column at once.
 
-    Columns are independent (the update of column i reads only column i),
-    so this matches per-neuron training while batching the matmuls. A
-    column is frozen once its gradient norm drops below grad_tol. A column
-    whose loss becomes non-finite or increases by more than DESCENT_SLACK
-    is reverted to its last accepted iterate and recorded in `diverged`.
-    While every column is active, epochs run in blocks (_descend_blocks)
-    whose checks are made once per block; from the first epoch that trips a
-    check on, the active columns are gathered and scattered every epoch.
-    A is F-ordered like a gather A[:, idx]: BLAS rounds K @ A differently per layout.
+    Columns are independent (the update of column i reads only column i), so this
+    matches per-neuron training while batching the matmuls. A column is frozen once
+    its gradient norm drops below grad_tol. A column whose loss becomes non-finite or
+    increases by more than DESCENT_SLACK is reverted to its last accepted iterate and
+    recorded in `diverged`. Active columns descend in blocks (_descend_blocks); the first
+    epoch at which one trips a check is evaluated here, then blocks resume. A is F-ordered
+    like a gather A[:, idx]: BLAS rounds K @ A differently per layout.
     """
-    N = T.shape[1]
-    start, A, prev_A, prev_loss = _descend_blocks(K, T, cfg)
-    # copies free the block's slots (views keep all of them) before the loop allocates
-    A, prev_A = A.copy(order="F"), prev_A.copy(order="F")
-    active = np.ones(N, dtype=bool)
+    P, N = T.shape
+    A = prev_A = None
+    idx = np.arange(N)
+    prev_loss = np.full(N, np.inf)
     converged = np.zeros(N, dtype=bool)
     diverged: list[tuple[int, int]] = []
-    epochs_run = start
-    for epoch in range(start, cfg.max_epochs):
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
-            break
-        # no column frozen yet (the first epoch after a rewind): no gather needed.
-        # A is F-ordered like a gather, so K @ A keeps its bits; T enters only
-        # elementwise terms, whose results take H's layout.
-        Aa, Ta = (A, T) if idx.size == N else (A[:, idx], T[:, idx])
-        H = K @ Aa
-        E = np.exp(-np.abs(H))
-        ls = np.sum(_bce_terms(H, Ta, E), axis=0) + 0.5 * cfg.lam * np.sum(Aa * H, axis=0)
-        bad = ~np.isfinite(ls) | (ls > prev_loss[idx] + DESCENT_SLACK)
-        if bad.any():
-            for j in idx[bad]:
-                diverged.append((int(j), epoch))
-            A[:, idx[bad]] = prev_A[:, idx[bad]]
-            active[idx[bad]] = False
-            idx = idx[~bad]
-            if idx.size == 0:
-                continue
-            H, E, Ta, ls = H[:, ~bad], E[:, ~bad], Ta[:, ~bad], ls[~bad]
-        prev_loss[idx] = ls
-        Grad = K @ (_logistic(H, E) - Ta) + cfg.lam * H
-        gnorm = np.sqrt(np.sum(Grad * Grad, axis=0))
-        done = gnorm < cfg.grad_tol
-        converged[idx[done]] = True
-        active[idx[done]] = False
-        step = ~done
-        if step.any():
-            prev_A[:, idx[step]] = A[:, idx[step]]
-            A[:, idx[step]] -= cfg.learning_rate * Grad[:, step]
-        epochs_run = epoch + 1
-    return FitResult(
-        alpha=np.ascontiguousarray(A), epochs=epochs_run, diverged=diverged, converged=converged
-    )
+    epoch = 0
+    # diverging columns overflow; the monitor reports them, so warnings are silenced
+    with np.errstate(all="ignore"):
+        while idx.size and epoch < cfg.max_epochs:
+            epoch, Ae, Ap, prev_loss[idx] = _descend_blocks(
+                K, T, cfg, epoch, A, prev_A, prev_loss, idx)
+            if A is None:
+                A, prev_A = np.empty((P, N), order="F"), np.empty((P, N), order="F")
+            A[:, idx], prev_A[:, idx] = Ae, Ap
+            del Ae, Ap  # frees the slots before the tripping epoch allocates
+            if epoch == cfg.max_epochs:
+                break
+            # the tripping epoch; with every column active A needs no gather
+            Aa, Ta = (A, T) if idx.size == N else (A[:, idx], T[:, idx])
+            H = K @ Aa
+            E = np.exp(-np.abs(H))
+            ls = np.sum(_bce_terms(H, Ta, E), axis=0) + 0.5 * cfg.lam * np.sum(Aa * H, axis=0)
+            bad = ~np.isfinite(ls) | (ls > prev_loss[idx] + DESCENT_SLACK)
+            if bad.any():
+                diverged += [(int(j), epoch) for j in idx[bad]]
+                A[:, idx[bad]] = prev_A[:, idx[bad]]
+                idx = idx[~bad]
+                if idx.size == 0:  # an epoch at which every active column diverged is not counted
+                    break
+                H, E, Ta, ls = H[:, ~bad], E[:, ~bad], Ta[:, ~bad], ls[~bad]
+            prev_loss[idx] = ls
+            Grad = K @ (_logistic(H, E) - Ta) + cfg.lam * H
+            done = np.sqrt(np.sum(Grad * Grad, axis=0)) < cfg.grad_tol
+            converged[idx[done]] = True
+            idx, Grad = idx[~done], Grad[:, ~done]
+            prev_A[:, idx] = A[:, idx]
+            A[:, idx] -= cfg.learning_rate * Grad
+            del Aa, Ta, H, E, Grad  # freed before the next call allocates its slots
+            epoch += 1
+    return FitResult(np.ascontiguousarray(A), epoch, diverged, converged)
 
 
 def train(patterns: PatternSet, kcfg: KernelConfig, tcfg: TrainConfig) -> DualWeights:

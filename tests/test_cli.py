@@ -163,6 +163,33 @@ def test_train_divergence_exits_3_and_removes_partials(tmp_path, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
+def test_diverging_descent_prints_no_numpy_warning(tmp_path):
+    # The monitor reports the divergence; numpy's RuntimeWarnings, printed with their
+    # source lines, would only bury it. A subprocess shows stderr as a user sees it.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    diverging = "num_neurons = 8\nlearning_rate = 1e300\nlambda = 0\nmax_epochs = 200\n"
+    configs = {
+        "train": "num_patterns = 8\ngamma = 1e-4\nseed = 11\n",
+        "phase": "gamma_values = 1e-4\nload_values = 1.0\n",
+    }
+    stderr = {}
+    for command, text in configs.items():
+        cfg = tmp_path / f"{command}.cfg"
+        cfg.write_text(text + diverging)
+        run = subprocess.run(
+            [sys.executable, "-m", "hopgeo.cli", command, "--config", str(cfg),
+             "--out", str(tmp_path / command)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        stderr[command] = (run.returncode, run.stderr.splitlines())
+    assert stderr == {
+        "train": (3, ["numeric failure: training diverged at neuron 0, epoch 1"]),
+        "phase": (0, ["flags: 0 degenerate neuron-trials, 8 divergent neuron-trials"]),
+    }
+
+
 def test_usage_error_exit_code():
     assert main(["train"]) == 2
     assert main(["frobnicate"]) == 2

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -22,6 +23,7 @@ from hopgeo.klr import (
     sigmoid,
     train,
 )
+from hopgeo.sweep import seed64
 
 
 def random_instance(rng, P):
@@ -220,8 +222,9 @@ def _reference_fit(K, T, cfg, events=None):
     """Oracle for fit_dual_weights: gathers the active columns every epoch.
 
     The plain loop that the blocked, in-place epochs must reproduce bit for bit.
-    `events`, if given, receives (epoch, "loss") for each epoch at which a column
-    fails the descent monitor and (epoch, "grad") for each at which one reaches grad_tol.
+    `events`, if given, receives (epoch, "loss", active) for each epoch at which a
+    column fails the descent monitor and (epoch, "grad", active) for each at which
+    one reaches grad_tol; `active` counts the columns left active after the event.
     """
     def sigmoid_masked(H):
         out = np.empty_like(H)
@@ -250,12 +253,12 @@ def _reference_fit(K, T, cfg, events=None):
         ls = np.sum(bce, axis=0) + 0.5 * cfg.lam * np.sum(Aa * H, axis=0)
         bad = ~np.isfinite(ls) | (ls > prev_loss[idx] + DESCENT_SLACK)
         if bad.any():
-            if events is not None:
-                events.append((epoch, "loss"))
             for j in idx[bad]:
                 diverged.append((int(j), epoch))
             A[:, idx[bad]] = prev_A[:, idx[bad]]
             active[idx[bad]] = False
+            if events is not None:
+                events.append((epoch, "loss", int(active.sum())))
             idx = idx[~bad]
             if idx.size == 0:
                 continue
@@ -266,10 +269,10 @@ def _reference_fit(K, T, cfg, events=None):
         Grad = K @ (sigmoid_masked(H) - Ta) + cfg.lam * H
         gnorm = np.sqrt(np.sum(Grad * Grad, axis=0))
         done = gnorm < cfg.grad_tol
-        if events is not None and done.any():
-            events.append((epoch, "grad"))
         converged[idx[done]] = True
         active[idx[done]] = False
+        if events is not None and done.any():
+            events.append((epoch, "grad", int(active.sum())))
         step = ~done
         if step.any():
             prev_A[:, idx[step]] = A[:, idx[step]]
@@ -288,31 +291,57 @@ def _assert_same_fit(got, want):
 
 def test_fit_matches_gathering_reference_bit_for_bit(monkeypatch):
     # P >= 17 is where OpenBLAS rounds K @ A differently for C- and F-ordered A.
-    # fit_dual_weights checks the monitor and grad_tol once per block of B epochs
-    # and rewinds to the first tripping epoch; `seen` records where that epoch fell.
-    # Each descent with an event is rerun with MAX_BLOCK set so that the event falls
-    # on the first, the last and a middle slot of a block, and cut off at its event.
+    # fit_dual_weights runs blocks of epochs over the active columns, checks the
+    # monitor and grad_tol once per block, evaluates the first tripping epoch itself
+    # and resumes blocks after it. The block sizes it used are read off the blocks'
+    # loss evaluations; `seen` records where each trip fell in its block and which
+    # sequences of trips occurred. Each descent with an event is rerun with MAX_BLOCK
+    # set around its first trip, and cut off at that trip.
     rng = np.random.default_rng(1)
     seen = dict.fromkeys(
         ["large_P", "converged", "diverged", "both", "B=1", "B>1", "several_blocks",
-         "first_slot", "mid_block", "last_slot", "last_epoch", "loss_and_grad_in_block"], 0)
+         "first_slot", "mid_block", "last_slot", "last_epoch", "loss_and_grad_in_block",
+         "three_trips", "all_diverged", "trip_after_trip", "B_grows"], 0)
+    bce_terms = klr._bce_terms
 
     def check(K, T, cfg, want, events):
         P, N = T.shape
-        _assert_same_fit(fit_dual_weights(K, T, cfg), want)
+        blocks = []  # (epochs, active columns) of each block, in the order run
+
+        def recording(H, t, e, out=None):
+            if H.ndim == 3:
+                blocks.append(H.shape[::2])
+            return bce_terms(H, t, e, out)
+
+        with monkeypatch.context() as m:
+            m.setattr(klr, "_bce_terms", recording)
+            _assert_same_fit(fit_dual_weights(K, T, cfg), want)
         B = klr._block_size(P, N)
         seen["B=1" if B == 1 else "B>1"] += 1
-        first = events[0][0] if events else cfg.max_epochs
-        seen["several_blocks"] += first >= 2 * B
-        if not events:
-            return
-        slot = first % B
-        seen["first_slot"] += first >= B and slot == 0
-        seen["mid_block"] += 0 < slot < B - 1
-        seen["last_slot"] += B > 1 and slot == B - 1
-        seen["last_epoch"] += first == cfg.max_epochs - 1
-        block = range(first - slot, first - slot + B)
-        seen["loss_and_grad_in_block"] += {kind for e, kind in events if e in block} == {"loss", "grad"}
+        seen["B_grows"] += max(b for b, _ in blocks) > B
+        trips = sorted({e for e, _, _ in events})
+        seen["three_trips"] += len(trips) >= 3
+        seen["all_diverged"] += any(kind == "loss" and left == 0 for _, kind, left in events)
+        seen["trip_after_trip"] += any(e + 1 in trips for e in trips)
+        seen["last_epoch"] += cfg.max_epochs - 1 in trips
+        # a call starts at epoch 0 or right after a trip, and stops in the block holding
+        # its first trip; every trip freezes a column, so a new call has fewer columns
+        start, n_call, pending, full = 0, N, list(trips), 0
+        for b, n in blocks:
+            if n != n_call:
+                start, n_call, full = last + 1, n, 0
+            full += b == klr._block_size(P, n) > 1
+            seen["several_blocks"] += full == 2
+            if pending and pending[0] < start + b:
+                last = pending.pop(0)
+                slot = last - start
+                seen["first_slot"] += b > 1 and slot == 0
+                seen["mid_block"] += 0 < slot < b - 1
+                seen["last_slot"] += b > 1 and slot == b - 1
+                kinds = {kind for e, kind, _ in events if start <= e < start + b}
+                seen["loss_and_grad_in_block"] += kinds == {"loss", "grad"}
+            start += b
+        assert not pending and (trips or start == cfg.max_epochs)
 
     for c in range(200):
         if c % 10 == 0:  # P*N large enough for blocks of one epoch
@@ -346,7 +375,51 @@ def test_fit_matches_gathering_reference_bit_for_bit(monkeypatch):
         cut = TrainConfig(cfg.lam, cfg.learning_rate, first + 1, cfg.grad_tol)
         cut_events = []
         check(K, T, cut, _reference_fit(K, T, cut, cut_events), cut_events)
+    # Targets of 1/2 give a zero gradient at alpha = 0, so column 0 converges at epoch 0.
+    # Blocks over all 373 columns hold one epoch, over the other 372 they hold two.
+    ps = generate_patterns(32, 373, 0)
+    K = gram(ps, KernelConfig(gamma=0.05)).values
+    T = all_targets(ps)
+    T[:, 0] = 0.5
+    cfg = TrainConfig(lam=1e-3, learning_rate=0.1, max_epochs=20, grad_tol=1e-6)
+    events = []
+    check(K, T, cfg, _reference_fit(K, T, cfg, events), events)
     assert min(seen.values()) >= 1, seen
+
+
+def geometry_cell(gamma):
+    """K, T and training config of the benchmark's P = N = 256 descent cells at seed 0."""
+    ps = generate_patterns(256, 256, seed64(0, 0, 1, 0))
+    cfg = TrainConfig(lam=1e-6, learning_rate=0.002, max_epochs=40, grad_tol=1e-6)
+    return gram(ps, KernelConfig(gamma=gamma)).values, all_targets(ps), cfg
+
+
+def test_fit_matches_gathering_reference_where_every_column_trips():
+    K, T, cfg = geometry_cell(1e-3)
+    want = _reference_fit(K, T, cfg)
+    _assert_same_fit(fit_dual_weights(K, T, cfg), want)
+    assert len(want.diverged) == 256
+    assert len({e for _, e in want.diverged}) >= 3
+
+
+@pytest.mark.parametrize("gamma, halves, diverged, converged, buffers", [
+    (1e-3, 0, 256, 0, 7.5), (1e-2, 0, 0, 0, 7.5), (1e-2, 1, 0, 1, 10.5)])
+def test_descent_memory_stays_within_its_buffers(gamma, halves, diverged, converged, buffers):
+    # The first call's blocks hold 4B + 3 (P, N) buffers, 7 at this shape; keeping its
+    # slots into the tripping epoch, or a copy of T, would pass 7.5. At gamma 1e-3 every
+    # column trips, at 1e-2 none does. A column with targets of 1/2 converges at epoch 0,
+    # and the other 255 then descend in blocks beside A and prev_A: 10 buffers, as in the
+    # per-epoch loop the blocks replaced. The tripping epoch's arrays would add 3 more.
+    K, T, cfg = geometry_cell(gamma)
+    T[:, :halves] = 0.5
+    tracemalloc.start()
+    try:
+        res = fit_dual_weights(K, T, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (len(res.diverged), int(res.converged.sum())) == (diverged, converged)
+    assert peak <= buffers * T.nbytes
 
 
 def test_dual_weights_rejects_nonfinite():
