@@ -133,9 +133,16 @@ def cmd_spectrum(args, argv) -> int:
         spec = replace(spec, eigenvectors=None)
         for i in members:
             specs[i] = spec
+    # the SVG is made before the CSV is written, and the CSV removed if the SVG
+    # cannot be written, so a failing run leaves neither file
+    svg = render_spectrum_lines(specs) if args.svg else None
     write_spectrum_csv(specs, args.out)
-    if args.svg:
-        Path(args.svg).write_text(render_spectrum_lines(specs))
+    if svg is not None:
+        try:
+            Path(args.svg).write_text(svg)
+        except OSError:
+            Path(args.out).unlink()
+            raise
     return EXIT_OK
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import csv
 import io
-from concurrent.futures import ProcessPoolExecutor
+import os
 from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 from typing import NamedTuple, get_type_hints
@@ -239,15 +239,18 @@ def aggregate(rec: CellRecords) -> SweepCell:
 def pool_map(fn, tasks, workers: int) -> list:
     """[fn(task) for task in tasks], in task order, on at most `workers` processes.
 
-    The pool has at most one worker per task; with one worker or one task
-    there is no pool and fn runs in this process. Every worker has exited
-    when this returns or raises. `fn` and the tasks must pickle, and an
-    exception a task raises is re-raised here.
+    The pool has at most one worker per task and one per CPU; with one worker
+    or one task there is no pool and fn runs in this process, which then never
+    loads the pool machinery. Every worker has exited when this returns or
+    raises. `fn` and the tasks must pickle, and an exception a task raises is
+    re-raised here.
     """
     tasks = list(tasks)
-    workers = min(workers, len(tasks))
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
         return [fn(task) for task in tasks]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks))
 
@@ -263,7 +266,7 @@ def run_grid(cfg: GridConfig, workers: int = 1) -> list:
     Cells are independent; scheduling never changes values or order. Tasks
     are submitted largest load (so largest P, the longest descent) first, so
     that a pool does not end waiting on one long cell. The pool (pool_map)
-    has at most one worker per cell.
+    has at most one worker per cell and one per CPU.
     """
     tasks = [
         (cfg, gi, li)

@@ -1,11 +1,13 @@
-import pytest
+import concurrent.futures
+import os
 
-from hopgeo import sweep
+import pytest
 
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """Runs sweep.pool_map's pools in this process; lists the worker count each one asked for."""
+    """Runs sweep.pool_map's pools in this process on a machine of 8 CPUs; lists the worker
+    count each one asked for."""
     made = []
 
     class RecordingPool:
@@ -21,5 +23,6 @@ def pool_sizes(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     return made

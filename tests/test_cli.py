@@ -250,6 +250,16 @@ def test_spectrum_missing_artifacts_exits_2(tmp_path):
     assert code == 2
 
 
+def test_spectrum_with_an_unwritable_svg_exits_2_and_writes_nothing(tmp_path, capsys):
+    _, out = run_train(tmp_path)
+    csv_path, svg_path = tmp_path / "s.csv", tmp_path / "missing" / "s.svg"
+    capsys.readouterr()
+    assert main(["spectrum", "--weights", str(out), "--out", str(csv_path),
+                 "--svg", str(svg_path)]) == 2
+    assert_one_line_error(capsys, str(svg_path))
+    assert not csv_path.exists()
+
+
 def run_on_artifacts(command, weights_dir, tmp_path):
     if command == "spectrum":
         return main(["spectrum", "--weights", str(weights_dir), "--out", str(tmp_path / "s.csv")])

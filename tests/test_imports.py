@@ -1,8 +1,13 @@
 """Every name a module of the package or of the tests imports is used in it, every
-function the benchmark's tracer wraps exists, and only kernel_core formats artifact values."""
+function the benchmark's tracer wraps exists, only kernel_core formats artifact values,
+and a process that forks no pool never loads the pool machinery."""
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -81,3 +86,30 @@ def test_the_tracer_wraps_functions_of_every_layer():
 @pytest.mark.parametrize("module, name", TRACED, ids=lambda v: v)
 def test_every_traced_function_exists(module, name):
     assert callable(getattr(importlib.import_module(f"hopgeo.{module}"), name, None))
+
+
+POOL_MODULES = ("concurrent.futures", "multiprocessing")
+
+POOL_PROBE = """
+import json, sys
+import hopgeo.cli
+loaded = {"import": [m for m in sys.argv[3:] if m in sys.modules]}
+code = hopgeo.cli.main(["phase", "--config", sys.argv[1], "--out", sys.argv[2], "--workers", "1"])
+loaded["phase"] = [m for m in sys.argv[3:] if m in sys.modules]
+print(json.dumps([code, loaded]))
+"""
+
+
+def test_a_serial_run_never_loads_the_pool_machinery(tmp_path):
+    # a fresh interpreter, since the tests themselves load both modules
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("gamma_values = 0.02 0.2\nload_values = 0.25\nnum_neurons = 8\n"
+                   "max_epochs = 50\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run(
+        [sys.executable, "-c", POOL_PROBE, str(cfg), str(tmp_path / "out"), *POOL_MODULES],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == [0, {"import": [], "phase": []}]

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import multiprocessing
+import os
 import struct
 import tempfile
 from pathlib import Path
@@ -127,6 +128,14 @@ def test_pool_has_at_most_one_worker_per_cell(pool_sizes):
     assert [rec.load for rec in run_grid(cfg, workers=5000)] == [0.25, 0.5]
     run_grid(tiny_config(gamma_values=[0.1], load_values=[0.5]), workers=5000)
     assert pool_sizes == [2]  # the one-cell grid ran without a pool
+
+
+def test_pool_has_at_most_one_worker_per_cpu(pool_sizes, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert sweep.pool_map(abs, [-3, 1, -2, 5, -4], workers=5000) == [3, 1, 2, 5, 4]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # an unknown count is one CPU: no pool
+    assert sweep.pool_map(abs, [-3, 1], workers=5000) == [3, 1]
+    assert pool_sizes == [3]
 
 
 def _even(k):
