@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Subcommands: train, spectrum, phase, recall, render. Exit codes are a
-stable contract: 0 success, 2 usage/config errors, 3 numeric failures.
+stable contract: 0 success, 2 usage/config errors and problems too large
+for memory, 3 numeric failures.
 The output directories of train and phase receive a manifest.json
 recording the command line, resolved configuration, seeds, tool version,
 timestamps, and sha256 digests of the emitted files (the manifest itself
@@ -101,7 +102,7 @@ def cmd_train(args, argv) -> int:
     out.mkdir(parents=True, exist_ok=True)
     patterns = generate_patterns(run.num_patterns, run.num_neurons, run.seed)
     # trained before any artifact is written, so a divergent run leaves none
-    weights = train(patterns, KernelConfig(gamma=run.gamma), run.train)
+    weights = train(patterns, run.gamma, run.train)
     save_patterns(patterns, out / "patterns.txt")
     save_weights(weights, out / "weights.txt")
     _write_manifest(out, argv, resolved(run), {"pattern_seed": run.seed}, started)
@@ -125,7 +126,7 @@ def _load_artifacts(weights_dir):
 
 def cmd_spectrum(args, argv) -> int:
     patterns, weights = _load_artifacts(args.weights)
-    K = gram(patterns, KernelConfig(gamma=weights.gamma))
+    K = gram(patterns, KernelConfig(gamma=weights.gamma)).values
     # the writers read only eigenvalues and lambda_max, so eigenvectors are dropped
     # as each spectrum arrives, and neurons with the same alpha column share one
     specs = [None] * patterns.num_neurons
@@ -318,6 +319,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
     except (ConfigError, ArgumentError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as e:
+        print(f"error: problem too large for memory: {e}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpectrumError, DimensionError, NumericError, check_range
-from .kernel_core import GramMatrix, format_row
+from .kernel_core import format_row
 from .klr import loss_gradient, predict_probs
 
 DEFAULT_REL_CUTOFF = 1e-10
@@ -45,15 +45,15 @@ class GradientReport:
     degenerate: bool
 
 
-def fisher_matrix(alpha_col, K: GramMatrix) -> np.ndarray:
+def fisher_matrix(alpha_col, K: np.ndarray) -> np.ndarray:
     """The (P, P) matrix G = K diag(p(1-p)) K, symmetrized as (G + G')/2."""
     p = predict_probs(alpha_col, K)
     d = p * (1.0 - p)
-    G = (K.values * d) @ K.values
+    G = (K * d) @ K
     return 0.5 * (G + G.T)
 
 
-def fim_empirical_oracle(alpha_col, K: GramMatrix) -> np.ndarray:
+def fim_empirical_oracle(alpha_col, K: np.ndarray) -> np.ndarray:
     """Expectation form of the Fisher matrix, by explicit enumeration.
 
     For each pattern mu the Bernoulli score at outcome s in {0,1} is
@@ -61,11 +61,11 @@ def fim_empirical_oracle(alpha_col, K: GramMatrix) -> np.ndarray:
     probabilities and the score outer products summed over patterns.
     Deliberately loop-based and independent of fisher_matrix.
     """
-    P = K.values.shape[0]
     p = predict_probs(alpha_col, K)
+    P = p.size
     G = np.zeros((P, P))
     for mu in range(P):
-        k_mu = K.values[:, mu]
+        k_mu = K[:, mu]
         for s, prob in ((1.0, p[mu]), (0.0, 1.0 - p[mu])):
             score = (s - p[mu]) * k_mu
             G += prob * np.outer(score, score)
@@ -134,7 +134,7 @@ def natural_gradient(grad, spec: FisherSpectrum, rel_cutoff: float = DEFAULT_REL
     return nat, lam.size
 
 
-def neuron_spectra(alpha, K: GramMatrix):
+def neuron_spectra(alpha, K: np.ndarray):
     """Fisher spectra of the neurons (columns) of alpha, one per distinct column.
 
     Yields (neuron indices, spectrum(fisher_matrix(alpha[:, first], K))) for each
@@ -155,7 +155,7 @@ def neuron_spectra(alpha, K: GramMatrix):
 
 def gradient_report(
     alpha_col,
-    K: GramMatrix,
+    K: np.ndarray,
     targets,
     lam: float,
     spec: FisherSpectrum,
@@ -168,11 +168,11 @@ def gradient_report(
     rank1_residual measures how much of the Euclidean gradient escapes the
     top Fisher mode: ||grad - lambda_1 (v1' natgrad) v1|| / max(||grad||, 1e-30).
     """
-    if spec.eigenvalues.shape != (K.values.shape[0],):
-        raise DimensionError(
-            f"spectrum of {spec.eigenvalues.size} modes does not match Gram size {K.values.shape}"
-        )
     grad = loss_gradient(alpha_col, K, targets, lam)
+    if spec.eigenvalues.shape != grad.shape:
+        raise DimensionError(
+            f"spectrum of {spec.eigenvalues.size} modes does not match Gram size {grad.size}"
+        )
     euclid = float(grad @ grad)
     # a degenerate spectrum (lambda_max and d_eff are +0.0) has no mode to invert
     degenerate = spec.lambda_max <= 0.0

@@ -44,6 +44,7 @@ class PatternSet:
         check_range("P", self.patterns.shape[0], 1)
         check_range("N", self.patterns.shape[1], 1)
         check_bipolar(self.patterns, "pattern")
+        check_range("seed", self.seed, 0)
 
     @property
     def num_patterns(self) -> int:

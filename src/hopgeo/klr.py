@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ArgumentError, DimensionError, TrainingDivergenceError, check_range
-from .kernel_core import GramMatrix, KernelConfig, PatternSet, format_row, gram, read_artifact
+from .kernel_core import KernelConfig, PatternSet, format_row, gram, read_artifact
 
 # Loss may not increase by more than this between accepted epochs.
 DESCENT_SLACK = 1e-12
@@ -51,6 +51,8 @@ class DualWeights:
 
     def __post_init__(self):
         check_range("gamma", self.gamma, 0, lo_open=True)
+        check_range("lambda", self.lam, 0)
+        check_range("epochs", self.trained_epochs, 0)
         self.alpha = np.asarray(self.alpha, dtype=float)
         if self.alpha.ndim != 2:
             raise DimensionError("alpha must be a P x N matrix")
@@ -92,36 +94,34 @@ def sigmoid(h):
     return out
 
 
-def predict_probs(alpha_col: np.ndarray, K: GramMatrix) -> np.ndarray:
-    """p_mu = sigma((K alpha)_mu) for each stored pattern."""
-    alpha_col = np.asarray(alpha_col, dtype=float)
-    if alpha_col.shape != (K.values.shape[0],):
-        raise DimensionError(
-            f"alpha length {alpha_col.shape} does not match Gram size {K.values.shape}"
-        )
-    return sigmoid(K.values @ alpha_col)
+def predict_probs(alpha_col: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """p_mu = sigma((K alpha)_mu) for each stored pattern; K is the (P, P) Gram matrix."""
+    alpha_col, K = np.asarray(alpha_col, dtype=float), np.asarray(K, dtype=float)
+    if alpha_col.ndim != 1 or K.shape != 2 * alpha_col.shape:  # 2 * (P,) is (P, P)
+        raise DimensionError(f"alpha of shape {alpha_col.shape} does not fit Gram size {K.shape}")
+    return sigmoid(K @ alpha_col)
 
 
-def _field(alpha_col, K: GramMatrix, targets):
-    """(alpha, t, h = K alpha) of one neuron; DimensionError unless their sizes agree."""
-    alpha_col = np.asarray(alpha_col, dtype=float)
+def _field(alpha_col, K: np.ndarray, targets):
+    """(alpha, t, h = K alpha) of one neuron; DimensionError unless alpha, t are (P,), K (P, P)."""
+    alpha_col, K = np.asarray(alpha_col, dtype=float), np.asarray(K, dtype=float)
     t = np.asarray(targets, dtype=float)
-    if alpha_col.shape != t.shape or alpha_col.shape != (K.values.shape[0],):
+    if alpha_col.ndim != 1 or K.shape != 2 * alpha_col.shape or t.shape != alpha_col.shape:
         raise DimensionError("alpha, targets and Gram matrix sizes disagree")
-    return alpha_col, t, K.values @ alpha_col
+    return alpha_col, t, K @ alpha_col
 
 
-def loss(alpha_col, K: GramMatrix, targets, lam: float) -> float:
+def loss(alpha_col, K: np.ndarray, targets, lam: float) -> float:
     """Cross-entropy over stored patterns plus (lam/2) alpha' K alpha."""
     check_range("lambda", lam, 0)
     alpha_col, t, h = _field(alpha_col, K, targets)
     return float(np.sum(_bce_terms(h, t, np.exp(-np.abs(h)))) + 0.5 * lam * alpha_col @ h)
 
 
-def loss_gradient(alpha_col, K: GramMatrix, targets, lam: float) -> np.ndarray:
+def loss_gradient(alpha_col, K: np.ndarray, targets, lam: float) -> np.ndarray:
     """grad = K (p - t) + lam K alpha."""
     _, t, h = _field(alpha_col, K, targets)
-    return K.values @ (sigmoid(h) - t) + lam * h
+    return K @ (sigmoid(h) - t) + lam * h
 
 
 @dataclass
@@ -244,17 +244,14 @@ def fit_dual_weights(K: np.ndarray, T: np.ndarray, cfg: TrainConfig) -> FitResul
     return FitResult(np.ascontiguousarray(A), epoch, diverged, converged)
 
 
-def train(patterns: PatternSet, kcfg: KernelConfig, tcfg: TrainConfig) -> DualWeights:
-    """Train every neuron; raise TrainingDivergenceError on the first bad neuron."""
-    K = gram(patterns, kcfg)
-    T = all_targets(patterns)
-    res = fit_dual_weights(K.values, T, tcfg)
+def train(patterns: PatternSet, gamma: float, tcfg: TrainConfig) -> DualWeights:
+    """Train every neuron at width gamma; raise TrainingDivergenceError on the first bad one."""
+    K = gram(patterns, KernelConfig(gamma=gamma)).values
+    res = fit_dual_weights(K, all_targets(patterns), tcfg)
     if res.diverged:
         neuron, epoch = res.diverged[0]
         raise TrainingDivergenceError(neuron, epoch)
-    return DualWeights(
-        alpha=res.alpha, gamma=kcfg.gamma, lam=tcfg.lam, trained_epochs=res.epochs
-    )
+    return DualWeights(alpha=res.alpha, gamma=gamma, lam=tcfg.lam, trained_epochs=res.epochs)
 
 
 def save_weights(w: DualWeights, path) -> None:

@@ -106,7 +106,8 @@ class GridConfig:
             raise FieldError("gamma_values", "must be ascending")
         if list(self.load_values) != sorted(self.load_values):
             raise FieldError("load_values", "must be ascending")
-        check_range("num_neurons", self.num_neurons, 1)
+        # at most an array dimension, which also keeps num_neurons * load a finite float
+        check_range("num_neurons", self.num_neurons, 1, np.iinfo(np.intp).max)
         if round(self.num_neurons * min(self.load_values)) < 1:
             raise FieldError("load_values", "times num_neurons must round to at least 1 pattern")
         check_range("trials_per_cell", self.trials_per_cell, 1)
@@ -162,9 +163,9 @@ def run_cell(
     for t in range(cfg.trials_per_cell):
         seed = seed64(cfg.base_seed, gamma_index, load_index, t)
         patterns = generate_patterns(P, N, seed)
-        K = gram(patterns, KernelConfig(gamma=gamma))
+        K = gram(patterns, KernelConfig(gamma=gamma)).values
         T = all_targets(patterns)
-        res = fit_dual_weights(K.values, T, cfg.train)
+        res = fit_dual_weights(K, T, cfg.train)
         diverged.append(len(res.diverged))
         row = [None] * N
         for members, spec in neuron_spectra(res.alpha, K):

@@ -33,7 +33,7 @@ from hopgeo.infogeo import (
     natural_gradient,
     spectrum,
 )
-from hopgeo.kernel_core import GramMatrix, KernelConfig, corrupt, generate_patterns
+from hopgeo.kernel_core import corrupt, generate_patterns
 from hopgeo.klr import TrainConfig, loss, loss_gradient, train
 from hopgeo.sweep import aggregate, grid_config_from_file, run_grid, trial_mean
 
@@ -49,7 +49,7 @@ def record(name: str, ok: bool, detail: str = ""):
 
 def random_instance(rng, P):
     B = rng.normal(size=(P, P))
-    K = GramMatrix(values=B @ B.T / P + 0.05 * np.eye(P))
+    K = B @ B.T / P + 0.05 * np.eye(P)
     alpha = rng.normal(scale=0.8, size=P)
     t = rng.integers(0, 2, size=P).astype(float)
     return K, alpha, t
@@ -235,9 +235,8 @@ def test_c9_memory_function():
     P, N = 16, 64
     gamma = 0.02
     patterns = generate_patterns(P, N, 20240915)
-    kcfg = KernelConfig(gamma=gamma)
     tcfg = TrainConfig(lam=1e-6, learning_rate=0.008, max_epochs=20000, grad_tol=1e-6)
-    weights = train(patterns, kcfg, tcfg)
+    weights = train(patterns, gamma, tcfg)
     exact_ok = True
     for mu in range(P):
         r = recall(patterns.patterns[mu], mu, patterns, weights)

@@ -138,6 +138,23 @@ def test_negative_seed_flag_exits_2_naming_it_and_writes_nothing(tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "phase"])
+def test_a_problem_too_large_for_memory_exits_2_with_one_line(tmp_path, capsys, command):
+    # 10^8 x 10^8 patterns take 71 PiB, beyond the address space: the allocator refuses
+    # at once. A size the machine could grant must not be used here; its pages get touched.
+    text = {
+        "train": train_cfg_text(num_patterns=10**8, num_neurons=10**8),
+        "phase": grid_cfg_text().replace("num_neurons = 8", f"num_neurons = {10**8}")
+                                .replace("load_values = 0.25", "load_values = 1"),
+    }[command]
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(text)
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out"),
+                 "--workers", "1"]) == 2
+    assert_one_line_error(capsys, "too large for memory", "71.1 PiB")
+
+
 def test_train_unknown_key_exits_2(tmp_path, capsys):
     cfg = tmp_path / "train.cfg"
     cfg.write_text(train_cfg_text() + "typo_key = 1\n")
@@ -209,7 +226,7 @@ def test_spectrum_command_matches_in_process_oracle(tmp_path):
     # check one neuron against an in-process recomputation
     ps = load_patterns(out / "patterns.txt")
     w = load_weights(out / "weights.txt")
-    K = gram(ps, KernelConfig(gamma=w.gamma))
+    K = gram(ps, KernelConfig(gamma=w.gamma)).values
     spec = spectrum(fisher_matrix(w.alpha[:, 0], K))
     row0 = lines[1].split(",")
     assert int(row0[0]) == 0 and int(row0[1]) == 1
@@ -223,7 +240,7 @@ def test_spectrum_with_duplicate_columns_matches_per_neuron_spectra(tmp_path):
     w = load_weights(out / "weights.txt")
     columns = [w.alpha[:, i].tobytes() for i in range(40)]
     assert len(set(columns)) < 40
-    K = gram(load_patterns(out / "patterns.txt"), KernelConfig(gamma=w.gamma))
+    K = gram(load_patterns(out / "patterns.txt"), KernelConfig(gamma=w.gamma)).values
     specs = [spectrum(fisher_matrix(w.alpha[:, i], K)) for i in range(40)]
     write_spectrum_csv(specs, tmp_path / "want.csv")
     (tmp_path / "want.svg").write_text(render_spectrum_lines(specs))
@@ -319,18 +336,34 @@ def test_mismatched_artifacts_exit_2_with_one_line(tmp_path, capsys, command):
     assert_one_line_error(capsys, "weights.txt", "patterns.txt")
 
 
+# (artifact, header field, its position, a value out of its range); a bad gamma's id is the value
+BAD_HEADER_FIELDS = [
+    pytest.param("weights.txt", "gamma", 2, value, id=value) for value in ("0", "-1", "nan", "inf")
+] + [
+    pytest.param(artifact, field, i, value, id=f"{field}={value}")
+    for artifact, field, i, value in [
+        ("weights.txt", "lambda", 3, "nan"),
+        ("weights.txt", "lambda", 3, "-5"),
+        ("weights.txt", "epochs", 4, "-7"),
+        ("patterns.txt", "seed", 2, "-1"),
+    ]
+]
+
+
 @pytest.mark.parametrize("command", ["spectrum", "recall"])
-@pytest.mark.parametrize("gamma", ["0", "-1", "nan", "inf"])
-def test_weights_with_bad_gamma_exit_2_naming_the_file(tmp_path, capsys, command, gamma):
+@pytest.mark.parametrize("artifact, field, index, value", BAD_HEADER_FIELDS)
+def test_weights_with_bad_gamma_exit_2_naming_the_file(tmp_path, capsys, command, artifact,
+                                                       field, index, value):
+    # every header field that is not P or N is range-checked on load, not only gamma
     _, out = run_train(tmp_path)
-    path = out / "weights.txt"
+    path = out / artifact
     header, body = path.read_text().split("\n", 1)
     fields = header.split()
-    fields[2] = gamma
+    fields[index] = value
     path.write_text(" ".join(fields) + "\n" + body)
     capsys.readouterr()
     assert run_on_artifacts(command, out, tmp_path) == 2
-    assert_one_line_error(capsys, "weights.txt", "gamma")
+    assert_one_line_error(capsys, f"{path}: {field} must ")
 
 
 @pytest.mark.parametrize("command", ["train", "spectrum", "phase", "recall"])
@@ -773,6 +806,8 @@ GRID_RANGE_ERRORS = {
                                   "gamma_max = 0.02\ngamma_min = 0.2\ngamma_count = 3",
                                   "gamma_max"),
     "zero_num_neurons": ("num_neurons = 8", "num_neurons = 0", "num_neurons"),
+    # num_neurons * load would overflow a float
+    "huge_num_neurons": ("num_neurons = 8", "num_neurons = 1" + "0" * 400, "num_neurons"),
     "nan_lambda": ("lambda = 1e-5", "lambda = nan", "lambda"),
     "inf_learning_rate": ("learning_rate = 0.02", "learning_rate = inf", "learning_rate"),
     "nan_grad_tol": ("num_neurons = 8", "grad_tol = nan\nnum_neurons = 8", "grad_tol"),

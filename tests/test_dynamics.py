@@ -26,8 +26,7 @@ def test_overlap_shape_check():
 
 def test_local_field_matches_loop_oracle():
     ps = generate_patterns(4, 12, 5)
-    kcfg = KernelConfig(gamma=0.07)
-    w = train(ps, kcfg, TrainConfig(lam=1e-3, learning_rate=0.05,
+    w = train(ps, 0.07, TrainConfig(lam=1e-3, learning_rate=0.05,
                                     max_epochs=500, grad_tol=1e-6))
     state = corrupt(ps.patterns[1], 0.25, 3)
     h = local_field(state, ps, w)
@@ -62,8 +61,7 @@ def test_zero_weights_freeze_the_state():
 
 def test_stored_cue_is_fixed_point_after_training():
     ps = generate_patterns(4, 32, 7)
-    kcfg = KernelConfig(gamma=0.05)
-    w = train(ps, kcfg, TrainConfig(lam=1e-6, learning_rate=0.02,
+    w = train(ps, 0.05, TrainConfig(lam=1e-6, learning_rate=0.02,
                                     max_epochs=20000, grad_tol=1e-6))
     for mu in range(ps.num_patterns):
         res = recall(ps.patterns[mu], mu, ps, w, max_steps=10)
@@ -75,8 +73,7 @@ def test_stored_cue_is_fixed_point_after_training():
 
 def test_recall_from_corrupted_cue():
     ps = generate_patterns(4, 32, 7)
-    kcfg = KernelConfig(gamma=0.05)
-    w = train(ps, kcfg, TrainConfig(lam=1e-6, learning_rate=0.02,
+    w = train(ps, 0.05, TrainConfig(lam=1e-6, learning_rate=0.02,
                                     max_epochs=20000, grad_tol=1e-6))
     cue = corrupt(ps.patterns[2], 0.1, 99)
     res = recall(cue, 2, ps, w)
@@ -91,10 +88,9 @@ def test_two_cycle_detected_and_not_converged():
     # step, giving a clean 2-cycle.
     X = np.array([[1, 1], [-1, -1]])
     ps = PatternSet(patterns=X, seed=0)
-    kcfg = KernelConfig(gamma=0.1)
     c = 5.0
     alpha = np.array([[-c, -c], [c, c]])
-    w = DualWeights(alpha=alpha, gamma=kcfg.gamma, lam=0.0, trained_epochs=1)
+    w = DualWeights(alpha=alpha, gamma=0.1, lam=0.0, trained_epochs=1)
     h = local_field(X[0], ps, w)
     assert np.all(h < 0)  # pushes toward -x
     res = recall(X[0].copy(), 0, ps, w, max_steps=50)
@@ -107,9 +103,8 @@ def test_two_cycle_detected_and_not_converged():
 def test_max_steps_exhaustion_reports_not_converged():
     X = np.array([[1, 1], [-1, -1]])
     ps = PatternSet(patterns=X, seed=0)
-    kcfg = KernelConfig(gamma=0.1)
     alpha = np.array([[-5.0, -5.0], [5.0, 5.0]])
-    w = DualWeights(alpha=alpha, gamma=kcfg.gamma, lam=0.0, trained_epochs=1)
+    w = DualWeights(alpha=alpha, gamma=0.1, lam=0.0, trained_epochs=1)
     res = recall(X[0].copy(), 0, ps, w, max_steps=1)
     assert not res.converged
     assert res.steps == 1
@@ -270,11 +265,10 @@ def test_zero_alpha_columns_are_sure_ties_and_never_recomputed(monkeypatch):
     rng = np.random.default_rng(7)
     P, N = 8, 40
     ps = generate_patterns(P, N, 3)
-    kcfg = KernelConfig(gamma=0.02)
     alpha = rng.standard_normal((P, N))
     alpha[:, ::3] = 0.0
     alpha[:, 1] = -0.0
-    w = DualWeights(alpha=alpha, gamma=kcfg.gamma, lam=0.0, trained_epochs=0)
+    w = DualWeights(alpha=alpha, gamma=0.02, lam=0.0, trained_epochs=0)
     targets = rng.integers(0, P, 150)
     cues = np.array([corrupt(ps.patterns[t], 0.2, seed) for seed, t in enumerate(targets)])
     recomputes = []

@@ -1,6 +1,7 @@
 """Every name a module of the package or of the tests imports is used in it, every
-function the benchmark's tracer wraps exists, only kernel_core formats artifact values,
-and a process that forks no pool never loads the pool machinery."""
+function the benchmark's tracer wraps exists and its runs work on this source, only
+kernel_core formats artifact values, and a process that forks no pool never loads the
+pool machinery."""
 
 import ast
 import importlib
@@ -88,6 +89,37 @@ def test_every_traced_function_exists(module, name):
     assert callable(getattr(importlib.import_module(f"hopgeo.{module}"), name, None))
 
 
+def source_env(**extra) -> dict:
+    """The environment of a fresh interpreter that imports hopgeo from this checkout's src/."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **extra}
+
+
+def run_tracer(*args):
+    return subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "tracer.py"), *map(str, args)],
+        env=source_env(OPENBLAS_NUM_THREADS="1"), capture_output=True, text=True, timeout=300,
+    )
+
+
+def test_the_benchmark_tracer_runs_on_this_source(tmp_path):
+    # Both tracer modes call hopgeo as the benchmark does: `micro` calls gram, KernelConfig
+    # and fit_dual_weights itself, `spans` wraps functions by name around a CLI run.
+    micro = tmp_path / "micro.json"
+    run = run_tracer("micro", micro, 0)
+    assert run.returncode == 0, run.stderr
+    per_p = json.loads(micro.read_text())
+    assert all(per_p[f"P{P}"]["us_per_epoch"] > 0 for P in (8, 16, 32))
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("num_patterns = 3\nnum_neurons = 8\ngamma = 0.1\nmax_epochs = 50\n")
+    spans = tmp_path / "spans.json"
+    run = run_tracer("spans", spans, "--", "train", "--config", cfg, "--out", tmp_path / "net")
+    assert run.returncode == 0, run.stderr
+    assert {name for name, *_ in json.loads(spans.read_text())} >= {
+        "gram", "fit_dual_weights", "train"
+    }
+
+
 POOL_MODULES = ("concurrent.futures", "multiprocessing")
 
 POOL_PROBE = """
@@ -105,11 +137,9 @@ def test_a_serial_run_never_loads_the_pool_machinery(tmp_path):
     cfg = tmp_path / "grid.cfg"
     cfg.write_text("gamma_values = 0.02 0.2\nload_values = 0.25\nnum_neurons = 8\n"
                    "max_epochs = 50\n")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
     run = subprocess.run(
         [sys.executable, "-c", POOL_PROBE, str(cfg), str(tmp_path / "out"), *POOL_MODULES],
-        env=env, capture_output=True, text=True, timeout=300,
+        env=source_env(), capture_output=True, text=True, timeout=300,
     )
     assert run.returncode == 0, run.stderr
     assert json.loads(run.stdout) == [0, {"import": [], "phase": []}]

@@ -7,7 +7,8 @@ import pytest
 
 from hopgeo import klr
 from hopgeo.errors import ArgumentError, DimensionError, TrainingDivergenceError
-from hopgeo.kernel_core import GramMatrix, KernelConfig, generate_patterns, gram
+from hopgeo.infogeo import fisher_matrix, gradient_report, spectrum
+from hopgeo.kernel_core import KernelConfig, generate_patterns, gram
 from hopgeo.klr import (
     DESCENT_SLACK,
     DualWeights,
@@ -31,7 +32,7 @@ def random_instance(rng, P):
     B = rng.normal(size=(P, P))
     K = B @ B.T / P + np.eye(P) * 0.1
     return (
-        GramMatrix(values=K),
+        K,
         rng.normal(scale=0.8, size=P),
         rng.integers(0, 2, size=P).astype(float),
     )
@@ -49,12 +50,12 @@ def test_sigmoid_basics():
 
 
 def test_predict_probs_zero_alpha():
-    K = gram(generate_patterns(5, 10, 1), KernelConfig(gamma=0.1))
+    K = gram(generate_patterns(5, 10, 1), KernelConfig(gamma=0.1)).values
     assert np.allclose(predict_probs(np.zeros(5), K), 0.5)
 
 
 def test_predict_probs_scalar_case():
-    K = GramMatrix(values=np.array([[1.0]]))
+    K = np.array([[1.0]])
     assert predict_probs(np.array([2.0]), K)[0] == pytest.approx(0.8807970779778823)
 
 
@@ -63,18 +64,36 @@ def test_predict_probs_matches_loop_oracle():
     K, alpha, _ = random_instance(rng, 6)
     p = predict_probs(alpha, K)
     for mu in range(6):
-        h = sum(alpha[nu] * K.values[mu, nu] for nu in range(6))
+        h = sum(alpha[nu] * K[mu, nu] for nu in range(6))
         assert p[mu] == pytest.approx(1 / (1 + math.exp(-h)), rel=1e-12)
 
 
 def test_predict_probs_dimension_mismatch():
-    K = GramMatrix(values=np.eye(3))
+    K = np.eye(3)
     with pytest.raises(DimensionError):
         predict_probs(np.zeros(4), K)
 
 
+@pytest.mark.parametrize("K", [np.ones((3, 4)), np.ones(3)], ids=["P_by_P_plus_1", "1d"])
+@pytest.mark.parametrize("call", ["loss", "loss_gradient", "predict_probs", "fisher_matrix",
+                                  "gradient_report"])
+def test_a_gram_matrix_that_is_not_square_is_refused(K, call):
+    # alpha and targets have length P = 3, and K has P rows but is not (P, P)
+    alpha, t = np.zeros(3), np.ones(3)
+    spec = spectrum(np.eye(3))
+    calls = {
+        "loss": lambda: loss(alpha, K, t, 0.1),
+        "loss_gradient": lambda: loss_gradient(alpha, K, t, 0.1),
+        "predict_probs": lambda: predict_probs(alpha, K),
+        "fisher_matrix": lambda: fisher_matrix(alpha, K),
+        "gradient_report": lambda: gradient_report(alpha, K, t, 0.1, spec),
+    }
+    with pytest.raises(DimensionError):
+        calls[call]()
+
+
 def test_loss_at_zero_alpha():
-    K = gram(generate_patterns(7, 12, 3), KernelConfig(gamma=0.2))
+    K = gram(generate_patterns(7, 12, 3), KernelConfig(gamma=0.2)).values
     t = all_targets(generate_patterns(7, 12, 3))[:, 0]
     assert loss(np.zeros(7), K, t, 0.0) == pytest.approx(7 * math.log(2), rel=1e-14)
     # penalty vanishes at alpha = 0 no matter how large lambda is
@@ -87,7 +106,7 @@ def test_loss_matches_high_precision_oracle():
     lam = 0.37
     got = loss(alpha, K, t, lam)
     with mpmath.workdps(50):
-        h = [mpmath.fsum(mpmath.mpf(K.values[m, n]) * mpmath.mpf(alpha[n]) for n in range(5))
+        h = [mpmath.fsum(mpmath.mpf(K[m, n]) * mpmath.mpf(alpha[n]) for n in range(5))
              for m in range(5)]
         total = mpmath.mpf(0)
         for m in range(5):
@@ -99,14 +118,14 @@ def test_loss_matches_high_precision_oracle():
 
 
 def test_loss_stable_under_saturation():
-    K = GramMatrix(values=np.eye(2))
+    K = np.eye(2)
     val = loss(np.array([800.0, -800.0]), K, np.array([1.0, 0.0]), 0.0)
     assert math.isfinite(val)
     assert val == pytest.approx(0.0, abs=1e-12)
 
 
 def test_gradient_identity_kernel_case():
-    K = GramMatrix(values=np.eye(2))
+    K = np.eye(2)
     g = loss_gradient(np.zeros(2), K, np.array([1.0, 0.0]), 0.0)
     assert np.allclose(g, [-0.5, 0.5])
 
@@ -133,9 +152,8 @@ def test_gradient_matches_central_differences():
 
 def test_train_separates_two_patterns():
     ps = generate_patterns(2, 16, 21)
-    kcfg = KernelConfig(gamma=0.5)
-    w = train(ps, kcfg, TrainConfig(lam=1e-3, learning_rate=0.1, max_epochs=50000, grad_tol=1e-8))
-    K = gram(ps, kcfg)
+    w = train(ps, 0.5, TrainConfig(lam=1e-3, learning_rate=0.1, max_epochs=50000, grad_tol=1e-8))
+    K = gram(ps, KernelConfig(gamma=0.5)).values
     T = all_targets(ps)
     for i in range(ps.num_neurons):
         p = predict_probs(w.alpha[:, i], K)
@@ -144,10 +162,9 @@ def test_train_separates_two_patterns():
 
 def test_train_gradient_norm_at_stop():
     ps = generate_patterns(3, 8, 2)
-    kcfg = KernelConfig(gamma=0.5)
     tcfg = TrainConfig(lam=1e-2, learning_rate=0.2, max_epochs=100000, grad_tol=1e-8)
-    w = train(ps, kcfg, tcfg)
-    K = gram(ps, kcfg)
+    w = train(ps, 0.5, tcfg)
+    K = gram(ps, KernelConfig(gamma=0.5)).values
     T = all_targets(ps)
     for i in range(ps.num_neurons):
         assert np.linalg.norm(loss_gradient(w.alpha[:, i], K, T[:, i], tcfg.lam)) < 1e-8
@@ -155,20 +172,18 @@ def test_train_gradient_norm_at_stop():
 
 def test_train_huge_lambda_shrinks_weights():
     ps = generate_patterns(4, 8, 13)
-    kcfg = KernelConfig(gamma=0.3)
-    w = train(ps, kcfg, TrainConfig(lam=1e6, learning_rate=1e-7, max_epochs=2000, grad_tol=1e-9))
+    w = train(ps, 0.3, TrainConfig(lam=1e6, learning_rate=1e-7, max_epochs=2000, grad_tol=1e-9))
     assert np.abs(w.alpha).max() < 1e-2
-    K = gram(ps, kcfg)
+    K = gram(ps, KernelConfig(gamma=0.3)).values
     for i in range(ps.num_neurons):
         assert np.allclose(predict_probs(w.alpha[:, i], K), 0.5, atol=0.02)
 
 
 def test_train_deterministic():
     ps = generate_patterns(3, 12, 5)
-    kcfg = KernelConfig(gamma=0.2)
     tcfg = TrainConfig(lam=1e-4, learning_rate=0.1, max_epochs=2000, grad_tol=1e-6)
-    a = train(ps, kcfg, tcfg)
-    b = train(ps, kcfg, tcfg)
+    a = train(ps, 0.2, tcfg)
+    b = train(ps, 0.2, tcfg)
     assert np.array_equal(a.alpha, b.alpha)
     assert a.trained_epochs == b.trained_epochs
 
@@ -177,21 +192,19 @@ def test_train_divergence_error_names_neuron_and_epoch():
     ps = generate_patterns(8, 8, 17)
     # gamma tiny -> near-singular Gram with curvature ~ P^2/4; lr far above 2/L
     with pytest.raises(TrainingDivergenceError) as exc:
-        train(ps, KernelConfig(gamma=1e-4), TrainConfig(lam=0.0, learning_rate=5.0,
-                                                        max_epochs=500, grad_tol=1e-12))
+        train(ps, 1e-4, TrainConfig(lam=0.0, learning_rate=5.0, max_epochs=500, grad_tol=1e-12))
     assert exc.value.neuron >= 0
     assert exc.value.epoch >= 0
 
 
 def test_convex_objective_same_minimum_for_different_rates():
     ps = generate_patterns(4, 10, 31)
-    kcfg = KernelConfig(gamma=0.4)
-    K = gram(ps, kcfg)
+    K = gram(ps, KernelConfig(gamma=0.4)).values
     T = all_targets(ps)
     losses = []
     for lr in (0.05, 0.2):
         tcfg = TrainConfig(lam=1e-2, learning_rate=lr, max_epochs=200000, grad_tol=1e-10)
-        res = fit_dual_weights(K.values, T, tcfg)
+        res = fit_dual_weights(K, T, tcfg)
         assert not res.diverged
         assert res.converged.all()
         losses.append([loss(res.alpha[:, i], K, T[:, i], 1e-2) for i in range(ps.num_neurons)])
@@ -207,8 +220,7 @@ def test_loss_symmetry_under_target_and_sign_flip():
 
 def test_weights_roundtrip_exact(tmp_path):
     ps = generate_patterns(3, 5, 77)
-    w = train(ps, KernelConfig(gamma=0.11), TrainConfig(lam=1e-4, learning_rate=0.1,
-                                                        max_epochs=500, grad_tol=1e-6))
+    w = train(ps, 0.11, TrainConfig(lam=1e-4, learning_rate=0.1, max_epochs=500, grad_tol=1e-6))
     path = tmp_path / "weights.txt"
     save_weights(w, path)
     back = load_weights(path)
@@ -441,19 +453,18 @@ def _reference_optimum(K, T, lam):
     It is halved until the loss does not rise by more than rounding. Returns the (P, N) alpha.
     """
     P, N = T.shape
-    G = GramMatrix(values=K)
     A = np.zeros((P, N))
     for i in range(N):
         a, t = A[:, i], T[:, i]
-        f = loss(a, G, t, lam)
+        f = loss(a, K, t, lam)
         for _ in range(100):
             p = sigmoid(K @ a)
             d = np.linalg.solve(np.diag(p * (1 - p)) @ K + lam * np.eye(P), p - t + lam * a)
             step, limit = 1.0, f + 4 * np.finfo(float).eps * abs(f)
-            while loss(a - step * d, G, t, lam) > limit and step > 1e-12:
+            while loss(a - step * d, K, t, lam) > limit and step > 1e-12:
                 step /= 2
-            new = loss(a - step * d, G, t, lam)
-            if new > limit or np.linalg.norm(loss_gradient(a, G, t, lam)) < 1e-13:
+            new = loss(a - step * d, K, t, lam)
+            if new > limit or np.linalg.norm(loss_gradient(a, K, t, lam)) < 1e-13:
                 break
             a, f = a - step * d, new
         A[:, i] = a
@@ -470,15 +481,15 @@ def test_descent_agrees_with_the_exact_optimum():
     for c in range(8):
         P, N = int(rng.integers(2, 9)), int(rng.integers(10, 17))
         ps = generate_patterns(P, N, c)
-        K = gram(ps, KernelConfig(gamma=float(rng.uniform(0.1, 0.5))))
-        G, T = K.values, all_targets(ps)
-        lam_min = np.linalg.eigvalsh(G)[0]
+        K = gram(ps, KernelConfig(gamma=float(rng.uniform(0.1, 0.5)))).values
+        T = all_targets(ps)
+        lam_min = np.linalg.eigvalsh(K)[0]
         assert lam_min > 0.1  # no two patterns coincide
         lam = float(10 ** rng.uniform(-1.5, -0.5))
         cfg = TrainConfig(lam=lam, learning_rate=0.5, max_epochs=(40, 3000)[c % 2], grad_tol=1e-8)
-        res = fit_dual_weights(G, T, cfg)
+        res = fit_dual_weights(K, T, cfg)
         assert not res.diverged
-        best = _reference_optimum(G, T, lam)
+        best = _reference_optimum(K, T, lam)
         for i in range(N):
             got, opt, t = res.alpha[:, i], best[:, i], T[:, i]
             if res.converged[i]:

@@ -315,9 +315,9 @@ def _reference_run_cell(gamma, load, cfg, gamma_index, load_index):
     for t in range(cfg.trials_per_cell):
         seed = seed64(cfg.base_seed, gamma_index, load_index, t)
         patterns = generate_patterns(P, N, seed)
-        K = gram(patterns, kcfg)
+        K = gram(patterns, kcfg).values
         T = all_targets(patterns)
-        res = fit_dual_weights(K.values, T, cfg.train)
+        res = fit_dual_weights(K, T, cfg.train)
         diverged.append(len(res.diverged))
         row = []
         for i in range(N):
