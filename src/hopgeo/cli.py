@@ -17,11 +17,14 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .config import ConfigError, KVView, resolved
@@ -52,12 +55,9 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _write_manifest(out_dir: Path, argv, resolved_config: dict, seeds: dict, started: str):
-    outputs = {
-        p.name: _sha256(p)
-        for p in sorted(out_dir.iterdir())
-        if p.is_file() and p.name != "manifest.json"
-    }
+def _write_manifest(out_dir: Path, names, argv, resolved_config: dict, seeds: dict, started: str):
+    """Write out_dir/manifest.json; `names` are the files this run wrote there."""
+    outputs = {name: _sha256(out_dir / name) for name in sorted(names)}
     manifest = {
         "tool": "hopgeo",
         "version": __version__,
@@ -87,8 +87,9 @@ class TrainRun:
     train: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
-        check_range("num_patterns", self.num_patterns, 1)
-        check_range("num_neurons", self.num_neurons, 1)
+        # at most an array dimension, as in GridConfig
+        check_range("num_patterns", self.num_patterns, 1, np.iinfo(np.intp).max)
+        check_range("num_neurons", self.num_neurons, 1, np.iinfo(np.intp).max)
         check_range("gamma", self.gamma, 0, lo_open=True)
         check_range("seed", self.seed, 0)
 
@@ -99,13 +100,14 @@ def cmd_train(args, argv) -> int:
     run = KVView(args.config).read(TrainRun)
     if args.seed is not None:
         run.seed = args.seed
-    out.mkdir(parents=True, exist_ok=True)
     patterns = generate_patterns(run.num_patterns, run.num_neurons, run.seed)
-    # trained before any artifact is written, so a divergent run leaves none
+    # trained before --out is made, so a failing run leaves nothing
     weights = train(patterns, run.gamma, run.train)
+    out.mkdir(parents=True, exist_ok=True)
     save_patterns(patterns, out / "patterns.txt")
     save_weights(weights, out / "weights.txt")
-    _write_manifest(out, argv, resolved(run), {"pattern_seed": run.seed}, started)
+    _write_manifest(out, ["patterns.txt", "weights.txt"], argv, resolved(run),
+                    {"pattern_seed": run.seed}, started)
     return EXIT_OK
 
 
@@ -127,13 +129,7 @@ def _load_artifacts(weights_dir):
 def cmd_spectrum(args, argv) -> int:
     patterns, weights = _load_artifacts(args.weights)
     K = gram(patterns, KernelConfig(gamma=weights.gamma)).values
-    # the writers read only eigenvalues and lambda_max, so eigenvectors are dropped
-    # as each spectrum arrives, and neurons with the same alpha column share one
-    specs = [None] * patterns.num_neurons
-    for members, spec in neuron_spectra(weights.alpha, K):
-        spec = replace(spec, eigenvectors=None)
-        for i in members:
-            specs[i] = spec
+    specs = neuron_spectra(weights.alpha, K, lambda i, spec: spec)
     # the SVG is made before the CSV is written, and the CSV removed if the SVG
     # cannot be written, so a failing run leaves neither file
     svg = render_spectrum_lines(specs) if args.svg else None
@@ -153,10 +149,18 @@ def cmd_phase(args, argv) -> int:
     if args.seed is not None:
         cfg.base_seed = args.seed
     out = Path(args.out)
+    # --out is made before the sweep, so that a bad path fails at once, and a
+    # failing run removes the topmost directory it made
+    made = next((d for d in [*reversed(out.parents), out] if not d.exists()), None)
     out.mkdir(parents=True, exist_ok=True)
-    cells = [aggregate(rec) for rec in run_grid(cfg, workers=args.workers)]
-    write_grid_csv(cells, out / "grid.csv")
-    _write_heatmaps(cells, cfg.metrics, out, out / "grid.csv")
+    try:
+        cells = [aggregate(rec) for rec in run_grid(cfg, workers=args.workers)]
+        write_grid_csv(cells, out / "grid.csv")
+        _write_heatmaps(cells, cfg.metrics, out, out / "grid.csv")
+    except BaseException:
+        if made is not None:
+            shutil.rmtree(made, ignore_errors=True)
+        raise
     degen = sum(c.degenerate_count for c in cells)
     diverg = sum(c.divergence_count for c in cells)
     if degen or diverg:
@@ -164,7 +168,8 @@ def cmd_phase(args, argv) -> int:
             f"flags: {degen} degenerate neuron-trials, {diverg} divergent neuron-trials",
             file=sys.stderr,
         )
-    _write_manifest(out, argv, resolved(cfg), {"base_seed": cfg.base_seed}, started)
+    _write_manifest(out, ["grid.csv", *(f"{m}.svg" for m in cfg.metrics)], argv, resolved(cfg),
+                    {"base_seed": cfg.base_seed}, started)
     return EXIT_OK
 
 

@@ -25,9 +25,10 @@ DEFAULT_REL_CUTOFF = 1e-10
 @dataclass
 class FisherSpectrum:
     eigenvalues: np.ndarray   # descending, clamped at 0
-    eigenvectors: np.ndarray  # orthonormal columns, same order
+    eigenvectors: np.ndarray  # orthonormal columns, same order; neuron_spectra drops them
     lambda_max: float
     d_eff: float              # 0.0 signals a fully degenerate spectrum
+    ratios: np.ndarray        # eigenvalues / lambda_max; zeros when degenerate
     ratio_2_1: float
     ratio_tail: float
 
@@ -94,21 +95,15 @@ def spectrum(G: np.ndarray) -> FisherSpectrum:
     V = V[:, ::-1].copy()
     w = np.clip(w, 0.0, None)
     lam1 = float(w[0])
-    if lam1 > 0.0:
-        d_eff = effective_dimension(w)
-        ratio_2_1 = float(w[1] / lam1) if w.size > 1 else 0.0
-        ratio_tail = float(w[-1] / lam1) if w.size > 1 else 1.0
-    else:
-        d_eff = 0.0
-        ratio_2_1 = 0.0
-        ratio_tail = 0.0
+    ratios = w / lam1 if lam1 > 0.0 else np.zeros_like(w)
     return FisherSpectrum(
         eigenvalues=w,
         eigenvectors=V,
         lambda_max=lam1,
-        d_eff=d_eff,
-        ratio_2_1=ratio_2_1,
-        ratio_tail=ratio_tail,
+        d_eff=effective_dimension(w) if lam1 > 0.0 else 0.0,
+        ratios=ratios,
+        ratio_2_1=float(ratios[1]) if w.size > 1 else 0.0,
+        ratio_tail=float(ratios[-1]),
     )
 
 
@@ -134,23 +129,28 @@ def natural_gradient(grad, spec: FisherSpectrum, rel_cutoff: float = DEFAULT_REL
     return nat, lam.size
 
 
-def neuron_spectra(alpha, K: np.ndarray):
-    """Fisher spectra of the neurons (columns) of alpha, one per distinct column.
+def neuron_spectra(alpha, K: np.ndarray, each) -> list:
+    """[each(i, spectrum of neuron i) for each neuron (column) i of alpha], in neuron order.
 
-    Yields (neuron indices, spectrum(fisher_matrix(alpha[:, first], K))) for each
-    group of neurons whose alpha columns hold the same bytes, in order of first
-    appearance. fisher_matrix reads only the column and K, and spectrum only G,
-    so the shared spectrum has the bits each neuron's own would have. The helper
-    keeps no spectrum between groups (at P = 256 each holds 0.5 MB of
-    eigenvectors); a caller that drops each one before asking for the next keeps
-    one alive at a time.
+    One spectrum(fisher_matrix(...)) is computed per group of neurons whose alpha
+    columns hold the same bytes, in order of first appearance, and passed to
+    each member. fisher_matrix reads only the column and K, and spectrum only G,
+    so the shared spectrum has the bits each neuron's own would have. `each`
+    sees the eigenvectors; they are dropped once the group is done (at P = 256
+    they take 0.5 MB), so one set is alive at a time and no spectrum that `each`
+    returns keeps them.
     """
     alpha = np.asarray(alpha, dtype=float)
     groups: dict[bytes, list[int]] = {}
     for i in range(alpha.shape[1]):
         groups.setdefault(alpha[:, i].tobytes(), []).append(i)
+    results = [None] * alpha.shape[1]
     for members in groups.values():
-        yield members, spectrum(fisher_matrix(alpha[:, members[0]], K))
+        spec = spectrum(fisher_matrix(alpha[:, members[0]], K))
+        for i in members:
+            results[i] = each(i, spec)
+        spec.eigenvectors = None
+    return results
 
 
 def gradient_report(
@@ -204,9 +204,5 @@ def write_spectrum_csv(specs: list[FisherSpectrum], path) -> None:
     with open(path, "w") as f:
         f.write("neuron,k,lambda_k,lambda_k_over_lambda_1\n")
         for i, spec in enumerate(specs):
-            lam = spec.eigenvalues
-            ratios = lam / spec.lambda_max if spec.lambda_max > 0 else np.zeros_like(lam)
-            f.writelines(
-                format_row((i, k, lk, r), ",") + "\n"
-                for k, (lk, r) in enumerate(zip(lam.tolist(), ratios.tolist()), start=1)
-            )
+            modes = enumerate(zip(spec.eigenvalues.tolist(), spec.ratios.tolist()), start=1)
+            f.writelines(format_row((i, k, lk, r), ",") + "\n" for k, (lk, r) in modes)

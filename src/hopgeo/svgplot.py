@@ -143,16 +143,11 @@ def render_heatmap(cells, metric: str) -> str:
 def render_spectrum_lines(specs) -> str:
     """The SVG of per-neuron log10(lambda_k / lambda_1) vs k, one polyline per neuron."""
     floor = -16.0  # display floor for zero modes
-    series = []
-    for spec in specs:
-        lam1 = spec.lambda_max
-        if lam1 <= 0:
-            continue
-        ys = []
-        for lk in spec.eigenvalues:
-            r = lk / lam1
-            ys.append(math.log10(r) if r > 0 else floor)
-        series.append(ys)
+    series = [
+        [math.log10(r) if r > 0 else floor for r in spec.ratios.tolist()]
+        for spec in specs
+        if spec.lambda_max > 0
+    ]
     P = max((len(s) for s in series), default=1)
     ymin = min((min(s) for s in series), default=floor)
     ymin = max(ymin, floor)

@@ -167,14 +167,9 @@ def run_cell(
         T = all_targets(patterns)
         res = fit_dual_weights(K, T, cfg.train)
         diverged.append(len(res.diverged))
-        row = [None] * N
-        for members, spec in neuron_spectra(res.alpha, K):
-            for i in members:
-                row[i] = gradient_report(
-                    res.alpha[:, i], K, T[:, i], cfg.train.lam, spec, cfg.rel_cutoff
-                )
-            del spec  # before the next group's eigh, so one spectrum is alive at a time
-        reports.append(row)
+        reports.append(neuron_spectra(res.alpha, K, lambda i, spec: gradient_report(
+            res.alpha[:, i], K, T[:, i], cfg.train.lam, spec, cfg.rel_cutoff
+        )))
         if want_recall:
             weights = DualWeights(
                 alpha=res.alpha, gamma=gamma, lam=cfg.train.lam, trained_epochs=res.epochs

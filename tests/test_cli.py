@@ -153,6 +153,7 @@ def test_a_problem_too_large_for_memory_exits_2_with_one_line(tmp_path, capsys, 
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out"),
                  "--workers", "1"]) == 2
     assert_one_line_error(capsys, "too large for memory", "71.1 PiB")
+    assert not (tmp_path / "out").exists()
 
 
 def test_train_unknown_key_exits_2(tmp_path, capsys):
@@ -177,6 +178,7 @@ def test_train_divergence_exits_3_and_removes_partials(tmp_path, capsys):
     assert code == 3
     assert not (out / "patterns.txt").exists()
     assert not (out / "weights.txt").exists()
+    assert not out.exists()
     assert "numeric failure" in capsys.readouterr().err
 
 
@@ -415,6 +417,39 @@ def test_phase_writes_no_svg_when_a_heatmap_fails(tmp_path, capsys, monkeypatch)
     err = capsys.readouterr().err
     assert err == f"numeric failure: {out / 'grid.csv'}: cannot draw d_eff\n"
     assert not list(out.glob("*.svg"))
+
+
+def test_a_failing_phase_removes_only_the_directories_it_made(tmp_path, monkeypatch):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(grid_cfg_text())
+
+    def fail(cells, metric):
+        raise NumericError(f"cannot draw {metric}")
+
+    monkeypatch.setattr(cli, "render_heatmap", fail)
+    nested = tmp_path / "new" / "phase"
+    assert main(["phase", "--config", str(cfg), "--out", str(nested), "--workers", "1"]) == 3
+    assert not (tmp_path / "new").exists()
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    (kept / "notes.txt").write_text("mine\n")
+    assert main(["phase", "--config", str(cfg), "--out", str(kept), "--workers", "1"]) == 3
+    assert (kept / "notes.txt").read_text() == "mine\n"
+
+
+def test_manifest_lists_only_the_files_this_run_wrote(tmp_path):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(grid_cfg_text())
+    out = tmp_path / "out"
+    assert main(["phase", "--config", str(cfg), "--out", str(out), "--workers", "1"]) == 0
+    assert set(digests(out / "manifest.json")) == {
+        "grid.csv", "lambda_max.svg", "d_eff.svg", "rank1_residual.svg"}
+    cfg.write_text(grid_cfg_text().replace("lambda_max d_eff rank1_residual", "lambda_max"))
+    assert main(["phase", "--config", str(cfg), "--out", str(out), "--workers", "1"]) == 0
+    assert set(digests(out / "manifest.json")) == {"grid.csv", "lambda_max.svg"}
+    (tmp_path / "train.cfg").write_text(train_cfg_text())
+    assert main(["train", "--config", str(tmp_path / "train.cfg"), "--out", str(out)]) == 0
+    assert set(digests(out / "manifest.json")) == {"patterns.txt", "weights.txt"}
 
 
 def test_phase_worker_count_invariance(tmp_path):
@@ -828,6 +863,8 @@ def test_phase_range_error_names_file_line_and_field(tmp_path, capsys, case):
 
 @pytest.mark.parametrize("key, value", [
     ("num_neurons", 0), ("lambda", "nan"), ("learning_rate", "inf"), ("grad_tol", "nan"),
+    pytest.param("num_patterns", "1" + "0" * 400, id="num_patterns-401_digits"),
+    pytest.param("num_neurons", "1" + "0" * 400, id="num_neurons-401_digits"),
 ])
 def test_train_range_error_names_file_line_and_field(tmp_path, capsys, key, value):
     code, out = run_train(tmp_path, **{key: value})

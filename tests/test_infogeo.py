@@ -129,13 +129,55 @@ def test_neuron_spectra_groups_by_exact_bytes():
     # columns: a, a, a one ulp up in one entry, b, a, zeros, minus zeros
     alpha = np.column_stack([a, a, a, b, a, np.zeros(6), -np.zeros(6)])
     alpha[2, 2] = np.nextafter(a[2], np.inf)
-    groups = list(neuron_spectra(alpha, K))
-    assert [list(members) for members, _ in groups] == [[0, 1, 4], [2], [3], [5], [6]]
-    for members, spec in groups:
-        for i in members:
-            own = spectrum(fisher_matrix(alpha[:, i], K))
-            assert spec.eigenvalues.tobytes() == own.eigenvalues.tobytes()
-            assert spec.eigenvectors.tobytes() == own.eigenvectors.tobytes()
+    calls = []
+
+    def each(i, spec):
+        own = spectrum(fisher_matrix(alpha[:, i], K))
+        assert spec.eigenvalues.tobytes() == own.eigenvalues.tobytes()
+        assert spec.eigenvectors.tobytes() == own.eigenvectors.tobytes()
+        calls.append(i)
+        return spec
+
+    specs = neuron_spectra(alpha, K, each)
+    assert calls == [0, 1, 4, 2, 3, 5, 6]  # group by group, in order of first appearance
+    groups = {}
+    for i, spec in enumerate(specs):
+        groups.setdefault(id(spec), []).append(i)
+    assert list(groups.values()) == [[0, 1, 4], [2], [3], [5], [6]]
+
+
+def test_neuron_spectra_shows_each_the_eigenvectors_and_returns_none_of_them():
+    rng = np.random.default_rng(19)
+    K = random_gram(rng, 5)
+    a = rng.normal(size=5)
+    alpha = np.column_stack([a, rng.normal(size=5), a])
+    seen = []
+
+    def each(i, spec):
+        seen.append(spec.eigenvectors.shape)
+        return i, spec
+
+    got = neuron_spectra(alpha, K, each)
+    assert seen == [(5, 5)] * 3
+    assert [i for i, _ in got] == [0, 1, 2]
+    assert all(spec.eigenvectors is None for _, spec in got)
+    assert got[0][1] is got[2][1]
+
+
+@pytest.mark.parametrize("diagonal", [
+    [4.0, 1.0, 0.25, 0.0], [3.0, 3.0], [1e-300, 1e-310, 0.0], [0.7], [0.0, 0.0, 0.0], [0.0],
+], ids=["zero_mode", "flat", "subnormal", "P1", "degenerate", "P1_degenerate"])
+def test_ratios_are_eigenvalues_over_lambda_max_and_hold_both_ratios(diagonal):
+    spec = spectrum(np.diag(diagonal))
+    if spec.lambda_max > 0:
+        assert spec.ratios.tobytes() == (spec.eigenvalues / spec.lambda_max).tobytes()
+    else:
+        assert spec.ratios.tobytes() == np.zeros(len(diagonal)).tobytes()
+    assert spec.ratio_2_1 == (spec.ratios[1] if len(diagonal) > 1 else 0.0)
+    assert spec.ratio_tail == spec.ratios[-1]
+    # P = 1: lambda_1 / lambda_1, or 0 when degenerate
+    if len(diagonal) == 1:
+        assert spec.ratio_tail == (1.0 if spec.lambda_max > 0 else 0.0)
 
 
 def test_gradient_report_rejects_spectrum_of_other_size():

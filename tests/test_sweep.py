@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from collections import Counter
 import multiprocessing
 import os
 import struct
@@ -406,16 +407,18 @@ def test_shared_spectra_match_per_neuron_reference_bit_for_bit(monkeypatch, case
     cfg = tiny_config(metrics=("lambda_max", "d_eff", "euclid_norm_sq",
                                "riemann_norm_sq", "rank1_residual", "recall_rate"),
                       recall_max_steps=20, trials_per_cell=3, **overrides)
-    groups = []
+    seen = []  # every spectrum passed on, kept alive so that id() tells groups apart
     shared = sweep.neuron_spectra
 
-    def recording(alpha, K):
-        for members, spec in shared(alpha, K):
-            groups.append(len(members))
-            yield members, spec
+    def recording(alpha, K, each):
+        def kept(i, spec):
+            seen.append(spec)
+            return each(i, spec)
+        return shared(alpha, K, kept)
 
     monkeypatch.setattr(sweep, "neuron_spectra", recording)
     records = run_cell(gamma, load, cfg, 0, 0)
+    groups = list(Counter(map(id, seen)).values())
     want_records, want = _reference_run_cell(gamma, load, cfg, 0, 0)
     assert record_bits(records) == record_bits(want_records)
     got = aggregate(records)
