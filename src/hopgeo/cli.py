@@ -19,6 +19,7 @@ import math
 import os
 import shutil
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import partial
@@ -40,6 +41,7 @@ from .sweep import (
     aggregate,
     grid_config_from_file,
     pool_map,
+    pool_size,
     read_grid_csv,
     run_grid,
     write_grid_csv,
@@ -55,9 +57,9 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _write_manifest(out_dir: Path, names, argv, resolved_config: dict, seeds: dict, started: str):
-    """Write out_dir/manifest.json; `names` are the files this run wrote there."""
-    outputs = {name: _sha256(out_dir / name) for name in sorted(names)}
+def _write_manifest(names, argv, resolved_config: dict, seeds: dict, started: str, path: Path):
+    """Write the manifest to `path`; `names` are the files this run wrote beside it."""
+    outputs = {name: _sha256(path.parent / name) for name in sorted(names)}
     manifest = {
         "tool": "hopgeo",
         "version": __version__,
@@ -69,11 +71,35 @@ def _write_manifest(out_dir: Path, names, argv, resolved_config: dict, seeds: di
         "finished": datetime.now(timezone.utc).isoformat(),
         "outputs": outputs,
     }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    path.write_text(json.dumps(manifest, indent=2) + "\n")
 
 
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
+
+
+@contextmanager
+def _output_dir(out: Path):
+    """Make `out`; yield write(files), which calls write_file(out / name) for each
+    {name: write_file} of `files` in order. If the block raises, the files write
+    finished and the topmost directory this made are removed, and nothing else."""
+    made = next((d for d in [*reversed(out.parents), out] if not d.exists()), None)
+    out.mkdir(parents=True, exist_ok=True)
+    written = []
+
+    def write(files: dict) -> None:
+        for name, write_file in files.items():
+            write_file(out / name)
+            written.append(out / name)
+
+    try:
+        yield write
+    except BaseException:
+        for path in written:
+            path.unlink(missing_ok=True)
+        if made is not None:
+            shutil.rmtree(made, ignore_errors=True)
+        raise
 
 
 @dataclass
@@ -87,9 +113,10 @@ class TrainRun:
     train: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
-        # at most an array dimension, as in GridConfig
-        check_range("num_patterns", self.num_patterns, 1, np.iinfo(np.intp).max)
-        check_range("num_neurons", self.num_neurons, 1, np.iinfo(np.intp).max)
+        # the P x N patterns, 8 bytes each, must fit in one array, as in GridConfig
+        check_range("num_patterns", self.num_patterns, 1, np.iinfo(np.intp).max // 8)
+        check_range("num_neurons", self.num_neurons, 1,
+                    np.iinfo(np.intp).max // (8 * self.num_patterns))
         check_range("gamma", self.gamma, 0, lo_open=True)
         check_range("seed", self.seed, 0)
 
@@ -103,11 +130,12 @@ def cmd_train(args, argv) -> int:
     patterns = generate_patterns(run.num_patterns, run.num_neurons, run.seed)
     # trained before --out is made, so a failing run leaves nothing
     weights = train(patterns, run.gamma, run.train)
-    out.mkdir(parents=True, exist_ok=True)
-    save_patterns(patterns, out / "patterns.txt")
-    save_weights(weights, out / "weights.txt")
-    _write_manifest(out, ["patterns.txt", "weights.txt"], argv, resolved(run),
-                    {"pattern_seed": run.seed}, started)
+    files = {"patterns.txt": partial(save_patterns, patterns),
+             "weights.txt": partial(save_weights, weights)}
+    with _output_dir(out) as write:
+        write(files)
+        write({"manifest.json": partial(_write_manifest, files, argv, resolved(run),
+                                        {"pattern_seed": run.seed}, started)})
     return EXIT_OK
 
 
@@ -149,18 +177,14 @@ def cmd_phase(args, argv) -> int:
     if args.seed is not None:
         cfg.base_seed = args.seed
     out = Path(args.out)
-    # --out is made before the sweep, so that a bad path fails at once, and a
-    # failing run removes the topmost directory it made
-    made = next((d for d in [*reversed(out.parents), out] if not d.exists()), None)
-    out.mkdir(parents=True, exist_ok=True)
-    try:
+    # --out is made before the sweep, so that a bad path fails at once
+    with _output_dir(out) as write:
         cells = [aggregate(rec) for rec in run_grid(cfg, workers=args.workers)]
-        write_grid_csv(cells, out / "grid.csv")
-        _write_heatmaps(cells, cfg.metrics, out, out / "grid.csv")
-    except BaseException:
-        if made is not None:
-            shutil.rmtree(made, ignore_errors=True)
-        raise
+        files = {"grid.csv": partial(write_grid_csv, cells),
+                 **_heatmaps(cells, cfg.metrics, out / "grid.csv")}
+        write(files)
+        write({"manifest.json": partial(_write_manifest, files, argv, resolved(cfg),
+                                        {"base_seed": cfg.base_seed}, started)})
     degen = sum(c.degenerate_count for c in cells)
     diverg = sum(c.divergence_count for c in cells)
     if degen or diverg:
@@ -168,8 +192,6 @@ def cmd_phase(args, argv) -> int:
             f"flags: {degen} degenerate neuron-trials, {diverg} divergent neuron-trials",
             file=sys.stderr,
         )
-    _write_manifest(out, ["grid.csv", *(f"{m}.svg" for m in cfg.metrics)], argv, resolved(cfg),
-                    {"base_seed": cfg.base_seed}, started)
     return EXIT_OK
 
 
@@ -188,8 +210,9 @@ def cmd_recall(args, argv) -> int:
     check_range("--max-steps", args.max_steps, 1)
     check_range("--success-threshold", args.success_threshold, 0, 1, lo_open=True)
     patterns, weights = _load_artifacts(args.weights)
-    # a task is one flip fraction over a contiguous run of its trials; rows keep task order
-    runs = min(args.trials, args.workers)
+    # a task is one flip fraction over a contiguous run of its trials, one run per
+    # process the pool can start; rows keep task order
+    runs = pool_size(args.workers, args.trials)
     tasks = [
         (fi, frac, range(args.trials * j // runs, args.trials * (j + 1) // runs))
         for fi, frac in enumerate(fractions)
@@ -238,23 +261,24 @@ def cmd_render(args, argv) -> int:
     if args.metrics is None:  # the measured metrics: recall_rate is all nan without recall
         metrics = [m for m, (column, _) in METRICS.items()
                    if any(math.isfinite(getattr(c, column)) for c in cells)]
-    _write_heatmaps(cells, metrics, Path(args.out), args.grid)
+    files = _heatmaps(cells, metrics, args.grid)
+    with _output_dir(Path(args.out)) as write:
+        write(files)
     return EXIT_OK
 
 
-def _write_heatmaps(cells, metrics, out: Path, grid) -> None:
-    """Write out/<metric>.svg for every metric; errors name `grid`, the cells' grid.csv.
+def _heatmaps(cells, metrics, grid) -> dict:
+    """{"<metric>.svg": the function that writes its heatmap to a path}, for every metric;
+    errors name `grid`, the cells' grid.csv.
 
-    Every heatmap is made before any is written, so a metric that cannot be
-    drawn leaves no SVG.
+    Every heatmap is made here, before any is written, so a metric that cannot
+    be drawn leaves no SVG.
     """
     try:
-        docs = {metric: render_heatmap(cells, metric) for metric in metrics}
+        docs = {f"{metric}.svg": render_heatmap(cells, metric) for metric in metrics}
     except (NumericError, LayoutError) as e:
         raise type(e)(f"{grid}: {e}") from None
-    out.mkdir(parents=True, exist_ok=True)
-    for metric, doc in docs.items():
-        (out / f"{metric}.svg").write_text(doc)
+    return {name: partial(Path.write_text, data=doc) for name, doc in docs.items()}
 
 
 def build_parser() -> argparse.ArgumentParser:

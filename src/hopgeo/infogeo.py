@@ -12,11 +12,12 @@ sigmoid saturation is real behavior of the model and must stay visible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .errors import DegenerateSpectrumError, DimensionError, NumericError, check_range
-from .kernel_core import format_row
+from .kernel_core import write_rows
 from .klr import loss_gradient, predict_probs
 
 DEFAULT_REL_CUTOFF = 1e-10
@@ -201,8 +202,6 @@ def gradient_report(
 
 def write_spectrum_csv(specs: list[FisherSpectrum], path) -> None:
     """Columns: neuron,k,lambda_k,lambda_k_over_lambda_1 (one row per mode)."""
-    with open(path, "w") as f:
-        f.write("neuron,k,lambda_k,lambda_k_over_lambda_1\n")
-        for i, spec in enumerate(specs):
-            modes = enumerate(zip(spec.eigenvalues.tolist(), spec.ratios.tolist()), start=1)
-            f.writelines(format_row((i, k, lk, r), ",") + "\n" for k, (lk, r) in modes)
+    rows = ((i, k, lk, r) for i, spec in enumerate(specs)
+            for k, (lk, r) in enumerate(zip(spec.eigenvalues.tolist(), spec.ratios.tolist()), 1))
+    write_rows(path, chain([("neuron", "k", "lambda_k", "lambda_k_over_lambda_1")], rows), ",")

@@ -133,11 +133,16 @@ def format_row(values, sep: str = " ") -> str:
     return sep.join(map(format_value, values))
 
 
+def write_rows(path, rows, sep: str = " ") -> None:
+    """Write each row (header row first) as its format_row line: the one writer of every
+    table artifact. Rows stream through the file's buffer; no table is held as one string."""
+    with open(path, "w") as f:
+        f.writelines(format_row(row, sep) + "\n" for row in rows)
+
+
 def save_patterns(ps: PatternSet, path) -> None:
     """Text format: header line `P N seed`, then P lines of N +/-1 integers."""
-    lines = [format_row([ps.num_patterns, ps.num_neurons, ps.seed])]
-    lines += [format_row(row) for row in ps.patterns.tolist()]
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_rows(path, [[ps.num_patterns, ps.num_neurons, ps.seed], *ps.patterns.tolist()])
 
 
 def read_text(path) -> str:

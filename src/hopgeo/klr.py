@@ -12,12 +12,11 @@ second-order solver.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ArgumentError, DimensionError, TrainingDivergenceError, check_range
-from .kernel_core import KernelConfig, PatternSet, format_row, gram, read_artifact
+from .kernel_core import KernelConfig, PatternSet, gram, read_artifact, write_rows
 
 # Loss may not increase by more than this between accepted epochs.
 DESCENT_SLACK = 1e-12
@@ -255,11 +254,8 @@ def train(patterns: PatternSet, gamma: float, tcfg: TrainConfig) -> DualWeights:
 
 
 def save_weights(w: DualWeights, path) -> None:
-    """Header `P N gamma lambda epochs`, then P lines of N floats (kernel_core.format_row)."""
-    P, N = w.alpha.shape
-    lines = [format_row([P, N, w.gamma, w.lam, w.trained_epochs])]
-    lines += [format_row(row) for row in w.alpha.tolist()]
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Header `P N gamma lambda epochs`, then P lines of N floats (kernel_core.write_rows)."""
+    write_rows(path, [[*w.alpha.shape, w.gamma, w.lam, w.trained_epochs], *w.alpha.tolist()])
 
 
 def load_weights(path) -> DualWeights:

@@ -23,7 +23,6 @@ import csv
 import io
 import os
 from dataclasses import astuple, dataclass, field, fields
-from pathlib import Path
 from typing import NamedTuple, get_type_hints
 
 import numpy as np
@@ -32,7 +31,7 @@ from .config import KVView
 from .dynamics import DEFAULT_MAX_STEPS, DEFAULT_SUCCESS_THRESHOLD, recall_trial
 from .errors import ArgumentError, FieldError, check_range
 from .infogeo import DEFAULT_REL_CUTOFF, GradientReport, gradient_report, neuron_spectra
-from .kernel_core import KernelConfig, format_row, generate_patterns, gram, read_text
+from .kernel_core import KernelConfig, generate_patterns, gram, read_text, write_rows
 from .klr import DualWeights, TrainConfig, all_targets, fit_dual_weights
 
 
@@ -58,7 +57,7 @@ class SweepCell:
     divergence_count: int = 0
 
 
-# grid.csv: the values of a row are written by kernel_core.format_row
+# grid.csv: a row is written by kernel_core.write_rows
 CSV_COLUMNS = [f.name for f in fields(SweepCell)]
 _COLUMN_TYPES = get_type_hints(SweepCell)  # column -> int or float
 
@@ -110,6 +109,9 @@ class GridConfig:
         check_range("num_neurons", self.num_neurons, 1, np.iinfo(np.intp).max)
         if round(self.num_neurons * min(self.load_values)) < 1:
             raise FieldError("load_values", "times num_neurons must round to at least 1 pattern")
+        # the largest load's P x N patterns, 8 bytes each, must fit in one array
+        P = round(self.num_neurons * max(self.load_values))
+        check_range("num_neurons", self.num_neurons, 1, np.iinfo(np.intp).max // (8 * P))
         check_range("trials_per_cell", self.trials_per_cell, 1)
         check_range("base_seed", self.base_seed, 0)
         check_range("recall_flip_fraction", self.recall_flip_fraction, 0, 1)
@@ -232,17 +234,21 @@ def aggregate(rec: CellRecords) -> SweepCell:
     )
 
 
-def pool_map(fn, tasks, workers: int) -> list:
-    """[fn(task) for task in tasks], in task order, on at most `workers` processes.
+def pool_size(workers: int, tasks: int) -> int:
+    """The processes a pool runs `tasks` tasks on: at most `workers`, one per task and one per CPU."""
+    return min(workers, tasks, os.cpu_count() or 1)
 
-    The pool has at most one worker per task and one per CPU; with one worker
-    or one task there is no pool and fn runs in this process, which then never
-    loads the pool machinery. Every worker has exited when this returns or
-    raises. `fn` and the tasks must pickle, and an exception a task raises is
-    re-raised here.
+
+def pool_map(fn, tasks, workers: int) -> list:
+    """[fn(task) for task in tasks], in task order, on pool_size(workers, len(tasks)) processes.
+
+    With one worker there is no pool and fn runs in this process, which then
+    never loads the pool machinery. Every worker has exited when this returns
+    or raises. `fn` and the tasks must pickle, and an exception a task raises
+    is re-raised here.
     """
     tasks = list(tasks)
-    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    workers = pool_size(workers, len(tasks))
     if workers <= 1:
         return [fn(task) for task in tasks]
     from concurrent.futures import ProcessPoolExecutor
@@ -275,8 +281,7 @@ def run_grid(cfg: GridConfig, workers: int = 1) -> list:
 
 
 def write_grid_csv(cells: list, path) -> None:
-    rows = [",".join(CSV_COLUMNS)] + [format_row(astuple(c), ",") for c in cells]
-    Path(path).write_text("\n".join(rows) + "\n")
+    write_rows(path, [CSV_COLUMNS, *map(astuple, cells)], ",")
 
 
 def read_grid_csv(path) -> list:

@@ -437,6 +437,44 @@ def test_a_failing_phase_removes_only_the_directories_it_made(tmp_path, monkeypa
     assert (kept / "notes.txt").read_text() == "mine\n"
 
 
+def test_a_failing_train_removes_the_files_it_wrote_and_no_others(tmp_path, capsys):
+    out = tmp_path / "run"
+    (out / "weights.txt").mkdir(parents=True)  # save_weights cannot write it
+    (out / "notes.txt").write_text("mine\n")
+    code, _ = run_train(tmp_path)
+    assert code == 2
+    assert_one_line_error(capsys, str(out / "weights.txt"))
+    assert sorted(p.name for p in out.iterdir()) == ["notes.txt", "weights.txt"]
+    assert (out / "weights.txt").is_dir()  # patterns.txt, which this run wrote, is gone
+    assert (out / "notes.txt").read_text() == "mine\n"
+
+
+def test_a_failing_phase_removes_the_files_it_wrote_and_no_others(tmp_path, capsys):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(grid_cfg_text())
+    out = tmp_path / "phase"
+    (out / "manifest.json").mkdir(parents=True)  # the manifest cannot be written
+    (out / "notes.txt").write_text("mine\n")
+    assert main(["phase", "--config", str(cfg), "--out", str(out), "--workers", "1"]) == 2
+    assert_one_line_error(capsys, str(out / "manifest.json"))
+    # grid.csv and the SVGs, which this run wrote, are gone
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "notes.txt"]
+    assert (out / "notes.txt").read_text() == "mine\n"
+
+
+def test_a_failing_render_removes_the_svgs_it_wrote_and_no_others(tmp_path, capsys):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(grid_cfg_text())
+    grid = tmp_path / "phase" / "grid.csv"
+    assert main(["phase", "--config", str(cfg), "--out", str(grid.parent), "--workers", "1"]) == 0
+    out = tmp_path / "svgs"
+    (out / "d_eff.svg").mkdir(parents=True)  # written after lambda_max.svg
+    assert main(["render", "--grid", str(grid), "--metrics", "lambda_max d_eff",
+                 "--out", str(out)]) == 2
+    assert_one_line_error(capsys, str(out / "d_eff.svg"))
+    assert [p.name for p in out.iterdir()] == ["d_eff.svg"]
+
+
 def test_manifest_lists_only_the_files_this_run_wrote(tmp_path):
     cfg = tmp_path / "grid.cfg"
     cfg.write_text(grid_cfg_text())
@@ -685,6 +723,24 @@ def test_recall_pool_has_at_most_one_worker_per_task(tmp_path, pool_sizes):
     assert pool_sizes == [6, 2]
 
 
+def test_recall_splits_trials_only_for_processes_the_pool_can_start(tmp_path, monkeypatch):
+    _, net = run_train(tmp_path)
+    args = ["recall", "--weights", str(net), "--flip-fractions", "0 0.1", "--trials", "4",
+            "--max-steps", "1"]
+    assert main(args + ["--workers", "1", "--out", str(tmp_path / "serial.csv")]) == 0
+    handed = []
+
+    def recording(fn, tasks, workers):
+        handed.append([fi for fi, _, _ in tasks])
+        return [fn(task) for task in tasks]
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "pool_map", recording)
+    assert main(args + ["--workers", "50", "--out", str(tmp_path / "r.csv")]) == 0
+    assert handed == [[0, 0, 1, 1]]  # two tasks per fraction on a machine of 2 CPUs
+    assert (tmp_path / "r.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+
+
 @pytest.mark.parametrize("command, error, code", [
     ("recall", NumericError("non-finite field"), 3),
     ("recall", FieldError("max_steps", "must be >= 1, got 0"), 2),
@@ -833,6 +889,9 @@ GRID_RANGE_ERRORS = {
     "unit_rel_cutoff": ("num_neurons = 8", "rel_cutoff = 1\nnum_neurons = 8", "rel_cutoff"),
     "rel_cutoff_above_1": ("num_neurons = 8", "rel_cutoff = 2\nnum_neurons = 8", "rel_cutoff"),
     "nan_rel_cutoff": ("num_neurons = 8", "rel_cutoff = nan\nnum_neurons = 8", "rel_cutoff"),
+    # 2.5e10 patterns of 1e11 neurons: more bytes than the largest array holds
+    "patterns_beyond_the_largest_array": ("num_neurons = 8", "num_neurons = 100000000000",
+                                          "num_neurons"),
     "nan_gamma": ("gamma_values = 0.02 0.2", "gamma_values = nan", "gamma_values"),
     "inf_gamma": ("gamma_values = 0.02 0.2", "gamma_values = 0.02 inf", "gamma_values"),
     "inf_gamma_max": ("gamma_values = 0.02 0.2",
@@ -865,6 +924,8 @@ def test_phase_range_error_names_file_line_and_field(tmp_path, capsys, case):
     ("num_neurons", 0), ("lambda", "nan"), ("learning_rate", "inf"), ("grad_tol", "nan"),
     pytest.param("num_patterns", "1" + "0" * 400, id="num_patterns-401_digits"),
     pytest.param("num_neurons", "1" + "0" * 400, id="num_neurons-401_digits"),
+    # 3 patterns of 1e18 neurons: more bytes than the largest array holds
+    pytest.param("num_neurons", "1" + "0" * 18, id="num_neurons-beyond_the_largest_array"),
 ])
 def test_train_range_error_names_file_line_and_field(tmp_path, capsys, key, value):
     code, out = run_train(tmp_path, **{key: value})

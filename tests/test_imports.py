@@ -1,7 +1,7 @@
 """Every name a module of the package or of the tests imports is used in it, every
 function the benchmark's tracer wraps exists and its runs work on this source, only
-kernel_core formats artifact values, and a process that forks no pool never loads the
-pool machinery."""
+kernel_core formats artifact values, the modules that define table artifacts write no
+file themselves, and a process that forks no pool never loads the pool machinery."""
 
 import ast
 import importlib
@@ -65,6 +65,37 @@ def test_the_scan_finds_a_value_format():
                                   and p.name != "kernel_core.py"], ids=lambda p: p.name)
 def test_only_kernel_core_formats_artifact_values(path):
     assert value_formats(path.read_text()) == []
+
+
+def file_writes(source: str) -> list:
+    """The lines of `source` that call write_text or write_bytes, or open a file to write."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = getattr(func, "attr", getattr(func, "id", None))
+        if name in ("write_text", "write_bytes"):
+            found.add(node.lineno)
+        elif name == "open":  # open(path, mode) or path.open(mode)
+            modes = node.args[1 if isinstance(func, ast.Name) else 0:][:1]
+            modes += [k.value for k in node.keywords if k.arg == "mode"]
+            if any(isinstance(m, ast.Constant) and set(str(m.value)) & set("wax+")
+                   for m in modes):
+                found.add(node.lineno)
+    return sorted(found)
+
+
+def test_the_scan_finds_a_file_write():
+    source = ('open(p, "w")\nopen(p)\np.write_text(s)\np.open(mode="a")\n'
+              'p.read_text()\nwith open(p, "rb") as f: pass\nPath(p).open("w")\n')
+    assert file_writes(source) == [1, 3, 4, 7]
+
+
+@pytest.mark.parametrize("name", ["infogeo.py", "klr.py", "sweep.py"])
+def test_table_artifacts_are_written_only_through_write_rows(name):
+    # kernel_core.write_rows writes patterns.txt, weights.txt, spectrum.csv and grid.csv
+    assert file_writes((ROOT / "src" / "hopgeo" / name).read_text()) == []
 
 
 def traced_functions() -> list:
