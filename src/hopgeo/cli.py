@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Subcommands: train, spectrum, phase, recall, render. Exit codes are a
-stable contract: 0 success, 2 usage/config errors and problems too large
-for memory, 3 numeric failures.
+stable contract: 0 success, 2 usage/config errors, problems too large for
+memory and a pool worker that died, 3 numeric failures, 130 an interrupt.
 The output directories of train and phase receive a manifest.json
 recording the command line, resolved configuration, seeds, tool version,
 timestamps, and sha256 digests of the emitted files (the manifest itself
@@ -23,6 +23,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import partial
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -30,11 +31,11 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, KVView, resolved
 from .dynamics import DEFAULT_MAX_STEPS, DEFAULT_SUCCESS_THRESHOLD, recall_trial
-from .errors import ArgumentError, DimensionError, FieldError, LayoutError, NumericError
+from .errors import ArgumentError, DimensionError, FieldError, LayoutError, NumericError, PoolError
 from .errors import TrainingDivergenceError, check_range
 from .infogeo import neuron_spectra, write_spectrum_csv
-from .kernel_core import KernelConfig, format_row, format_value, generate_patterns, gram
-from .kernel_core import load_patterns, save_patterns
+from .kernel_core import KernelConfig, format_value, generate_patterns, gram, load_patterns
+from .kernel_core import save_patterns, write_rows
 from .klr import TrainConfig, load_weights, save_weights, train
 from .sweep import (
     METRICS,
@@ -51,6 +52,7 @@ from .svgplot import render_heatmap, render_spectrum_lines
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
+EXIT_INTERRUPTED = 130  # the shell's code for a process ended by SIGINT
 
 
 def _sha256(path: Path) -> str:
@@ -79,18 +81,22 @@ def _now() -> str:
 
 
 @contextmanager
-def _output_dir(out: Path):
+def _output_dir(out: Path | None):
     """Make `out`; yield write(files), which calls write_file(out / name) for each
-    {name: write_file} of `files` in order. If the block raises, the files write
-    finished and the topmost directory this made are removed, and nothing else."""
-    made = next((d for d in [*reversed(out.parents), out] if not d.exists()), None)
-    out.mkdir(parents=True, exist_ok=True)
+    {name: write_file} of `files` in order (with `out` None, nothing is made and each
+    name is the path). If the block raises, the files write finished and the topmost
+    directory this made are removed, and nothing else."""
+    made = None
+    if out is not None:
+        made = next((d for d in [*reversed(out.parents), out] if not d.exists()), None)
+        out.mkdir(parents=True, exist_ok=True)
     written = []
 
     def write(files: dict) -> None:
         for name, write_file in files.items():
-            write_file(out / name)
-            written.append(out / name)
+            path = Path(name) if out is None else out / name
+            write_file(path)
+            written.append(path)
 
     try:
         yield write
@@ -158,16 +164,11 @@ def cmd_spectrum(args, argv) -> int:
     patterns, weights = _load_artifacts(args.weights)
     K = gram(patterns, KernelConfig(gamma=weights.gamma)).values
     specs = neuron_spectra(weights.alpha, K, lambda i, spec: spec)
-    # the SVG is made before the CSV is written, and the CSV removed if the SVG
-    # cannot be written, so a failing run leaves neither file
-    svg = render_spectrum_lines(specs) if args.svg else None
-    write_spectrum_csv(specs, args.out)
-    if svg is not None:
-        try:
-            Path(args.svg).write_text(svg)
-        except OSError:
-            Path(args.out).unlink()
-            raise
+    files = {args.out: partial(write_spectrum_csv, specs)}
+    if args.svg:  # made before either file is written
+        files[args.svg] = partial(Path.write_text, data=render_spectrum_lines(specs))
+    with _output_dir(None) as write:
+        write(files)
     return EXIT_OK
 
 
@@ -221,30 +222,29 @@ def cmd_recall(args, argv) -> int:
     recall_trials = partial(_recall_trials, patterns, weights, args.seed or 0,
                             args.max_steps, args.success_threshold)
     done = pool_map(recall_trials, tasks, args.workers)
-    text = "trial,target,flip_fraction,steps,converged,overlap,success\n"
-    text += "".join(rows for _, rows in done)
+    rates = []
     for fi, frac in enumerate(fractions):  # one line per given fraction, repeats included
-        hits = sum(h for h, _ in done[fi * runs:(fi + 1) * runs])
-        rate = hits / (args.trials * patterns.num_patterns)
-        text += f"# success_rate flip_fraction={format_value(frac)} rate={format_value(rate)}\n"
-    Path(args.out).write_text(text)
+        hits = sum(row[-1] for rows in done[fi * runs:(fi + 1) * runs] for row in rows)
+        rate = format_value(hits / (args.trials * patterns.num_patterns))
+        rates.append([f"# success_rate flip_fraction={format_value(frac)} rate={rate}"])
+    header = ["trial", "target", "flip_fraction", "steps", "converged", "overlap", "success"]
+    with _output_dir(None) as write:
+        write({args.out: partial(write_rows, rows=chain([header], *done, rates), sep=",")})
     return EXIT_OK
 
 
 def _recall_trials(patterns, weights, base_seed, max_steps, success_threshold, task):
-    """The recall hits of one (fraction index, fraction, trials) task, and its recall.csv rows."""
+    """The recall.csv rows (t, mu, frac, steps, converged, overlap, success) of one
+    (fraction index, fraction, trials) task."""
     fi, frac, trials = task
-    hits = 0
     rows = []
     for t in trials:
         first = ((base_seed * 1_000_003 + fi) * 1_000_003 + t) * 1_000_003
         seeds = [first + mu for mu in range(patterns.num_patterns)]
         results = recall_trial(patterns, weights, frac, seeds, max_steps, success_threshold)
-        for mu, r in enumerate(results):
-            hits += int(r.success)
-            row = (t, mu, frac, r.steps, r.converged, r.overlap, r.success)
-            rows.append(format_row(row, ",") + "\n")
-    return hits, "".join(rows)
+        rows += [(t, mu, frac, r.steps, r.converged, r.overlap, r.success)
+                 for mu, r in enumerate(results)]
+    return rows
 
 
 def cmd_render(args, argv) -> int:
@@ -346,12 +346,15 @@ def main(argv=None) -> int:
     except (TrainingDivergenceError, NumericError) as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ConfigError, ArgumentError, OSError, ValueError) as e:
+    except (ConfigError, ArgumentError, OSError, ValueError, PoolError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as e:
         print(f"error: problem too large for memory: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

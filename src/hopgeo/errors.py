@@ -66,5 +66,9 @@ class NumericError(ValueError):
     """Non-finite values where finite ones are required."""
 
 
+class PoolError(RuntimeError):
+    """A pool worker process died before its task ended."""
+
+
 class LayoutError(ValueError):
     """Sweep cells do not form the rectangular grid a renderer needs."""

@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import io
 import os
+import signal
 from dataclasses import astuple, dataclass, field, fields
 from typing import NamedTuple, get_type_hints
 
@@ -29,7 +30,7 @@ import numpy as np
 
 from .config import KVView
 from .dynamics import DEFAULT_MAX_STEPS, DEFAULT_SUCCESS_THRESHOLD, recall_trial
-from .errors import ArgumentError, FieldError, check_range
+from .errors import ArgumentError, FieldError, PoolError, check_range
 from .infogeo import DEFAULT_REL_CUTOFF, GradientReport, gradient_report, neuron_spectra
 from .kernel_core import KernelConfig, generate_patterns, gram, read_text, write_rows
 from .klr import DualWeights, TrainConfig, all_targets, fit_dual_weights
@@ -239,22 +240,43 @@ def pool_size(workers: int, tasks: int) -> int:
     return min(workers, tasks, os.cpu_count() or 1)
 
 
+def _ignore_interrupts():
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # a worker leaves an interrupt to pool_map
+
+
 def pool_map(fn, tasks, workers: int) -> list:
     """[fn(task) for task in tasks], in task order, on pool_size(workers, len(tasks)) processes.
 
     With one worker there is no pool and fn runs in this process, which then
     never loads the pool machinery. Every worker has exited when this returns
     or raises. `fn` and the tasks must pickle, and an exception a task raises
-    is re-raised here.
+    is re-raised here. An interrupt (KeyboardInterrupt, which workers ignore)
+    terminates the workers without waiting for the running tasks, so that no
+    pending task runs, then is re-raised; a worker that dies raises PoolError.
     """
     tasks = list(tasks)
     workers = pool_size(workers, len(tasks))
     if workers <= 1:
         return [fn(task) for task in tasks]
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
+    with ProcessPoolExecutor(max_workers=workers, initializer=_ignore_interrupts) as pool:
+        futures = [pool.submit(fn, task) for task in tasks]
+        try:
+            return [future.result() for future in futures]
+        except KeyboardInterrupt:
+            # with its workers gone the pool fails the pending tasks, and leaving it joins
+            # them; cancelled first, Python 3.11's pool would raise InvalidStateError then
+            for process in pool._processes.values():
+                process.terminate()
+            raise
+        except BrokenProcessPool:
+            raise PoolError("a worker process died before its task ended "
+                            "(killed, perhaps for lack of memory)") from None
+        except Exception:  # a task's error: the pending tasks do not run
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 def _cell_task(args):

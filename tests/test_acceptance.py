@@ -7,6 +7,8 @@ criteria, printing one PASS/FAIL line per criterion. Criteria 1-4 are
 oracle equivalences and contracts on random instances; 5-8 are
 qualitative phase-diagram claims on the grid; 9 is the memory function;
 10 is bit-level reproducibility of the CLI sweep across worker counts.
+The fixture's cells are also written as `hopgeo phase` writes grid.csv and
+compared byte for byte with tests/data/acceptance_grid.csv, at no extra fit.
 
 Criterion 5 asks each load row for (i) some cell with a concentrated but
 nondegenerate Fisher spectrum and (ii) a flat spectrum at the local-kernel
@@ -35,9 +37,11 @@ from hopgeo.infogeo import (
 )
 from hopgeo.kernel_core import corrupt, generate_patterns
 from hopgeo.klr import TrainConfig, loss, loss_gradient, train
-from hopgeo.sweep import aggregate, grid_config_from_file, run_grid, trial_mean
+from hopgeo.sweep import aggregate, grid_config_from_file, run_grid, trial_mean, write_grid_csv
 
-ACCEPTANCE_CFG = Path(__file__).resolve().parent.parent / "configs" / "acceptance.cfg"
+ROOT = Path(__file__).resolve().parent.parent
+ACCEPTANCE_CFG = ROOT / "configs" / "acceptance.cfg"
+ACCEPTANCE_GRID = ROOT / "tests" / "data" / "acceptance_grid.csv"
 
 
 def record(name: str, ok: bool, detail: str = ""):
@@ -56,25 +60,53 @@ def random_instance(rng, P):
 
 
 # --------------------------------------------------------------------------
-# grid fixture: every (gamma, load) cell of the frozen acceptance config from
-# sweep.run_grid, with its SweepCell fields and the spectral-ratio means
+# grid fixtures: every (gamma, load) cell of the frozen acceptance config from
+# sweep.run_grid, its aggregated SweepCell (the grid.csv row `hopgeo phase`
+# writes), and per load row its SweepCell fields and spectral-ratio means
 # --------------------------------------------------------------------------
 
 
 @pytest.fixture(scope="module")
-def grid():
-    cfg = grid_config_from_file(ACCEPTANCE_CFG)
+def records():
+    return run_grid(grid_config_from_file(ACCEPTANCE_CFG), workers=os.cpu_count() or 1)
+
+
+@pytest.fixture(scope="module")
+def cells(records):
+    return [aggregate(rec) for rec in records]
+
+
+@pytest.fixture(scope="module")
+def grid(records, cells):
     rows = {}
-    for rec in run_grid(cfg, workers=os.cpu_count() or 1):
+    for rec, cell in zip(records, cells):
         row = rows.setdefault(rec.load, [])
         row.append(SimpleNamespace(
-            **dataclasses.asdict(aggregate(rec)),
+            **dataclasses.asdict(cell),
             gamma_index=len(row),
             ratio_2_1_mean=trial_mean(rec.neurons["ratio_2_1"]),
             ratio_tail_mean=trial_mean(rec.neurons["ratio_tail"]),
             retained_total=int(rec.neurons["retained_modes"].sum()),
         ))
     return rows
+
+
+def test_acceptance_grid_csv_keeps_its_bytes(cells, tmp_path, monkeypatch):
+    # The byte gate: the grid.csv of `hopgeo phase --config configs/acceptance.cfg`, at
+    # any --workers, is the committed copy. A change that moves its bits re-pins the
+    # copy and says why; the bits also depend on the BLAS kernel, so a mismatch names it.
+    got = tmp_path / "grid.csv"
+    write_grid_csv(cells, got)
+    if got.read_bytes() != ACCEPTANCE_GRID.read_bytes():
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        from check import deviation
+
+        blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+        pytest.fail(
+            f"grid.csv differs from {ACCEPTANCE_GRID}; largest relative deviation per "
+            f"column: {deviation(got.read_text(), ACCEPTANCE_GRID.read_text())}; "
+            f"numpy {np.__version__}, {blas.get('name')} {blas.get('version')}"
+        )
 
 
 # --------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 import json
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 from typing import get_type_hints
@@ -54,6 +56,13 @@ def run_train(tmp_path, sub="run", **overrides):
     out = tmp_path / sub
     code = main(["train", "--config", str(cfg), "--out", str(out)])
     return code, out
+
+
+def source_env() -> dict:
+    """The environment of a fresh interpreter that imports hopgeo from this checkout's src/."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def digests(manifest_path):
@@ -185,9 +194,6 @@ def test_train_divergence_exits_3_and_removes_partials(tmp_path, capsys):
 def test_diverging_descent_prints_no_numpy_warning(tmp_path):
     # The monitor reports the divergence; numpy's RuntimeWarnings, printed with their
     # source lines, would only bury it. A subprocess shows stderr as a user sees it.
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     diverging = "num_neurons = 8\nlearning_rate = 1e300\nlambda = 0\nmax_epochs = 200\n"
     configs = {
         "train": "num_patterns = 8\ngamma = 1e-4\nseed = 11\n",
@@ -200,7 +206,7 @@ def test_diverging_descent_prints_no_numpy_warning(tmp_path):
         run = subprocess.run(
             [sys.executable, "-m", "hopgeo.cli", command, "--config", str(cfg),
              "--out", str(tmp_path / command)],
-            env=env, capture_output=True, text=True, timeout=300,
+            env=source_env(), capture_output=True, text=True, timeout=300,
         )
         stderr[command] = (run.returncode, run.stderr.splitlines())
     assert stderr == {
@@ -769,6 +775,95 @@ def test_error_inside_a_pool_task_exits_with_one_line(tmp_path, capsys, monkeypa
     assert err.count("\n") == 1 and "Traceback" not in err
     assert str(error) in err
     assert multiprocessing.active_children() == []
+
+
+def test_a_pool_worker_that_dies_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(grid_cfg_text())
+
+    def die(*args):
+        os.kill(os.getpid(), signal.SIGKILL)  # as the out-of-memory killer would
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a pool of 2, forked after the patch
+    monkeypatch.setattr(sweep, "run_cell", die)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["phase", "--config", str(cfg), "--workers", "2", "--out", str(out)]) == 2
+    assert_one_line_error(capsys, "a worker process died")
+    assert not out.exists()
+    assert multiprocessing.active_children() == []
+
+
+def test_an_interrupted_serial_run_exits_130_with_one_line(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(grid_cfg_text())
+
+    def interrupt(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(sweep, "run_cell", interrupt)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["phase", "--config", str(cfg), "--workers", "1", "--out", str(out)]) == 130
+    assert capsys.readouterr().err == "interrupted\n"
+    assert not out.exists()
+
+
+INTERRUPTED_PHASE = """
+import os, signal, sys, time
+from hopgeo import cli, sweep
+
+def run_cell(*args):  # records its worker, then outlasts the test
+    open(os.path.join(sys.argv[1], str(os.getpid())), "w").close()
+    time.sleep(60)
+
+signal.signal(signal.SIGINT, signal.default_int_handler)  # a background job ignores SIGINT
+sweep.run_cell = run_cell
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+def test_an_interrupted_pool_exits_130_with_one_line_and_stops_its_workers(tmp_path):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(grid_cfg_text())  # two cells, so two workers
+    pids, out = tmp_path / "pids", tmp_path / "out"
+    pids.mkdir()
+    proc = subprocess.Popen(
+        [sys.executable, "-c", INTERRUPTED_PHASE, str(pids),
+         "phase", "--config", str(cfg), "--workers", "2", "--out", str(out)],
+        env=source_env(), stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while len(list(pids.iterdir())) < 2 and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert len(list(pids.iterdir())) == 2, "the pool did not start both cells"
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=5)  # the running cells are not waited for
+        assert (proc.returncode, err) == (130, "interrupted\n")
+        assert not out.exists()
+        deadline = time.monotonic() + 1
+        while any(map(alive, worker_pids(pids))) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(alive, worker_pids(pids)))
+    except BaseException:  # a failing run leaves no process behind
+        proc.kill()
+        proc.wait()
+        for pid in filter(alive, worker_pids(pids)):
+            os.kill(pid, signal.SIGKILL)
+        raise
+
+
+def worker_pids(pids) -> list:
+    return [int(p.name) for p in pids.iterdir()]
+
+
+def alive(pid) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
 
 
 @pytest.mark.parametrize("command", ["train", "phase", "recall"])
