@@ -29,10 +29,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, KVView, resolved
+from .config import KVView, resolved
 from .dynamics import DEFAULT_MAX_STEPS, DEFAULT_SUCCESS_THRESHOLD, recall_trial
-from .errors import ArgumentError, DimensionError, FieldError, LayoutError, NumericError, PoolError
-from .errors import TrainingDivergenceError, check_range
+from .errors import ArgumentError, FieldError, NumericError, PoolError, TrainingDivergenceError
+from .errors import check_range
 from .infogeo import neuron_spectra, write_spectrum_csv
 from .kernel_core import KernelConfig, format_value, generate_patterns, gram, load_patterns
 from .kernel_core import save_patterns, write_rows
@@ -153,7 +153,7 @@ def _load_artifacts(weights_dir):
         raise FileNotFoundError(f"missing patterns.txt or weights.txt in {d}")
     patterns, weights = load_patterns(pat_path), load_weights(wt_path)
     if weights.alpha.shape != patterns.patterns.shape:
-        raise DimensionError(
+        raise ArgumentError(
             f"{wt_path} holds P x N = {weights.alpha.shape} but "
             f"{pat_path} holds {patterns.patterns.shape}"
         )
@@ -276,7 +276,7 @@ def _heatmaps(cells, metrics, grid) -> dict:
     """
     try:
         docs = {f"{metric}.svg": render_heatmap(cells, metric) for metric in metrics}
-    except (NumericError, LayoutError) as e:
+    except (NumericError, ArgumentError) as e:
         raise type(e)(f"{grid}: {e}") from None
     return {name: partial(Path.write_text, data=doc) for name, doc in docs.items()}
 
@@ -346,7 +346,7 @@ def main(argv=None) -> int:
     except (TrainingDivergenceError, NumericError) as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ConfigError, ArgumentError, OSError, ValueError, PoolError) as e:
+    except (OSError, ValueError, PoolError) as e:  # ConfigError and ArgumentError too
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as e:

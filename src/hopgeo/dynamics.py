@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, check_range
+from .errors import ArgumentError, check_range
 from .kernel_core import PatternSet, check_bipolar, corrupt, rbf_of_inner
 from .klr import DualWeights
 
@@ -39,7 +39,7 @@ def overlap(state, pattern) -> float:
     state = np.asarray(state)
     pattern = np.asarray(pattern)
     if state.shape != pattern.shape:
-        raise DimensionError(f"length mismatch: {state.shape} vs {pattern.shape}")
+        raise ArgumentError(f"length mismatch: {state.shape} vs {pattern.shape}")
     return float(state @ pattern) / state.shape[0]
 
 
@@ -47,9 +47,7 @@ def local_field(state, patterns: PatternSet, weights: DualWeights):
     """h_i = sum_nu alpha_nu_i K(state, xi_nu) for every neuron i, K of width weights.gamma."""
     state = np.asarray(state)
     if state.shape != (patterns.num_neurons,):
-        raise DimensionError(
-            f"state length {state.shape} does not match N={patterns.num_neurons}"
-        )
+        raise ArgumentError(f"state length {state.shape} does not match N={patterns.num_neurons}")
     X = patterns.patterns.astype(float)
     k = rbf_of_inner(X @ state.astype(float), patterns.num_neurons, weights.gamma)
     return weights.alpha.T @ k
@@ -91,12 +89,12 @@ def recall_batch(
     check_range("max_steps", max_steps, 1)
     check_range("success_threshold", success_threshold, 0, 1, lo_open=True)
     if len(target_indices) != len(cues):
-        raise DimensionError(f"{len(target_indices)} targets for {len(cues)} cues")
+        raise ArgumentError(f"{len(target_indices)} targets for {len(cues)} cues")
     results = []
     for start in range(0, len(cues), RECALL_BLOCK):
         block = np.asarray(cues[start:start + RECALL_BLOCK])
         if block.ndim != 2 or block.shape[1] != patterns.num_neurons:
-            raise DimensionError(
+            raise ArgumentError(
                 f"cue shape {block.shape[1:]} does not match N={patterns.num_neurons}"
             )
         check_bipolar(block, "cue")
@@ -168,8 +166,7 @@ def _recall_block(cues, targets, patterns, weights, max_steps, success_threshold
             if cycle.any():  # 2-cycle: keep whichever of the two states matches the target better
                 c = cycle[d]
                 prev_better = c & (_dots(prev[d], tgt) > _dots(state[d], tgt))
-                final[prev_better] = prev[d[prev_better]]
-                final[c & ~prev_better] = state[d[c & ~prev_better]]
+                final[c & ~prev_better] = state[d[c & ~prev_better]]  # the others: new == prev
             m = _dots(final, tgt) / N  # overlap() of each final state, bit for bit
             final = final.astype(cues.dtype)
             success = (m >= success_threshold).tolist()

@@ -1,14 +1,15 @@
-"""Exception types shared across the package, and the one numeric range check."""
+"""Exception types shared across the package, and the one numeric range check.
+
+A type exists only where a handler tells it apart or it carries data: cli.main
+ends a NumericError or TrainingDivergenceError in exit 3, and any other ValueError
+(a wrong shape or grid layout is an ArgumentError) or a PoolError in exit 2.
+"""
 
 import math
 
 
-class DimensionError(ValueError):
-    """Operands have incompatible shapes or lengths."""
-
-
 class ArgumentError(ValueError):
-    """A scalar argument is outside its documented range."""
+    """An argument, an input file or a grid is outside its documented range or shape."""
 
 
 class FieldError(ArgumentError):
@@ -58,17 +59,9 @@ class TrainingDivergenceError(RuntimeError):
         return type(self), (self.neuron, self.epoch)
 
 
-class DegenerateSpectrumError(ValueError):
-    """All Fisher eigenvalues are zero; the metric carries no information."""
-
-
 class NumericError(ValueError):
-    """Non-finite values where finite ones are required."""
+    """Non-finite values where finite ones are required, or an all-zero spectrum."""
 
 
 class PoolError(RuntimeError):
     """A pool worker process died before its task ended."""
-
-
-class LayoutError(ValueError):
-    """Sweep cells do not form the rectangular grid a renderer needs."""

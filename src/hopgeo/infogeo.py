@@ -16,7 +16,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import DegenerateSpectrumError, DimensionError, NumericError, check_range
+from .errors import ArgumentError, NumericError, check_range
 from .kernel_core import write_rows
 from .klr import loss_gradient, predict_probs
 
@@ -83,7 +83,7 @@ def effective_dimension(eigenvalues) -> float:
         lam = np.ldexp(lam, -np.frexp(np.max(np.abs(lam), initial=0.0))[1])
         s2 = float(np.sum(lam * lam))
     if s2 == 0.0:
-        raise DegenerateSpectrumError("all eigenvalues are zero")
+        raise NumericError("all eigenvalues are zero")
     return float(np.sum(lam)) ** 2 / s2
 
 
@@ -112,7 +112,7 @@ def _natural_gradient_parts(grad, spec: FisherSpectrum, rel_cutoff: float):
     # natural gradient, the gradient's coefficients on the retained modes, their eigenvalues
     check_range("rel_cutoff", rel_cutoff, 0, 1, lo_open=True, hi_open=True)
     if spec.lambda_max <= 0.0:
-        raise DegenerateSpectrumError("cannot invert an all-zero spectrum")
+        raise NumericError("cannot invert an all-zero spectrum")
     keep = spec.eigenvalues > rel_cutoff * spec.lambda_max
     V = spec.eigenvectors[:, keep]
     lam = spec.eigenvalues[keep]
@@ -171,7 +171,7 @@ def gradient_report(
     """
     grad = loss_gradient(alpha_col, K, targets, lam)
     if spec.eigenvalues.shape != grad.shape:
-        raise DimensionError(
+        raise ArgumentError(
             f"spectrum of {spec.eigenvalues.size} modes does not match Gram size {grad.size}"
         )
     euclid = float(grad @ grad)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ArgumentError, DimensionError, check_range
+from .errors import ArgumentError, check_range
 
 
 @dataclass
@@ -40,7 +40,7 @@ class PatternSet:
     def __post_init__(self):
         self.patterns = np.asarray(self.patterns)
         if self.patterns.ndim != 2:
-            raise DimensionError("patterns must be a P x N matrix")
+            raise ArgumentError("patterns must be a P x N matrix")
         check_range("P", self.patterns.shape[0], 1)
         check_range("N", self.patterns.shape[1], 1)
         check_bipolar(self.patterns, "pattern")
@@ -64,7 +64,7 @@ class GramMatrix:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim != 2 or self.values.shape[0] != self.values.shape[1]:
-            raise DimensionError("Gram matrix must be square")
+            raise ArgumentError("Gram matrix must be square")
 
 
 def check_bipolar(values: np.ndarray, what: str) -> None:
@@ -160,7 +160,7 @@ def read_artifact(path, header: str, types: tuple, cast, make):
     are P and N, and the rest follow the body into `make`, the artifact's
     constructor. `cast` converts each body value. An empty, truncated,
     ragged or non-numeric file, or one whose values `make` refuses, raises
-    ArgumentError or DimensionError naming the file.
+    ArgumentError naming the file.
     """
     lines = read_text(path).splitlines()
     fields = lines[0].split() if lines else []
@@ -170,16 +170,16 @@ def read_artifact(path, header: str, types: tuple, cast, make):
         raise ArgumentError(f"{path}: first line must be `{header}`") from None
     P, N = head[0], head[1]
     if P < 1 or N < 1:
-        raise DimensionError(f"{path}: P and N must be >= 1, got {P} and {N}")
+        raise ArgumentError(f"{path}: P and N must be >= 1, got {P} and {N}")
     shape_msg = f"{path}: expected {P} rows of {N} values after the header"
     if len(lines) - 1 != P:
-        raise DimensionError(shape_msg)
+        raise ArgumentError(shape_msg)
     try:
         rows = [[cast(v) for v in line.split()] for line in lines[1:]]
     except ValueError:
         raise ArgumentError(f"{path}: body holds a value that is not a number") from None
     if any(len(r) != N for r in rows):
-        raise DimensionError(shape_msg)
+        raise ArgumentError(shape_msg)
     try:
         return make(np.array(rows), *head[2:])
     except ArgumentError as e:

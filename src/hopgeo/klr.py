@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ArgumentError, DimensionError, TrainingDivergenceError, check_range
+from .errors import ArgumentError, TrainingDivergenceError, check_range
 from .kernel_core import KernelConfig, PatternSet, gram, read_artifact, write_rows
 
 # Loss may not increase by more than this between accepted epochs.
@@ -54,7 +54,7 @@ class DualWeights:
         check_range("epochs", self.trained_epochs, 0)
         self.alpha = np.asarray(self.alpha, dtype=float)
         if self.alpha.ndim != 2:
-            raise DimensionError("alpha must be a P x N matrix")
+            raise ArgumentError("alpha must be a P x N matrix")
         if not np.isfinite(self.alpha).all():
             raise ArgumentError("alpha entries must all be finite")
 
@@ -97,16 +97,16 @@ def predict_probs(alpha_col: np.ndarray, K: np.ndarray) -> np.ndarray:
     """p_mu = sigma((K alpha)_mu) for each stored pattern; K is the (P, P) Gram matrix."""
     alpha_col, K = np.asarray(alpha_col, dtype=float), np.asarray(K, dtype=float)
     if alpha_col.ndim != 1 or K.shape != 2 * alpha_col.shape:  # 2 * (P,) is (P, P)
-        raise DimensionError(f"alpha of shape {alpha_col.shape} does not fit Gram size {K.shape}")
+        raise ArgumentError(f"alpha of shape {alpha_col.shape} does not fit Gram size {K.shape}")
     return sigmoid(K @ alpha_col)
 
 
 def _field(alpha_col, K: np.ndarray, targets):
-    """(alpha, t, h = K alpha) of one neuron; DimensionError unless alpha, t are (P,), K (P, P)."""
+    """(alpha, t, h = K alpha) of one neuron; ArgumentError unless alpha, t are (P,), K (P, P)."""
     alpha_col, K = np.asarray(alpha_col, dtype=float), np.asarray(K, dtype=float)
     t = np.asarray(targets, dtype=float)
     if alpha_col.ndim != 1 or K.shape != 2 * alpha_col.shape or t.shape != alpha_col.shape:
-        raise DimensionError("alpha, targets and Gram matrix sizes disagree")
+        raise ArgumentError("alpha, targets and Gram matrix sizes disagree")
     return alpha_col, t, K @ alpha_col
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import LayoutError, NumericError
+from .errors import ArgumentError, NumericError
 from .sweep import METRICS
 
 # dark -> bright anchors (inferno-like)
@@ -52,7 +52,7 @@ def _grid_layout(cells):
     loads = sorted({c.load for c in cells})
     lookup = {(c.gamma, c.load): c for c in cells}
     if len(lookup) != len(cells) or len(cells) != len(gammas) * len(loads):
-        raise LayoutError(
+        raise ArgumentError(
             f"cells do not form a rectangle: {len(cells)} cells, "
             f"{len(gammas)} gammas x {len(loads)} loads"
         )

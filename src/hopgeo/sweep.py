@@ -23,6 +23,7 @@ import csv
 import io
 import os
 import signal
+import threading
 from dataclasses import astuple, dataclass, field, fields
 from typing import NamedTuple, get_type_hints
 
@@ -240,43 +241,51 @@ def pool_size(workers: int, tasks: int) -> int:
     return min(workers, tasks, os.cpu_count() or 1)
 
 
-def _ignore_interrupts():
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # a worker leaves an interrupt to pool_map
+def _start_worker(read_end: int, write_end: int):
+    # a forked pool worker (it inherits the pipe) leaves an interrupt to pool_map, and
+    # exits at EOF on the pipe: when the parent, then its last writer, closes it or dies
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    os.close(write_end)
+    threading.Thread(target=lambda: os.read(read_end, 1) or os._exit(1), daemon=True).start()
 
 
 def pool_map(fn, tasks, workers: int) -> list:
     """[fn(task) for task in tasks], in task order, on pool_size(workers, len(tasks)) processes.
 
     With one worker there is no pool and fn runs in this process, which then
-    never loads the pool machinery. Every worker has exited when this returns
-    or raises. `fn` and the tasks must pickle, and an exception a task raises
-    is re-raised here. An interrupt (KeyboardInterrupt, which workers ignore)
-    terminates the workers without waiting for the running tasks, so that no
-    pending task runs, then is re-raised; a worker that dies raises PoolError.
+    never loads the pool machinery. `fn` and the tasks must pickle. A task
+    error, or an interrupt (which workers ignore), terminates the forked workers,
+    running tasks included, and is re-raised; a dead worker raises PoolError.
+    No worker outlives the call, nor a killed parent (see _start_worker).
     """
     tasks = list(tasks)
     workers = pool_size(workers, len(tasks))
     if workers <= 1:
         return [fn(task) for task in tasks]
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
     from concurrent.futures.process import BrokenProcessPool
+    from multiprocessing import get_context
 
-    with ProcessPoolExecutor(max_workers=workers, initializer=_ignore_interrupts) as pool:
-        futures = [pool.submit(fn, task) for task in tasks]
-        try:
-            return [future.result() for future in futures]
-        except KeyboardInterrupt:
-            # with its workers gone the pool fails the pending tasks, and leaving it joins
-            # them; cancelled first, Python 3.11's pool would raise InvalidStateError then
-            for process in pool._processes.values():
-                process.terminate()
-            raise
-        except BrokenProcessPool:
-            raise PoolError("a worker process died before its task ended "
-                            "(killed, perhaps for lack of memory)") from None
-        except Exception:  # a task's error: the pending tasks do not run
-            pool.shutdown(cancel_futures=True)
-            raise
+    pipe = os.pipe()
+    try:
+        with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("fork"),
+                                 initializer=_start_worker, initargs=pipe) as pool:
+            futures = [pool.submit(fn, task) for task in tasks]
+            try:
+                wait(futures, return_when=FIRST_EXCEPTION)  # all end, or one fails: then
+                return [f.result() for f in futures if f.done()]  # the first in task order raises
+            except BrokenProcessPool:
+                raise PoolError("a worker process died before its task ended "
+                                "(killed, perhaps for lack of memory)") from None
+            except BaseException:
+                # with its workers gone the pool fails the pending tasks, and leaving it joins
+                # them; cancelled first, Python 3.11's pool would raise InvalidStateError then
+                for process in pool._processes.values():
+                    process.terminate()
+                raise
+    finally:
+        for end in pipe:
+            os.close(end)
 
 
 def _cell_task(args):

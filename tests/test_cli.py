@@ -5,6 +5,7 @@ import signal
 import subprocess
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 from typing import get_type_hints
@@ -823,7 +824,10 @@ sys.exit(cli.main(sys.argv[2:]))
 """
 
 
-def test_an_interrupted_pool_exits_130_with_one_line_and_stops_its_workers(tmp_path):
+@contextmanager
+def pool_of_two_running(tmp_path):
+    """Yields (process, pids, out) once the INTERRUPTED_PHASE process runs a cell in each of
+    its two workers, whose PIDs name the files in `pids`; after the block none of them runs."""
     cfg = tmp_path / "grid.cfg"
     cfg.write_text(grid_cfg_text())  # two cells, so two workers
     pids, out = tmp_path / "pids", tmp_path / "out"
@@ -838,20 +842,35 @@ def test_an_interrupted_pool_exits_130_with_one_line_and_stops_its_workers(tmp_p
         while len(list(pids.iterdir())) < 2 and time.monotonic() < deadline:
             time.sleep(0.05)
         assert len(list(pids.iterdir())) == 2, "the pool did not start both cells"
+        yield proc, pids, out
+    finally:  # a failing run leaves no process behind
+        proc.kill()
+        for pid in filter(alive, worker_pids(pids)):
+            os.kill(pid, signal.SIGKILL)
+        proc.communicate()  # reads stderr to its end, so after every worker that holds it
+
+
+def assert_workers_exit_within(seconds, pids):
+    deadline = time.monotonic() + seconds
+    while any(map(alive, worker_pids(pids))) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not any(map(alive, worker_pids(pids)))
+
+
+def test_an_interrupted_pool_exits_130_with_one_line_and_stops_its_workers(tmp_path):
+    with pool_of_two_running(tmp_path) as (proc, pids, out):
         proc.send_signal(signal.SIGINT)
         _, err = proc.communicate(timeout=5)  # the running cells are not waited for
         assert (proc.returncode, err) == (130, "interrupted\n")
         assert not out.exists()
-        deadline = time.monotonic() + 1
-        while any(map(alive, worker_pids(pids))) and time.monotonic() < deadline:
-            time.sleep(0.05)
-        assert not any(map(alive, worker_pids(pids)))
-    except BaseException:  # a failing run leaves no process behind
-        proc.kill()
+        assert_workers_exit_within(1, pids)
+
+
+def test_the_workers_of_a_killed_pool_exit(tmp_path):
+    with pool_of_two_running(tmp_path) as (proc, pids, _):
+        proc.kill()  # SIGKILL: the parent runs no handler and its workers are orphaned
         proc.wait()
-        for pid in filter(alive, worker_pids(pids)):
-            os.kill(pid, signal.SIGKILL)
-        raise
+        assert_workers_exit_within(2, pids)
 
 
 def worker_pids(pids) -> list:
@@ -859,11 +878,15 @@ def worker_pids(pids) -> list:
 
 
 def alive(pid) -> bool:
+    """Whether `pid` runs. On Linux a zombie, which its adopter has not reaped yet, does not."""
     try:
         os.kill(pid, 0)
     except ProcessLookupError:
         return False
-    return True
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:  # gone since, or a system without /proc
+        return sys.platform != "linux"
 
 
 @pytest.mark.parametrize("command", ["train", "phase", "recall"])

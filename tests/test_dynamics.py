@@ -5,7 +5,7 @@ import pytest
 
 from hopgeo import dynamics
 from hopgeo.dynamics import RecallResult, local_field, overlap, recall, recall_batch, recall_trial
-from hopgeo.errors import ArgumentError, DimensionError
+from hopgeo.errors import ArgumentError
 from hopgeo.kernel_core import KernelConfig, PatternSet, corrupt, generate_patterns, gram
 from hopgeo.klr import DualWeights, TrainConfig, all_targets, fit_dual_weights, train
 
@@ -20,7 +20,7 @@ def test_overlap_hand_values():
 
 
 def test_overlap_shape_check():
-    with pytest.raises(DimensionError):
+    with pytest.raises(ArgumentError, match="length mismatch"):
         overlap(np.ones(3), np.ones(4))
 
 
@@ -41,7 +41,7 @@ def test_local_field_matches_loop_oracle():
 def test_local_field_length_check():
     ps = generate_patterns(2, 8, 1)
     w = DualWeights(alpha=np.zeros((2, 8)), gamma=0.1, lam=0.0, trained_epochs=0)
-    with pytest.raises(DimensionError):
+    with pytest.raises(ArgumentError, match="does not match N=8"):
         local_field(np.ones(7), ps, w)
 
 
@@ -251,9 +251,9 @@ def test_recall_batch_argument_checks():
     ps = generate_patterns(2, 4, 0)
     w = DualWeights(alpha=np.zeros((2, 4)), gamma=0.1, lam=0.0, trained_epochs=0)
     assert recall_batch(np.empty((0, 4), dtype=int), [], ps, w) == []
-    with pytest.raises(DimensionError):
+    with pytest.raises(ArgumentError, match="1 targets for 2 cues"):
         recall_batch(ps.patterns, [0], ps, w)
-    with pytest.raises(DimensionError):
+    with pytest.raises(ArgumentError, match=r"cue shape \(5,\) does not match N=4"):
         recall_batch(np.ones((1, 5), dtype=int), [0], ps, w)
     with pytest.raises(ArgumentError):
         recall_batch(np.zeros((1, 4), dtype=int), [0], ps, w)

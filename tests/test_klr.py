@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hopgeo import klr
-from hopgeo.errors import ArgumentError, DimensionError, TrainingDivergenceError
+from hopgeo.errors import ArgumentError, TrainingDivergenceError
 from hopgeo.infogeo import fisher_matrix, gradient_report, spectrum
 from hopgeo.kernel_core import KernelConfig, generate_patterns, gram
 from hopgeo.klr import (
@@ -70,7 +70,7 @@ def test_predict_probs_matches_loop_oracle():
 
 def test_predict_probs_dimension_mismatch():
     K = np.eye(3)
-    with pytest.raises(DimensionError):
+    with pytest.raises(ArgumentError, match=r"alpha of shape \(4,\) does not fit Gram size"):
         predict_probs(np.zeros(4), K)
 
 
@@ -88,7 +88,7 @@ def test_a_gram_matrix_that_is_not_square_is_refused(K, call):
         "fisher_matrix": lambda: fisher_matrix(alpha, K),
         "gradient_report": lambda: gradient_report(alpha, K, t, 0.1, spec),
     }
-    with pytest.raises(DimensionError):
+    with pytest.raises(ArgumentError, match="Gram matrix sizes disagree|does not fit Gram size"):
         calls[call]()
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hopgeo.errors import LayoutError, NumericError
+from hopgeo.errors import ArgumentError, NumericError
 from hopgeo.infogeo import spectrum
 from hopgeo.svgplot import FLAG_COLOR, _ramp_color, render_heatmap, render_spectrum_lines
 from hopgeo.sweep import SweepCell
@@ -120,10 +120,10 @@ def test_heatmap_nonfinite_flagged_cell_is_gray():
 
 def test_heatmap_ragged_grid_raises():
     cells = grid_2x2()[:3]
-    with pytest.raises(LayoutError):
+    with pytest.raises(ArgumentError, match="3 cells, 2 gammas x 2 loads"):
         render_heatmap(cells, "d_eff")
     dupes = grid_2x2() + [make_cell(0.01, 0.25)]
-    with pytest.raises(LayoutError):
+    with pytest.raises(ArgumentError, match="cells do not form a rectangle"):
         render_heatmap(dupes, "d_eff")
 
 

@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import struct
 import tempfile
+import time
 from pathlib import Path
 from typing import get_type_hints
 
@@ -151,6 +152,33 @@ def test_pool_map_keeps_task_order_and_reraises_task_errors():
         sweep.pool_map(_even, [0, 2, 1, 4], workers=2)
     assert (e.value.field, str(e.value)) == ("k1", "k1 must be even")
     assert multiprocessing.active_children() == []  # no worker outlives the pool
+
+
+def _fail_or_sleep(k):
+    if k:
+        time.sleep(60)
+    raise FieldError(f"k{k}", "must not be 0")
+
+
+def test_a_task_error_stops_the_tasks_still_running(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a pool of 2 on any machine
+    started = time.monotonic()
+    with pytest.raises(FieldError, match="^k0 must not be 0$"):  # while the first task sleeps
+        sweep.pool_map(_fail_or_sleep, [1, 0], workers=2)
+    assert time.monotonic() - started < 10
+    assert multiprocessing.active_children() == []
+
+
+def test_pool_map_forks_whatever_the_default_start_method(monkeypatch):
+    # the workers' pipe (sweep._start_worker) exists only in a forked worker
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    default = multiprocessing.get_start_method()
+    multiprocessing.set_start_method("spawn", force=True)
+    try:
+        assert sweep.pool_map(abs, [-3, 1, -2], workers=2) == [3, 1, 2]
+    finally:
+        multiprocessing.set_start_method(default, force=True)
+    assert multiprocessing.active_children() == []
 
 
 def test_grid_csv_roundtrip(tmp_path):
