@@ -73,11 +73,9 @@ def _logistic(h: np.ndarray, e: np.ndarray, out=None, den=None) -> np.ndarray:
     return num
 
 
-def _bce_terms(h: np.ndarray, t: np.ndarray, e: np.ndarray, out=None) -> np.ndarray:
+def _bce_terms(h: np.ndarray, t: np.ndarray, e: np.ndarray, out: np.ndarray) -> np.ndarray:
     # softplus(h) - t*h == -[t log p + (1-t) log(1-p)], with e = exp(-|h|);
-    # given `out`, the terms are written there without temporaries and e is overwritten
-    if out is None:
-        return np.maximum(h, 0.0) + np.log1p(e) - t * h
+    # the terms are written to `out` without temporaries, and e is overwritten
     np.maximum(h, 0.0, out=out)
     out += np.log1p(e, out=e)
     out -= np.multiply(t, h, out=e)
@@ -114,7 +112,8 @@ def loss(alpha_col, K: np.ndarray, targets, lam: float) -> float:
     """Cross-entropy over stored patterns plus (lam/2) alpha' K alpha."""
     check_range("lambda", lam, 0)
     alpha_col, t, h = _field(alpha_col, K, targets)
-    return float(np.sum(_bce_terms(h, t, np.exp(-np.abs(h)))) + 0.5 * lam * alpha_col @ h)
+    bce = _bce_terms(h, t, np.exp(-np.abs(h)), np.empty_like(h))
+    return float(np.sum(bce) + 0.5 * lam * alpha_col @ h)
 
 
 def loss_gradient(alpha_col, K: np.ndarray, targets, lam: float) -> np.ndarray:
@@ -140,12 +139,14 @@ def _descend_blocks(K, T, cfg: TrainConfig, start: int, A, prev_A, prev_loss, id
     """Step the columns idx from epoch `start` in blocks until one of them trips a check.
 
     An epoch only steps: H = K @ A, E = exp(-|H|), Grad and A - lr*Grad go to one
-    slot per epoch. Once per block the monitor's loss and the grad_tol test run over
-    the stacked slots, with the expressions and reduction order of fit_dual_weights'
-    tripping epoch. Blocks grow from one epoch to _block_size, so an early trip drops
-    few epochs. A, prev_A and prev_loss hold each column's A_start, A_{start-1} and
-    loss at start - 1 (A None: all zero). Returns (e, A_e, A_{e-1}, loss_{e-1}) of
-    the columns idx at the first epoch e that trips a check, or at e = max_epochs.
+    slot per epoch. Blocks hold _block_size epochs, the last one cut at max_epochs.
+    Once per block the grad_tol test and the descent monitor run over the stacked
+    slots; a column fails the monitor where its loss is non-finite or exceeds the
+    previous epoch's by more than DESCENT_SLACK. A, prev_A and prev_loss hold each
+    column's A_start, A_{start-1} and loss at start - 1 (A None: all zero). Returns
+    (e, A_e, A_{e-1}, loss_e, bad) of the columns idx at the first epoch e that trips a
+    check, bad marking the columns that failed the monitor, or (e, A_e, A_{e-1}, None,
+    None) at e = max_epochs.
     """
     P, n = K.shape[0], idx.size
     B = _block_size(P, n)
@@ -160,9 +161,8 @@ def _descend_blocks(K, T, cfg: TrainConfig, start: int, A, prev_A, prev_loss, id
     S = np.empty((P, n))
     L = np.empty((B + 1, n))  # L[s + 1]: loss at epoch s; L[0]: the epoch before
     L[0] = prev_loss[idx]
-    size = 1
     while start < cfg.max_epochs:
-        b = min(size, cfg.max_epochs - start)
+        b = min(B, cfg.max_epochs - start)
         for s in range(b):
             Ae, H, E, G = Ab[s + 1].T, Hb[s], Eb[s], Gb[s]
             np.matmul(K, Ae, out=H)
@@ -181,24 +181,23 @@ def _descend_blocks(K, T, cfg: TrainConfig, start: int, A, prev_A, prev_loss, id
         tripped = np.flatnonzero((bad | done).any(axis=1))
         if tripped.size:  # the later slots are dropped
             k = int(tripped[0])
-            return start + k, Ab[k + 1].T, Ab[k].T, L[k].copy()
+            return start + k, Ab[k + 1].T, Ab[k].T, L[k + 1], bad[k]
         Ab[0], Ab[1] = Ab[b], Ab[b + 1]  # slot by slot: an overlapping copy would buffer
         L[0] = L[b]
         start += b
-        size = min(2 * size, B)
-    return start, Ab[1].T, Ab[0].T, L[0].copy()
+    return start, Ab[1].T, Ab[0].T, None, None
 
 
 def fit_dual_weights(K: np.ndarray, T: np.ndarray, cfg: TrainConfig) -> FitResult:
     """Gradient descent on every neuron column at once.
 
     Columns are independent (the update of column i reads only column i), so this
-    matches per-neuron training while batching the matmuls. A column is frozen once
-    its gradient norm drops below grad_tol. A column whose loss becomes non-finite or
-    increases by more than DESCENT_SLACK is reverted to its last accepted iterate and
-    recorded in `diverged`. Active columns descend in blocks (_descend_blocks); the first
-    epoch at which one trips a check is evaluated here, then blocks resume. A is F-ordered
-    like a gather A[:, idx]: BLAS rounds K @ A differently per layout.
+    matches per-neuron training while batching the matmuls. Active columns descend in
+    blocks (_descend_blocks) up to the first epoch at which one trips a check, which is
+    finished here: the columns that failed the descent monitor are reverted to their
+    last accepted iterate and recorded in `diverged`, only the survivors' gradient is
+    recomputed, those below grad_tol are frozen and the rest step; then blocks resume.
+    A is F-ordered like a gather A[:, idx]: BLAS rounds K @ A differently per layout.
     """
     P, N = T.shape
     A = prev_A = None
@@ -210,20 +209,18 @@ def fit_dual_weights(K: np.ndarray, T: np.ndarray, cfg: TrainConfig) -> FitResul
     # diverging columns overflow; the monitor reports them, so warnings are silenced
     with np.errstate(all="ignore"):
         while idx.size and epoch < cfg.max_epochs:
-            epoch, Ae, Ap, prev_loss[idx] = _descend_blocks(
-                K, T, cfg, epoch, A, prev_A, prev_loss, idx)
+            epoch, Ae, Ap, ls, bad = _descend_blocks(K, T, cfg, epoch, A, prev_A, prev_loss, idx)
             if A is None:
                 A, prev_A = np.empty((P, N), order="F"), np.empty((P, N), order="F")
             A[:, idx], prev_A[:, idx] = Ae, Ap
             del Ae, Ap  # frees the slots before the tripping epoch allocates
             if epoch == cfg.max_epochs:
                 break
-            # the tripping epoch; with every column active A needs no gather
+            # the tripping epoch; with every column active A needs no gather. H spans the
+            # columns that entered it: (K @ A)[:, sub] and K @ A[:, sub] differ in bits
             Aa, Ta = (A, T) if idx.size == N else (A[:, idx], T[:, idx])
             H = K @ Aa
             E = np.exp(-np.abs(H))
-            ls = np.sum(_bce_terms(H, Ta, E), axis=0) + 0.5 * cfg.lam * np.sum(Aa * H, axis=0)
-            bad = ~np.isfinite(ls) | (ls > prev_loss[idx] + DESCENT_SLACK)
             if bad.any():
                 diverged += [(int(j), epoch) for j in idx[bad]]
                 A[:, idx[bad]] = prev_A[:, idx[bad]]
@@ -238,7 +235,7 @@ def fit_dual_weights(K: np.ndarray, T: np.ndarray, cfg: TrainConfig) -> FitResul
             idx, Grad = idx[~done], Grad[:, ~done]
             prev_A[:, idx] = A[:, idx]
             A[:, idx] -= cfg.learning_rate * Grad
-            del Aa, Ta, H, E, Grad  # freed before the next call allocates its slots
+            del Aa, Ta, H, E, Grad, ls, bad  # freed before the next call allocates its slots
             epoch += 1
     return FitResult(np.ascontiguousarray(A), epoch, diverged, converged)
 

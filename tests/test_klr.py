@@ -304,11 +304,12 @@ def _assert_same_fit(got, want):
 def test_fit_matches_gathering_reference_bit_for_bit(monkeypatch):
     # P >= 17 is where OpenBLAS rounds K @ A differently for C- and F-ordered A.
     # fit_dual_weights runs blocks of epochs over the active columns, checks the
-    # monitor and grad_tol once per block, evaluates the first tripping epoch itself
+    # monitor and grad_tol once per block, finishes the first tripping epoch itself
     # and resumes blocks after it. The block sizes it used are read off the blocks'
-    # loss evaluations; `seen` records where each trip fell in its block and which
-    # sequences of trips occurred. Each descent with an event is rerun with MAX_BLOCK
-    # set around its first trip, and cut off at that trip.
+    # loss evaluations; each holds _block_size epochs unless it ends at max_epochs.
+    # `seen` records where each trip fell in its block and which sequences of trips
+    # occurred. Each descent with an event is rerun with MAX_BLOCK set around its
+    # first trip, and cut off at that trip.
     rng = np.random.default_rng(1)
     seen = dict.fromkeys(
         ["large_P", "converged", "diverged", "both", "B=1", "B>1", "several_blocks",
@@ -342,6 +343,7 @@ def test_fit_matches_gathering_reference_bit_for_bit(monkeypatch):
         for b, n in blocks:
             if n != n_call:
                 start, n_call, full = last + 1, n, 0
+            assert b == klr._block_size(P, n) or start + b == cfg.max_epochs
             full += b == klr._block_size(P, n) > 1
             seen["several_blocks"] += full == 2
             if pending and pending[0] < start + b:
