@@ -31,8 +31,7 @@ import numpy as np
 from . import __version__
 from .config import KVView, resolved
 from .dynamics import DEFAULT_MAX_STEPS, DEFAULT_SUCCESS_THRESHOLD, recall_trial
-from .errors import ArgumentError, FieldError, NumericError, PoolError, TrainingDivergenceError
-from .errors import check_range
+from .errors import ArgumentError, FieldError, NumericError, PoolError, check_range
 from .infogeo import neuron_spectra, write_spectrum_csv
 from .kernel_core import KernelConfig, format_value, generate_patterns, gram, load_patterns
 from .kernel_core import save_patterns, write_rows
@@ -55,13 +54,14 @@ EXIT_NUMERIC = 3
 EXIT_INTERRUPTED = 130  # the shell's code for a process ended by SIGINT
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _now() -> str:
+    return datetime.now(timezone.utc).isoformat()
 
 
 def _write_manifest(names, argv, resolved_config: dict, seeds: dict, started: str, path: Path):
     """Write the manifest to `path`; `names` are the files this run wrote beside it."""
-    outputs = {name: _sha256(path.parent / name) for name in sorted(names)}
+    outputs = {name: hashlib.sha256((path.parent / name).read_bytes()).hexdigest()
+               for name in sorted(names)}
     manifest = {
         "tool": "hopgeo",
         "version": __version__,
@@ -70,14 +70,10 @@ def _write_manifest(names, argv, resolved_config: dict, seeds: dict, started: st
         "seeds": seeds,
         "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
         "started": started,
-        "finished": datetime.now(timezone.utc).isoformat(),
+        "finished": _now(),
         "outputs": outputs,
     }
     path.write_text(json.dumps(manifest, indent=2) + "\n")
-
-
-def _now() -> str:
-    return datetime.now(timezone.utc).isoformat()
 
 
 @contextmanager
@@ -343,10 +339,10 @@ def main(argv=None) -> int:
         if hasattr(args, "workers"):
             check_range("--workers", args.workers, 1)
         return args.func(args, argv)
-    except (TrainingDivergenceError, NumericError) as e:
+    except NumericError as e:  # a diverged training run too
         print(f"numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (OSError, ValueError, PoolError) as e:  # ConfigError and ArgumentError too
+    except (OSError, ValueError, PoolError) as e:  # every ArgumentError too
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as e:

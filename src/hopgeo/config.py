@@ -16,15 +16,8 @@ from __future__ import annotations
 from dataclasses import MISSING, fields, is_dataclass
 from typing import get_type_hints
 
-from .errors import FieldError
+from .errors import ConfigError, FieldError
 from .kernel_core import read_text
-
-
-class ConfigError(ValueError):
-    def __init__(self, path, line: int, message: str):
-        self.path = str(path)
-        self.line = line
-        super().__init__(f"{path}:{line}: {message}")
 
 
 def read_kv_file(path) -> dict:

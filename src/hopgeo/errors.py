@@ -1,8 +1,9 @@
-"""Exception types shared across the package, and the one numeric range check.
+"""Every exception type of the package, and the one numeric range check.
 
-A type exists only where a handler tells it apart or it carries data: cli.main
-ends a NumericError or TrainingDivergenceError in exit 3, and any other ValueError
-(a wrong shape or grid layout is an ArgumentError) or a PoolError in exit 2.
+A type exists only where a handler tells it apart or it carries data. Each is
+an ArgumentError, which cli.main ends in exit 2, a NumericError, which it ends
+in exit 3, or a PoolError (a dead worker), exit 2. Any other OSError or
+ValueError also ends in exit 2.
 """
 
 import math
@@ -27,6 +28,15 @@ class FieldError(ArgumentError):
         return type(self), (self.field, self.message)
 
 
+class ConfigError(ArgumentError):
+    """A config file is malformed; the message starts with its file:line."""
+
+    def __init__(self, path, line: int, message: str):
+        self.path = str(path)
+        self.line = line
+        super().__init__(f"{path}:{line}: {message}")
+
+
 def check_range(field: str, value, lo, hi=math.inf, lo_open=False, hi_open=False) -> None:
     """Raise FieldError naming `field` unless `value` is finite and lies between lo and hi.
 
@@ -43,7 +53,11 @@ def check_range(field: str, value, lo, hi=math.inf, lo_open=False, hi_open=False
         raise FieldError(field, f"must {rule}, got {value}")
 
 
-class TrainingDivergenceError(RuntimeError):
+class NumericError(ValueError):
+    """Non-finite values where finite ones are required, or an all-zero spectrum."""
+
+
+class TrainingDivergenceError(NumericError):
     """Training produced a non-finite or increasing loss.
 
     Carries the offending neuron index and epoch so callers can report
@@ -57,10 +71,6 @@ class TrainingDivergenceError(RuntimeError):
 
     def __reduce__(self):
         return type(self), (self.neuron, self.epoch)
-
-
-class NumericError(ValueError):
-    """Non-finite values where finite ones are required, or an all-zero spectrum."""
 
 
 class PoolError(RuntimeError):

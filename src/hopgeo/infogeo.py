@@ -108,8 +108,13 @@ def spectrum(G: np.ndarray) -> FisherSpectrum:
     )
 
 
-def _natural_gradient_parts(grad, spec: FisherSpectrum, rel_cutoff: float):
-    # natural gradient, the gradient's coefficients on the retained modes, their eigenvalues
+def natural_gradient(grad, spec: FisherSpectrum, rel_cutoff: float = DEFAULT_REL_CUTOFF):
+    """Spectral pseudo-inverse of the metric applied to the gradient.
+
+    Only modes with lambda_k > rel_cutoff * lambda_1 are inverted; returns
+    (natural gradient, the gradient's coefficients on the retained modes,
+    their eigenvalues).
+    """
     check_range("rel_cutoff", rel_cutoff, 0, 1, lo_open=True, hi_open=True)
     if spec.lambda_max <= 0.0:
         raise NumericError("cannot invert an all-zero spectrum")
@@ -118,16 +123,6 @@ def _natural_gradient_parts(grad, spec: FisherSpectrum, rel_cutoff: float):
     lam = spec.eigenvalues[keep]
     coeffs = V.T @ np.asarray(grad, dtype=float)
     return V @ (coeffs / lam), coeffs, lam
-
-
-def natural_gradient(grad, spec: FisherSpectrum, rel_cutoff: float = DEFAULT_REL_CUTOFF):
-    """Spectral pseudo-inverse of the metric applied to the gradient.
-
-    Only modes with lambda_k > rel_cutoff * lambda_1 are inverted; returns
-    (natural gradient, number of retained modes).
-    """
-    nat, _, lam = _natural_gradient_parts(grad, spec, rel_cutoff)
-    return nat, lam.size
 
 
 def neuron_spectra(alpha, K: np.ndarray, each) -> list:
@@ -180,7 +175,7 @@ def gradient_report(
     if degenerate:
         riemann, residual, retained = 0.0, 0.0 if euclid == 0.0 else 1.0, 0
     else:
-        nat, coeffs, lam_kept = _natural_gradient_parts(grad, spec, rel_cutoff)
+        nat, coeffs, lam_kept = natural_gradient(grad, spec, rel_cutoff)
         riemann = float(np.sum(coeffs * coeffs / lam_kept))
         v1 = spec.eigenvectors[:, 0]
         rank1_term = spec.lambda_max * float(v1 @ nat) * v1

@@ -62,7 +62,7 @@ def _grid_layout(cells):
 def render_heatmap(cells, metric: str) -> str:
     """The SVG heatmap of one metric over the grid, on the metric's scale."""
     if metric not in METRICS:
-        raise NumericError(f"unknown metric {metric!r}")
+        raise ArgumentError(f"unknown metric {metric!r}")
     attr, log10 = METRICS[metric]
     gammas, loads, lookup = _grid_layout(cells)
 

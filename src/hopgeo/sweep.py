@@ -25,7 +25,7 @@ import os
 import signal
 import threading
 from dataclasses import astuple, dataclass, field, fields
-from typing import NamedTuple, get_type_hints
+from typing import get_type_hints
 
 import numpy as np
 
@@ -64,19 +64,15 @@ CSV_COLUMNS = [f.name for f in fields(SweepCell)]
 _COLUMN_TYPES = get_type_hints(SweepCell)  # column -> int or float
 
 
-class Metric(NamedTuple):
-    column: str  # the SweepCell field a heatmap of the metric draws
-    log10: bool  # whether that heatmap takes log10
-
-
-# the metrics a config may select, in the order `render` draws them by default
+# the metrics a config may select, in the order `render` draws them by default; each
+# maps to (the SweepCell field its heatmap draws, whether that heatmap takes log10)
 METRICS = {
-    "lambda_max": Metric("lambda_max_mean", True),
-    "d_eff": Metric("d_eff_mean", False),
-    "euclid_norm_sq": Metric("euclid_norm_sq_mean", True),
-    "riemann_norm_sq": Metric("riemann_norm_sq_mean", True),
-    "rank1_residual": Metric("rank1_residual_mean", False),
-    "recall_rate": Metric("recall_rate", False),
+    "lambda_max": ("lambda_max_mean", True),
+    "d_eff": ("d_eff_mean", False),
+    "euclid_norm_sq": ("euclid_norm_sq_mean", True),
+    "riemann_norm_sq": ("riemann_norm_sq_mean", True),
+    "rank1_residual": ("rank1_residual_mean", False),
+    "recall_rate": ("recall_rate", False),
 }
 
 
@@ -103,10 +99,10 @@ class GridConfig:
             check_range("gamma_values", gamma, 0, lo_open=True)
         for load in self.load_values:
             check_range("load_values", load, 0, 1, lo_open=True)
-        if list(self.gamma_values) != sorted(self.gamma_values):
-            raise FieldError("gamma_values", "must be ascending")
-        if list(self.load_values) != sorted(self.load_values):
-            raise FieldError("load_values", "must be ascending")
+        for name in ("gamma_values", "load_values"):  # a repeated value repeats a grid row
+            values = getattr(self, name)
+            if any(a >= b for a, b in zip(values, values[1:])):
+                raise FieldError(name, "must be strictly ascending")
         # at most an array dimension, which also keeps num_neurons * load a finite float
         check_range("num_neurons", self.num_neurons, 1, np.iinfo(np.intp).max)
         if round(self.num_neurons * min(self.load_values)) < 1:
@@ -348,6 +344,10 @@ def grid_config_from_file(path) -> GridConfig:
         check_range("gamma_count", count, 1)
         if hi < lo:
             raise FieldError("gamma_max", f"must be >= gamma_min, got {hi}")
-        return list(np.logspace(np.log10(lo), np.log10(hi), count))
+        values = list(np.logspace(np.log10(lo), np.log10(hi), count))
+        if any(a >= b for a, b in zip(values, values[1:])):  # gamma_max = gamma_min, say
+            raise FieldError("gamma_max", f"must exceed gamma_min enough for {count} "
+                             f"distinct values, got {hi}")
+        return values
 
     return view.read(GridConfig, gamma_values=gamma_values)

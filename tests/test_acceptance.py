@@ -154,7 +154,7 @@ def test_c3_natural_gradient_identity():
         grad = loss_gradient(alpha, K, t, 0.0)
         G = fisher_matrix(alpha, K)
         spec = spectrum(G)
-        nat, _ = natural_gradient(grad, spec, rel_cutoff=1e-10)
+        nat, _, _ = natural_gradient(grad, spec, rel_cutoff=1e-10)
         keep = spec.eigenvalues > 1e-10 * spec.lambda_max
         V = spec.eigenvectors[:, keep]
         proj = V @ (V.T @ grad)

@@ -14,7 +14,7 @@ import pytest
 
 from hopgeo import cli, sweep
 from hopgeo.cli import TrainRun, main
-from hopgeo.errors import FieldError, NumericError
+from hopgeo.errors import FieldError, NumericError, TrainingDivergenceError
 from hopgeo.infogeo import fisher_matrix, spectrum, write_spectrum_csv
 from hopgeo.kernel_core import KernelConfig, gram, load_patterns
 from hopgeo.klr import load_weights
@@ -753,6 +753,7 @@ def test_recall_splits_trials_only_for_processes_the_pool_can_start(tmp_path, mo
     ("recall", FieldError("max_steps", "must be >= 1, got 0"), 2),
     ("phase", NumericError("non-finite field"), 3),
     ("phase", FieldError("gamma", "must be > 0, got 0"), 2),
+    ("phase", TrainingDivergenceError(3, 7), 3),
 ])
 def test_error_inside_a_pool_task_exits_with_one_line(tmp_path, capsys, monkeypatch,
                                                       command, error, code):
@@ -986,6 +987,8 @@ def test_render_malformed_grid_exits_2_with_one_line(tmp_path, capsys, case):
 GRID_RANGE_ERRORS = {
     "descending_loads": ("load_values = 0.25", "load_values = 0.5 0.25", "load_values"),
     "descending_gammas": ("gamma_values = 0.02 0.2", "gamma_values = 0.2 0.02", "gamma_values"),
+    "repeated_gamma": ("gamma_values = 0.02 0.2", "gamma_values = 0.2 0.2", "gamma_values"),
+    "repeated_load": ("load_values = 0.25", "load_values = 0.25 0.25", "load_values"),
     "nonpositive_gamma": ("gamma_values = 0.02 0.2", "gamma_values = 0 0.2", "gamma_values"),
     "zero_trials": ("trials_per_cell = 2", "trials_per_cell = 0", "trials_per_cell"),
     "negative_base_seed": ("base_seed = 3", "base_seed = -1", "base_seed"),
@@ -1017,6 +1020,10 @@ GRID_RANGE_ERRORS = {
     "gamma_max_below_gamma_min": ("gamma_values = 0.02 0.2",
                                   "gamma_max = 0.02\ngamma_min = 0.2\ngamma_count = 3",
                                   "gamma_max"),
+    # logspace of one value, three times
+    "gamma_max_equal_to_gamma_min": ("gamma_values = 0.02 0.2",
+                                     "gamma_max = 0.2\ngamma_min = 0.2\ngamma_count = 3",
+                                     "gamma_max"),
     "zero_num_neurons": ("num_neurons = 8", "num_neurons = 0", "num_neurons"),
     # num_neurons * load would overflow a float
     "huge_num_neurons": ("num_neurons = 8", "num_neurons = 1" + "0" * 400, "num_neurons"),

@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from hopgeo.errors import ArgumentError, FieldError, check_range
+from hopgeo.errors import ArgumentError, ConfigError, FieldError, NumericError
+from hopgeo.errors import TrainingDivergenceError, check_range
 
 
 @pytest.mark.parametrize("args, message", [
@@ -29,3 +30,12 @@ def test_check_range_states_the_range_it_wants(args, message):
 ])
 def test_check_range_accepts_values_in_range(args):
     check_range(*args)
+
+
+@pytest.mark.parametrize("error, base", [
+    (ConfigError("grid.cfg", 4, "unknown field 'x'"), ArgumentError),
+    (TrainingDivergenceError(3, 7), NumericError),
+])
+def test_an_error_type_has_the_base_of_its_exit_code(error, base):
+    assert isinstance(error, base)
+

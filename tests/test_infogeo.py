@@ -190,24 +190,24 @@ def test_gradient_report_rejects_spectrum_of_other_size():
 def test_natural_gradient_identity_metric():
     spec = spectrum(np.eye(3))
     g = np.array([1.0, -2.0, 0.5])
-    nat, retained = natural_gradient(g, spec)
+    nat, _, lam = natural_gradient(g, spec)
     assert np.allclose(nat, g)
-    assert retained == 3
+    assert lam.size == 3
 
 
 def test_natural_gradient_diagonal():
     spec = spectrum(np.diag([4.0, 1.0]))
-    nat, retained = natural_gradient(np.array([8.0, 3.0]), spec, rel_cutoff=1e-12)
+    nat, _, lam = natural_gradient(np.array([8.0, 3.0]), spec, rel_cutoff=1e-12)
     assert np.allclose(sorted(nat), [2.0, 3.0])
-    assert retained == 2
+    assert lam.size == 2
 
 
 def test_natural_gradient_orthogonal_to_rank_one_metric():
     v = np.array([1.0, 0.0])
     spec = spectrum(3.0 * np.outer(v, v))
-    nat, retained = natural_gradient(np.array([0.0, 5.0]), spec)
+    nat, _, lam = natural_gradient(np.array([0.0, 5.0]), spec)
     assert np.allclose(nat, 0.0)
-    assert retained == 1
+    assert lam.size == 1
 
 
 def test_natural_gradient_validation():
@@ -263,7 +263,7 @@ def test_metric_identity_on_retained_subspace():
         t = rng.integers(0, 2, size=P).astype(float)
         grad = loss_gradient(alpha, K, t, 0.0)
         spec = spectrum(fisher_matrix(alpha, K))
-        nat, _ = natural_gradient(grad, spec, rel_cutoff=1e-10)
+        nat, _, _ = natural_gradient(grad, spec, rel_cutoff=1e-10)
         keep = spec.eigenvalues > 1e-10 * spec.lambda_max
         V = spec.eigenvectors[:, keep]
         proj = V @ (V.T @ grad)
@@ -283,7 +283,7 @@ def test_scale_covariance():
         spec = spectrum(G)
         scaled = spectrum(c * G)
         assert scaled.d_eff == pytest.approx(spec.d_eff, rel=1e-10)
-        r1, _ = natural_gradient(grad, spec)
+        r1, _, _ = natural_gradient(grad, spec)
         ri1 = sum((spec.eigenvectors.T @ grad) ** 2 / spec.eigenvalues)
         ri2 = sum((scaled.eigenvectors.T @ grad) ** 2 / scaled.eigenvalues)
         assert ri2 == pytest.approx(ri1 / c, rel=1e-10)
@@ -297,7 +297,7 @@ def test_rank1_residual_equals_orthogonal_component_in_rank1_limit():
     spec = spectrum(G)
     assert spec.ratio_2_1 < 1e-6
     grad = rng.normal(size=5)
-    nat, _ = natural_gradient(grad, spec, rel_cutoff=1e-7)
+    nat, _, _ = natural_gradient(grad, spec, rel_cutoff=1e-7)
     rank1_term = spec.lambda_max * (spec.eigenvectors[:, 0] @ nat) * spec.eigenvectors[:, 0]
     residual = np.linalg.norm(grad - rank1_term) / np.linalg.norm(grad)
     ortho = np.linalg.norm(grad - (v @ grad) * v) / np.linalg.norm(grad)

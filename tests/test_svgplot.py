@@ -128,7 +128,7 @@ def test_heatmap_ragged_grid_raises():
 
 
 def test_heatmap_unknown_metric():
-    with pytest.raises(NumericError):
+    with pytest.raises(ArgumentError, match="unknown metric 'bogus'"):
         render_heatmap(grid_2x2(), "bogus")
 
 
