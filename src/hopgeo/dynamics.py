@@ -34,15 +34,6 @@ class RecallResult:
     success: bool
 
 
-def overlap(state, pattern) -> float:
-    """Normalized inner product (1/N) sum state_i * pattern_i, in [-1, 1]."""
-    state = np.asarray(state)
-    pattern = np.asarray(pattern)
-    if state.shape != pattern.shape:
-        raise ArgumentError(f"length mismatch: {state.shape} vs {pattern.shape}")
-    return float(state @ pattern) / state.shape[0]
-
-
 def local_field(state, patterns: PatternSet, weights: DualWeights):
     """h_i = sum_nu alpha_nu_i K(state, xi_nu) for every neuron i, K of width weights.gamma."""
     state = np.asarray(state)
@@ -167,7 +158,7 @@ def _recall_block(cues, targets, patterns, weights, max_steps, success_threshold
                 c = cycle[d]
                 prev_better = c & (_dots(prev[d], tgt) > _dots(state[d], tgt))
                 final[c & ~prev_better] = state[d[c & ~prev_better]]  # the others: new == prev
-            m = _dots(final, tgt) / N  # overlap() of each final state, bit for bit
+            m = _dots(final, tgt) / N  # overlap (1/N) sum_i s_i xi_i of each final state
             final = final.astype(cues.dtype)
             success = (m >= success_threshold).tolist()
             for i, row, mi, conv, ok in zip(rows.tolist(), final, m.tolist(),

@@ -61,11 +61,6 @@ class GramMatrix:
 
     values: np.ndarray
 
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 2 or self.values.shape[0] != self.values.shape[1]:
-            raise ArgumentError("Gram matrix must be square")
-
 
 def check_bipolar(values: np.ndarray, what: str) -> None:
     """Raise ArgumentError unless every entry of `values` is -1 or +1."""

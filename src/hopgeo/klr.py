@@ -83,12 +83,9 @@ def _bce_terms(h: np.ndarray, t: np.ndarray, e: np.ndarray, out: np.ndarray) -> 
 
 
 def sigmoid(h):
-    """Numerically stable logistic function, elementwise."""
+    """Numerically stable logistic function, elementwise; a scalar h gives a float64."""
     h = np.asarray(h, dtype=float)
-    out = _logistic(h, np.exp(-np.abs(h)))
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _logistic(h, np.exp(-np.abs(h)))
 
 
 def predict_probs(alpha_col: np.ndarray, K: np.ndarray) -> np.ndarray:

@@ -146,16 +146,12 @@ def seed64(*keys) -> int:
     return int(np.random.SeedSequence([int(k) for k in keys]).generate_state(1, np.uint64)[0])
 
 
-def run_cell(
-    gamma: float,
-    load: float,
-    cfg: GridConfig,
-    gamma_index: int,
-    load_index: int,
-) -> CellRecords:
-    """Train and measure one (gamma, load) grid point over all trials."""
+def run_cell(cfg: GridConfig, gamma_index: int, load_index: int) -> CellRecords:
+    """Train and measure the grid cell at (gamma_values[gamma_index],
+    load_values[load_index]) over all trials; the same indices key its seeds."""
+    gamma, load = cfg.gamma_values[gamma_index], cfg.load_values[load_index]
     N = cfg.num_neurons
-    P = max(1, int(round(load * N)))
+    P = round(load * N)  # at least 1: GridConfig checks it
     want_recall = "recall_rate" in cfg.metrics
     reports = []  # per trial, the GradientReport of every neuron in neuron order
     diverged = []
@@ -284,9 +280,8 @@ def pool_map(fn, tasks, workers: int) -> list:
             os.close(end)
 
 
-def _cell_task(args):
-    cfg, gi, li = args
-    return (li, gi), run_cell(cfg.gamma_values[gi], cfg.load_values[li], cfg, gi, li)
+def _cell_task(task):
+    return run_cell(*task)
 
 
 def run_grid(cfg: GridConfig, workers: int = 1) -> list:
@@ -294,17 +289,18 @@ def run_grid(cfg: GridConfig, workers: int = 1) -> list:
 
     Cells are independent; scheduling never changes values or order. Tasks
     are submitted largest load (so largest P, the longest descent) first, so
-    that a pool does not end waiting on one long cell. The pool (pool_map)
-    has at most one worker per cell and one per CPU.
+    that a pool does not end waiting on one long cell; both axes ascend, so
+    sorting by (load, gamma) restores index order. The pool (pool_map) has at
+    most one worker per cell and one per CPU.
     """
     tasks = [
         (cfg, gi, li)
         for li in reversed(range(len(cfg.load_values)))
         for gi in range(len(cfg.gamma_values))
     ]
-    results = pool_map(_cell_task, tasks, workers)
-    results.sort(key=lambda kv: kv[0])
-    return [rec for _, rec in results]
+    records = pool_map(_cell_task, tasks, workers)
+    records.sort(key=lambda rec: (rec.load, rec.gamma))
+    return records
 
 
 def write_grid_csv(cells: list, path) -> None:

@@ -1,4 +1,5 @@
 import json
+import math
 import multiprocessing
 import os
 import signal
@@ -6,7 +7,7 @@ import subprocess
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 from typing import get_type_hints
 
@@ -19,7 +20,7 @@ from hopgeo.infogeo import fisher_matrix, spectrum, write_spectrum_csv
 from hopgeo.kernel_core import KernelConfig, gram, load_patterns
 from hopgeo.klr import load_weights
 from hopgeo.svgplot import render_spectrum_lines
-from hopgeo.sweep import CSV_COLUMNS, GridConfig
+from hopgeo.sweep import CSV_COLUMNS, GridConfig, SweepCell, write_grid_csv
 
 
 def train_cfg_text(**overrides):
@@ -981,6 +982,29 @@ def test_render_malformed_grid_exits_2_with_one_line(tmp_path, capsys, case):
     else:
         assert_one_line_error(capsys, f"{grid}:2: malformed row")
     assert not (tmp_path / "svg").exists()
+
+
+# the changes to the two cells of a gamma 0.01 / 0.1, load 0.25 grid.csv; each is a cell
+# no phase run writes, yet each grid still passes the rectangle check (nan != nan)
+OUT_OF_RANGE_CELLS = {
+    "nan_gamma": ({"gamma": math.nan}, {"gamma": math.nan}),
+    "negative_gamma": ({"gamma": -0.1}, {}),
+    "load_above_one": ({"load": 1.5}, {"load": 1.5}),
+    "zero_trials": ({"trials": 0}, {}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE_CELLS))
+def test_render_refuses_a_cell_out_of_range_and_writes_no_svg(tmp_path, capsys, case):
+    grid = tmp_path / "grid.csv"
+    write_grid_csv([
+        replace(SweepCell(gamma=gamma, load=0.25, P=2, N=8, seed=0, trials=1,
+                          lambda_max_mean=1.0), **change)
+        for gamma, change in zip((0.01, 0.1), OUT_OF_RANGE_CELLS[case])
+    ], grid)
+    assert main(["render", "--grid", str(grid), "--out", str(tmp_path / "svg")]) == 2
+    assert_one_line_error(capsys, f"{grid}: cell out of range")
+    assert not list(tmp_path.rglob("*.svg"))
 
 
 # grid_cfg_text() line to replace, its replacement, the field the error names

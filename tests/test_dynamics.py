@@ -4,24 +4,10 @@ import numpy as np
 import pytest
 
 from hopgeo import dynamics
-from hopgeo.dynamics import RecallResult, local_field, overlap, recall, recall_batch, recall_trial
+from hopgeo.dynamics import RecallResult, local_field, recall, recall_batch, recall_trial
 from hopgeo.errors import ArgumentError
 from hopgeo.kernel_core import KernelConfig, PatternSet, corrupt, generate_patterns, gram
 from hopgeo.klr import DualWeights, TrainConfig, all_targets, fit_dual_weights, train
-
-
-def test_overlap_hand_values():
-    x = np.ones(10, dtype=int)
-    assert overlap(x, x) == 1.0
-    assert overlap(x, -x) == -1.0
-    y = x.copy()
-    y[:2] = -1  # two flips out of ten
-    assert overlap(y, x) == pytest.approx(0.6)
-
-
-def test_overlap_shape_check():
-    with pytest.raises(ArgumentError, match="length mismatch"):
-        overlap(np.ones(3), np.ones(4))
 
 
 def test_local_field_matches_loop_oracle():
@@ -140,6 +126,9 @@ def _step(state, patterns, weights):
 
 def _reference_recall(cue, target_index, patterns, weights, max_steps, success_threshold):
     """The single-cue loop recall() ran before cues were batched; the oracle."""
+    def overlap(state, pattern):  # (1/N) sum_i state_i * pattern_i
+        return float(state @ pattern) / state.shape[0]
+
     target = patterns.patterns[target_index]
     state = np.asarray(cue).copy()
     prev = None

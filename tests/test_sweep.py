@@ -93,7 +93,7 @@ def test_seed_derivation_is_stable_and_distinct():
 def test_single_pattern_cell_has_unit_effective_dimension():
     # P = 1: the Fisher matrix is a scalar, so d_eff = 1 exactly
     cfg = tiny_config(load_values=[0.125], gamma_values=[0.05], trials_per_cell=1)
-    cell = aggregate(run_cell(0.05, 0.125, cfg, 0, 0))
+    cell = aggregate(run_cell(cfg, 0, 0))
     assert cell.P == 1
     assert cell.d_eff_mean == pytest.approx(1.0, abs=1e-12)
     assert cell.degenerate_count == 0
@@ -102,8 +102,8 @@ def test_single_pattern_cell_has_unit_effective_dimension():
 
 def test_run_cell_deterministic():
     cfg = tiny_config()
-    a = run_cell(0.1, 0.5, cfg, 1, 1)
-    b = run_cell(0.1, 0.5, cfg, 1, 1)
+    a = run_cell(cfg, 1, 1)
+    b = run_cell(cfg, 1, 1)
     assert record_bits(a) == record_bits(b)
 
 
@@ -114,7 +114,7 @@ def test_run_grid_composes_cells_in_row_major_order():
     assert [(c.load, c.gamma) for c in cells] == [
         (0.25, 0.01), (0.25, 0.1), (0.5, 0.01), (0.5, 0.1)
     ]
-    lone = run_cell(0.1, 0.5, cfg, 1, 1)
+    lone = run_cell(cfg, 1, 1)
     assert record_bits(cells[3]) == record_bits(lone)
 
 
@@ -445,7 +445,7 @@ def test_shared_spectra_match_per_neuron_reference_bit_for_bit(monkeypatch, case
         return shared(alpha, K, kept)
 
     monkeypatch.setattr(sweep, "neuron_spectra", recording)
-    records = run_cell(gamma, load, cfg, 0, 0)
+    records = run_cell(cfg, 0, 0)
     groups = list(Counter(map(id, seen)).values())
     want_records, want = _reference_run_cell(gamma, load, cfg, 0, 0)
     assert record_bits(records) == record_bits(want_records)
