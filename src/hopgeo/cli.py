@@ -5,9 +5,9 @@ stable contract: 0 success, 2 usage/config errors, problems too large for
 memory and a pool worker that died, 3 numeric failures, 130 an interrupt.
 The output directories of train and phase receive a manifest.json
 recording the command line, resolved configuration, seeds, tool version,
-timestamps, and sha256 digests of the emitted files (the manifest itself
-is excluded from digest comparisons, so reruns are byte-identical apart
-from it).
+the numpy, BLAS and Python versions, timestamps, and sha256 digests of the
+emitted files (the manifest itself is excluded from digest comparisons, so
+reruns are byte-identical apart from it).
 """
 
 from __future__ import annotations
@@ -58,6 +58,15 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
+def numerics() -> dict:
+    """The versions a run's bits depend on: numpy, the BLAS it was built with, and Python."""
+    import platform  # numpy has loaded it already
+
+    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas": f"{blas.get('name')} {blas.get('version')}",
+            "python": platform.python_version()}
+
+
 def _write_manifest(names, argv, resolved_config: dict, seeds: dict, started: str, path: Path):
     """Write the manifest to `path`; `names` are the files this run wrote beside it."""
     outputs = {name: hashlib.sha256((path.parent / name).read_bytes()).hexdigest()
@@ -69,6 +78,7 @@ def _write_manifest(names, argv, resolved_config: dict, seeds: dict, started: st
         "resolved_config": resolved_config,
         "seeds": seeds,
         "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+        **numerics(),
         "started": started,
         "finished": _now(),
         "outputs": outputs,
@@ -219,7 +229,7 @@ def cmd_recall(args, argv) -> int:
                             args.max_steps, args.success_threshold)
     done = pool_map(recall_trials, tasks, args.workers)
     rates = []
-    for fi, frac in enumerate(fractions):  # one line per given fraction, repeats included
+    for fi, frac in enumerate(fractions):  # one line per fraction of the flag, repeats included
         hits = sum(row[-1] for rows in done[fi * runs:(fi + 1) * runs] for row in rows)
         rate = format_value(hits / (args.trials * patterns.num_patterns))
         rates.append([f"# success_rate flip_fraction={format_value(frac)} rate={rate}"])
@@ -257,6 +267,8 @@ def cmd_render(args, argv) -> int:
     if args.metrics is None:  # the measured metrics: recall_rate is all nan without recall
         metrics = [m for m, (column, _) in METRICS.items()
                    if any(math.isfinite(getattr(c, column)) for c in cells)]
+        if not metrics:
+            raise ArgumentError(f"{args.grid}: no metric column holds a finite value")
     files = _heatmaps(cells, metrics, args.grid)
     with _output_dir(Path(args.out)) as write:
         write(files)

@@ -82,16 +82,15 @@ class KVView:
             raise ConfigError(self.path, line, f"field {key!r}: empty list")
         return parsed
 
-    def read(self, cls, **given):
-        """A `cls` filled from the file; the fields named in `given` take those values instead.
+    def read(self, cls):
+        """A `cls` filled from the file.
 
         A key the file leaves out keeps its field's default; a field with no
-        default is required. A `given` value that is a function is called
-        when `cls` is built. Errors come in this order: a value that does not
+        default is required. Errors come in this order: a value that does not
         parse or a missing required field, then an unknown key, then a range
         error (a FieldError while building) at its key's line.
         """
-        build = self._builder(cls, given)
+        build = self._builder(cls)
         unknown = sorted(set(self.entries) - self.used)
         if unknown:
             line = self.entries[unknown[0]][1]
@@ -99,24 +98,19 @@ class KVView:
         try:
             return build()
         except FieldError as e:
-            raise self.error(e.field, e.message) from None
+            line = self.entries[e.field][1] if e.field in self.entries else 0
+            raise ConfigError(self.path, line, f"field {e.field!r}: {e.message}") from None
 
-    def _builder(self, cls, given):
+    def _builder(self, cls):
         # reads cls's keys now and returns the function that builds it, nested dataclasses first
         hints = get_type_hints(cls)
         parts = {}
         for f in fields(cls):
             hint = hints[f.name]
-            if f.name in given:
-                parts[f.name] = given[f.name]
-            elif is_dataclass(hint):
-                parts[f.name] = self._builder(hint, {})
+            if is_dataclass(hint):
+                parts[f.name] = self._builder(hint)
             elif (value := self.get(_key(f), hint)) is not None:
                 parts[f.name] = value
             elif f.default is MISSING and f.default_factory is MISSING:
                 raise ConfigError(self.path, 0, f"missing required field {_key(f)!r}")
         return lambda: cls(**{name: v() if callable(v) else v for name, v in parts.items()})
-
-    def error(self, key, message) -> ConfigError:
-        line = self.entries[key][1] if key in self.entries else 0
-        return ConfigError(self.path, line, f"field {key!r}: {message}")

@@ -325,25 +325,4 @@ def read_grid_csv(path) -> list:
 
 def grid_config_from_file(path) -> GridConfig:
     """Build a GridConfig from a flat key-value file (see README for keys)."""
-    view = KVView(path)
-    if "gamma_values" in view.entries:
-        return view.read(GridConfig)
-    lo = view.get("gamma_min", float)
-    hi = view.get("gamma_max", float)
-    count = view.get("gamma_count", int)
-    if None in (lo, hi, count):
-        raise view.error("gamma_values", "need gamma_values or gamma_min/max/count")
-
-    def gamma_values():  # called after the unknown-key check, like the other range checks
-        check_range("gamma_min", lo, 0, lo_open=True)
-        check_range("gamma_max", hi, 0, lo_open=True)
-        check_range("gamma_count", count, 1)
-        if hi < lo:
-            raise FieldError("gamma_max", f"must be >= gamma_min, got {hi}")
-        values = list(np.logspace(np.log10(lo), np.log10(hi), count))
-        if any(a >= b for a, b in zip(values, values[1:])):  # gamma_max = gamma_min, say
-            raise FieldError("gamma_max", f"must exceed gamma_min enough for {count} "
-                             f"distinct values, got {hi}")
-        return values
-
-    return view.read(GridConfig, gamma_values=gamma_values)
+    return KVView(path).read(GridConfig)

@@ -26,7 +26,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from hopgeo.cli import main
+from hopgeo.cli import main, numerics
 from hopgeo.dynamics import recall
 from hopgeo.infogeo import (
     effective_dimension,
@@ -101,11 +101,10 @@ def test_acceptance_grid_csv_keeps_its_bytes(cells, tmp_path, monkeypatch):
         monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
         from check import deviation
 
-        blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
         pytest.fail(
             f"grid.csv differs from {ACCEPTANCE_GRID}; largest relative deviation per "
             f"column: {deviation(got.read_text(), ACCEPTANCE_GRID.read_text())}; "
-            f"numpy {np.__version__}, {blas.get('name')} {blas.get('version')}"
+            + ", ".join(f"{name} {version}" for name, version in numerics().items())
         )
 
 

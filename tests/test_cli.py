@@ -2,19 +2,22 @@ import json
 import math
 import multiprocessing
 import os
+import platform
 import signal
 import subprocess
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import astuple, fields, is_dataclass, replace
 from pathlib import Path
 from typing import get_type_hints
 
+import numpy as np
 import pytest
 
 from hopgeo import cli, sweep
 from hopgeo.cli import TrainRun, main
+from hopgeo.config import KVView
 from hopgeo.errors import FieldError, NumericError, TrainingDivergenceError
 from hopgeo.infogeo import fisher_matrix, spectrum, write_spectrum_csv
 from hopgeo.kernel_core import KernelConfig, gram, load_patterns
@@ -86,6 +89,38 @@ def test_train_produces_artifacts_and_manifest(tmp_path):
     assert ps.num_patterns == 3
     assert w.alpha.shape == (3, 16)
     assert w.gamma == 0.05
+
+
+def test_manifest_names_the_numerics_it_ran_on(tmp_path):
+    _, train_out = run_train(tmp_path)
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(grid_cfg_text())
+    phase_out = tmp_path / "phase"
+    assert main(["phase", "--config", str(cfg), "--out", str(phase_out), "--workers", "1"]) == 0
+    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+    running = {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}",
+               "python": platform.python_version()}
+    for out in (train_out, phase_out):
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert {key: manifest[key] for key in running} == running
+
+
+# every file under configs/: the reader of its command, and for a grid the gammas its
+# comment says its gamma_values line writes out
+REPO_CONFIGS = {
+    "acceptance.cfg": (sweep.grid_config_from_file, np.logspace(-3, 1, 12)),
+    "example_grid.cfg": (sweep.grid_config_from_file, np.logspace(-3, 0, 6)),
+    "example_train.cfg": (lambda path: KVView(path).read(TrainRun), None),
+}
+
+
+def test_every_repo_config_loads_with_its_reader():
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    assert sorted(p.name for p in configs.iterdir()) == sorted(REPO_CONFIGS)
+    for name, (read, gammas) in REPO_CONFIGS.items():
+        cfg = read(configs / name)
+        if gammas is not None:
+            assert cfg.gamma_values == list(gammas)  # bit for bit
 
 
 def test_train_rerun_is_byte_identical_except_manifest(tmp_path):
@@ -561,6 +596,9 @@ CONFIG_MESSAGES = {
     "empty_list": ("load_values", "load_values =", "field 'load_values': empty list"),
     "empty_metrics": ("metrics", "metrics =", "field 'metrics': empty list"),
     "missing_required_field": ("num_neurons", None, "missing required field 'num_neurons'"),
+    # the log-spaced gamma_min/gamma_max/gamma_count shorthand is not a grid key
+    "gamma_shorthand": ("gamma_values", "gamma_min = 1e-3\ngamma_max = 1\ngamma_count = 3",
+                        "missing required field 'gamma_values'"),
     "unknown_field": ("num_neurons", "num_neurons = 8\ntypo = 3", "unknown field 'typo'"),
     "duplicate_key": ("num_neurons", "num_neurons = 8\nnum_neurons = 8",
                       "duplicate key 'num_neurons'"),
@@ -590,14 +628,15 @@ def config_error(tmp_path, capsys, command, text):
 def test_config_error_message(tmp_path, capsys, command, case):
     key, new, message = CONFIG_MESSAGES[case]
     text, line = edit_config(CONFIG_TEXT[command], key, new)
+    if message.startswith("missing required field"):  # a key the file lacks has no line
+        line = 0
     assert config_error(tmp_path, capsys, command, text) == f"error: CFG:{line}: {message}\n"
 
 
 @pytest.mark.parametrize("command, key, new", [
     ("train", "lambda", "lambda = -1"),
     ("phase", "lambda", "lambda = -1"),
-    ("phase", "gamma_values", "gamma_min = -1\ngamma_max = 0.2\ngamma_count = 3"),
-], ids=["train", "phase", "phase_gamma_shorthand"])
+], ids=["train", "phase"])
 def test_unknown_key_is_reported_before_a_range_error(tmp_path, capsys, command, key, new):
     text, line = edit_config(CONFIG_TEXT[command], key, new + "\ntypo = 3")
     err = config_error(tmp_path, capsys, command, text)
@@ -965,22 +1004,34 @@ def test_render_header_only_grid_exits_2_and_writes_no_svg(tmp_path, capsys):
     assert not list(tmp_path.rglob("*.svg"))
 
 
+def grid_text(*cells) -> str:
+    return "".join(f"{','.join(map(str, row))}\n" for row in [CSV_COLUMNS, *map(astuple, cells)])
+
+
+NO_FINITE_METRIC = ": no metric column holds a finite value"
+# case: (the grid.csv text, the error after its path)
 GRID_ROWS = {
-    "missing_columns": "gamma,load\n0.1,0.5\n",
-    "short_row": ",".join(CSV_COLUMNS) + "\n0.1,0.5,4\n",
-    "non_numeric": ",".join(CSV_COLUMNS) + "\n" + ",".join(["x"] * len(CSV_COLUMNS)) + "\n",
+    "missing_columns": ("gamma,load\n0.1,0.5\n", ": missing columns: P, N, seed, trials,"),
+    "short_row": (",".join(CSV_COLUMNS) + "\n0.1,0.5,4\n", ":2: malformed row"),
+    "non_numeric": (",".join(CSV_COLUMNS) + "\n" + ",".join(["x"] * len(CSV_COLUMNS)) + "\n",
+                    ":2: malformed row"),
+    # every metric nan: without --metrics there is nothing to draw
+    "no_finite_metric": (grid_text(*(SweepCell(gamma=gamma, load=0.25, P=2, N=8, seed=0,
+                                               trials=1) for gamma in (0.01, 0.1))),
+                         NO_FINITE_METRIC),
+    "no_finite_metric_in_a_cell_out_of_range": (
+        grid_text(SweepCell(gamma=math.nan, load=5, P=2, N=8, seed=0, trials=-1)),
+        NO_FINITE_METRIC),
 }
 
 
 @pytest.mark.parametrize("case", sorted(GRID_ROWS))
 def test_render_malformed_grid_exits_2_with_one_line(tmp_path, capsys, case):
     grid = tmp_path / "grid.csv"
-    grid.write_text(GRID_ROWS[case])
+    text, message = GRID_ROWS[case]
+    grid.write_text(text)
     assert main(["render", "--grid", str(grid), "--out", str(tmp_path / "svg")]) == 2
-    if case == "missing_columns":
-        assert_one_line_error(capsys, f"{grid}: missing columns: P, N, seed, trials,")
-    else:
-        assert_one_line_error(capsys, f"{grid}:2: malformed row")
+    assert_one_line_error(capsys, f"{grid}{message}")
     assert not (tmp_path / "svg").exists()
 
 
@@ -1017,8 +1068,6 @@ GRID_RANGE_ERRORS = {
     "zero_trials": ("trials_per_cell = 2", "trials_per_cell = 0", "trials_per_cell"),
     "negative_base_seed": ("base_seed = 3", "base_seed = -1", "base_seed"),
     "negative_lambda": ("lambda = 1e-5", "lambda = -1", "lambda"),
-    "negative_gamma_min": ("gamma_values = 0.02 0.2",
-                           "gamma_min = -1\ngamma_max = 0.2\ngamma_count = 3", "gamma_min"),
     # recall keys: the bad key takes the replaced line, which then follows it
     "negative_flip_fraction": ("num_neurons = 8", "recall_flip_fraction = -0.1\nnum_neurons = 8",
                                "recall_flip_fraction"),
@@ -1039,15 +1088,6 @@ GRID_RANGE_ERRORS = {
                                           "num_neurons"),
     "nan_gamma": ("gamma_values = 0.02 0.2", "gamma_values = nan", "gamma_values"),
     "inf_gamma": ("gamma_values = 0.02 0.2", "gamma_values = 0.02 inf", "gamma_values"),
-    "inf_gamma_max": ("gamma_values = 0.02 0.2",
-                      "gamma_max = inf\ngamma_min = 0.02\ngamma_count = 3", "gamma_max"),
-    "gamma_max_below_gamma_min": ("gamma_values = 0.02 0.2",
-                                  "gamma_max = 0.02\ngamma_min = 0.2\ngamma_count = 3",
-                                  "gamma_max"),
-    # logspace of one value, three times
-    "gamma_max_equal_to_gamma_min": ("gamma_values = 0.02 0.2",
-                                     "gamma_max = 0.2\ngamma_min = 0.2\ngamma_count = 3",
-                                     "gamma_max"),
     "zero_num_neurons": ("num_neurons = 8", "num_neurons = 0", "num_neurons"),
     # num_neurons * load would overflow a float
     "huge_num_neurons": ("num_neurons = 8", "num_neurons = 1" + "0" * 400, "num_neurons"),

@@ -261,19 +261,6 @@ def test_grid_config_from_file(tmp_path):
     assert cfg.metrics == ("lambda_max", "d_eff")
 
 
-def test_grid_config_logspace_shorthand(tmp_path):
-    path = tmp_path / "grid.cfg"
-    path.write_text(
-        "gamma_min = 0.001\n"
-        "gamma_max = 10\n"
-        "gamma_count = 5\n"
-        "load_values = 0.5\n"
-        "num_neurons = 8\n"
-    )
-    cfg = grid_config_from_file(path)
-    assert np.allclose(cfg.gamma_values, np.logspace(-3, 1, 5))
-
-
 def test_grid_config_errors_carry_line_numbers(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text(
