@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import KVView, resolved
+from .config import read_config, resolved
 from .dynamics import DEFAULT_MAX_STEPS, DEFAULT_SUCCESS_THRESHOLD, recall_trial
 from .errors import ArgumentError, FieldError, NumericError, PoolError, check_range
 from .infogeo import neuron_spectra, write_spectrum_csv
@@ -116,7 +116,7 @@ def _output_dir(out: Path | None):
 
 @dataclass
 class TrainRun:
-    """The config file of `hopgeo train` (see config.KVView.read and README)."""
+    """The config file of `hopgeo train`, read by config.read_config (see README)."""
 
     num_patterns: int
     num_neurons: int
@@ -136,7 +136,7 @@ class TrainRun:
 def cmd_train(args, argv) -> int:
     started = _now()
     out = Path(args.out)
-    run = KVView(args.config).read(TrainRun)
+    run = read_config(args.config, TrainRun)
     if args.seed is not None:
         run.seed = args.seed
     patterns = generate_patterns(run.num_patterns, run.num_neurons, run.seed)
@@ -155,8 +155,6 @@ def _load_artifacts(weights_dir):
     d = Path(weights_dir)
     pat_path = d / "patterns.txt"
     wt_path = d / "weights.txt"
-    if not pat_path.exists() or not wt_path.exists():
-        raise FileNotFoundError(f"missing patterns.txt or weights.txt in {d}")
     patterns, weights = load_patterns(pat_path), load_weights(wt_path)
     if weights.alpha.shape != patterns.patterns.shape:
         raise ArgumentError(

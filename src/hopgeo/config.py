@@ -2,12 +2,13 @@
 
 Format: one `key = value` pair per line; `#` starts a comment; blank
 lines ignored. List values are whitespace-separated. Errors carry the
-line number and field name so the CLI can report them precisely.
+line number and field name so the CLI can report them precisely; an
+error about a key the file leaves out carries the file name alone.
 
 A config dataclass is the schema of its file. Each field is one key,
 named by the field or by its `metadata["key"]`, and parsed by its type
 hint; a dataclass-typed field reads its own fields from the same file.
-KVView.read fills a dataclass from a file, and `resolved` writes it back
+read_config fills a dataclass from a file, and `resolved` writes it back
 as the {key: value} a manifest records.
 """
 
@@ -51,66 +52,56 @@ def resolved(cfg) -> dict:
     return out
 
 
-class KVView:
-    """A parsed key-value file, read into config dataclasses with line-precise errors."""
+_PARSERS = {  # a type hint's parser, and what a value that fails it is not
+    float: (float, "a number"),
+    int: (int, "an integer"),
+    list[float]: (lambda text: [float(v) for v in text.split()], "a list of numbers"),
+    tuple[str, ...]: (lambda text: tuple(text.split()), "a list of names"),
+}
 
-    def __init__(self, path):
-        self.path = path
-        self.entries = read_kv_file(path)
-        self.used: set[str] = set()
 
-    def get(self, key, hint):
-        """The value of `key` parsed as `hint`, or None if the file leaves it out.
+def read_config(path, cls):
+    """A `cls` filled from the key-value file at `path`.
 
-        `hint` is float, int, list[float] (nonempty) or tuple[str, ...].
-        """
-        self.used.add(key)
-        if key not in self.entries:
-            return None
-        value, line = self.entries[key]
-        parse, what = {  # the parser, and what a value that fails it is not
-            float: (float, "a number"),
-            int: (int, "an integer"),
-            list[float]: (lambda text: [float(v) for v in text.split()], "a list of numbers"),
-            tuple[str, ...]: (lambda text: tuple(text.split()), "a list of names"),
-        }[hint]
-        try:
-            parsed = parse(value)
-        except ValueError:
-            raise ConfigError(self.path, line, f"field {key!r}: not {what}: {value!r}") from None
-        if parsed in ([], ()):
-            raise ConfigError(self.path, line, f"field {key!r}: empty list")
-        return parsed
+    A key the file leaves out keeps its field's default; a field with no
+    default is required. Errors come in this order: a value that does not
+    parse or a missing required field, then an unknown key, then a range
+    error (a FieldError while building) at its key's line. An error about a
+    key the file leaves out names the file alone.
+    """
+    entries = read_kv_file(path)
+    used: set[str] = set()
 
-    def read(self, cls):
-        """A `cls` filled from the file.
-
-        A key the file leaves out keeps its field's default; a field with no
-        default is required. Errors come in this order: a value that does not
-        parse or a missing required field, then an unknown key, then a range
-        error (a FieldError while building) at its key's line.
-        """
-        build = self._builder(cls)
-        unknown = sorted(set(self.entries) - self.used)
-        if unknown:
-            line = self.entries[unknown[0]][1]
-            raise ConfigError(self.path, line, f"unknown field {unknown[0]!r}")
-        try:
-            return build()
-        except FieldError as e:
-            line = self.entries[e.field][1] if e.field in self.entries else 0
-            raise ConfigError(self.path, line, f"field {e.field!r}: {e.message}") from None
-
-    def _builder(self, cls):
-        # reads cls's keys now and returns the function that builds it, nested dataclasses first
-        hints = get_type_hints(cls)
+    def builder(schema):
+        # reads schema's keys now and returns the function that builds it, nested dataclasses first
+        hints = get_type_hints(schema)
         parts = {}
-        for f in fields(cls):
-            hint = hints[f.name]
+        for f in fields(schema):
+            hint, key = hints[f.name], _key(f)
             if is_dataclass(hint):
-                parts[f.name] = self._builder(hint)
-            elif (value := self.get(_key(f), hint)) is not None:
-                parts[f.name] = value
+                parts[f.name] = builder(hint)
+                continue
+            used.add(key)
+            if key in entries:
+                value, line = entries[key]
+                parse, what = _PARSERS[hint]
+                try:
+                    parsed = parse(value)
+                except ValueError:
+                    raise ConfigError(path, line, f"field {key!r}: not {what}: {value!r}") from None
+                if parsed in ([], ()):
+                    raise ConfigError(path, line, f"field {key!r}: empty list")
+                parts[f.name] = parsed
             elif f.default is MISSING and f.default_factory is MISSING:
-                raise ConfigError(self.path, 0, f"missing required field {_key(f)!r}")
-        return lambda: cls(**{name: v() if callable(v) else v for name, v in parts.items()})
+                raise ConfigError(path, None, f"missing required field {key!r}")
+        return lambda: schema(**{name: v() if callable(v) else v for name, v in parts.items()})
+
+    build = builder(cls)
+    unknown = sorted(set(entries) - used)
+    if unknown:
+        raise ConfigError(path, entries[unknown[0]][1], f"unknown field {unknown[0]!r}")
+    try:
+        return build()
+    except FieldError as e:
+        line = entries[e.field][1] if e.field in entries else None
+        raise ConfigError(path, line, f"field {e.field!r}: {e.message}") from None

@@ -29,12 +29,16 @@ class FieldError(ArgumentError):
 
 
 class ConfigError(ArgumentError):
-    """A config file is malformed; the message starts with its file:line."""
+    """A config file is malformed; the message starts with its file:line.
 
-    def __init__(self, path, line: int, message: str):
+    `line` is None for an error with no line, such as a key the file leaves
+    out, and the message then starts with the file alone.
+    """
+
+    def __init__(self, path, line: int | None, message: str):
         self.path = str(path)
         self.line = line
-        super().__init__(f"{path}:{line}: {message}")
+        super().__init__(f"{path}: {message}" if line is None else f"{path}:{line}: {message}")
 
 
 def check_range(field: str, value, lo, hi=math.inf, lo_open=False, hi_open=False) -> None:

@@ -29,7 +29,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .config import KVView
+from .config import read_config
 from .dynamics import DEFAULT_MAX_STEPS, DEFAULT_SUCCESS_THRESHOLD, recall_trial
 from .errors import ArgumentError, FieldError, PoolError, check_range
 from .infogeo import DEFAULT_REL_CUTOFF, GradientReport, gradient_report, neuron_spectra
@@ -325,4 +325,4 @@ def read_grid_csv(path) -> list:
 
 def grid_config_from_file(path) -> GridConfig:
     """Build a GridConfig from a flat key-value file (see README for keys)."""
-    return KVView(path).read(GridConfig)
+    return read_config(path, GridConfig)

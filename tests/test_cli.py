@@ -17,7 +17,7 @@ import pytest
 
 from hopgeo import cli, sweep
 from hopgeo.cli import TrainRun, main
-from hopgeo.config import KVView
+from hopgeo.config import read_config
 from hopgeo.errors import FieldError, NumericError, TrainingDivergenceError
 from hopgeo.infogeo import fisher_matrix, spectrum, write_spectrum_csv
 from hopgeo.kernel_core import KernelConfig, gram, load_patterns
@@ -105,22 +105,34 @@ def test_manifest_names_the_numerics_it_ran_on(tmp_path):
         assert {key: manifest[key] for key in running} == running
 
 
-# every file under configs/: the reader of its command, and for a grid the gammas its
-# comment says its gamma_values line writes out
+def read_train_run(path):
+    return read_config(path, TrainRun)
+
+
+# every file under configs/ and perfbench/configs/: the reader of its command, and for
+# a grid under configs/ the gammas its comment says its gamma_values line writes out
 REPO_CONFIGS = {
-    "acceptance.cfg": (sweep.grid_config_from_file, np.logspace(-3, 1, 12)),
-    "example_grid.cfg": (sweep.grid_config_from_file, np.logspace(-3, 0, 6)),
-    "example_train.cfg": (lambda path: KVView(path).read(TrainRun), None),
+    "configs": {
+        "acceptance.cfg": (sweep.grid_config_from_file, np.logspace(-3, 1, 12)),
+        "example_grid.cfg": (sweep.grid_config_from_file, np.logspace(-3, 0, 6)),
+        "example_train.cfg": (read_train_run, None),
+    },
+    "perfbench/configs": {  # a config the benchmark cannot load fails its run
+        "phase-descent.cfg": (sweep.grid_config_from_file, None),
+        "phase-geometry.cfg": (sweep.grid_config_from_file, None),
+        "pipeline-train.cfg": (read_train_run, None),
+    },
 }
 
 
 def test_every_repo_config_loads_with_its_reader():
-    configs = Path(__file__).resolve().parent.parent / "configs"
-    assert sorted(p.name for p in configs.iterdir()) == sorted(REPO_CONFIGS)
-    for name, (read, gammas) in REPO_CONFIGS.items():
-        cfg = read(configs / name)
-        if gammas is not None:
-            assert cfg.gamma_values == list(gammas)  # bit for bit
+    root = Path(__file__).resolve().parent.parent
+    for directory, readers in REPO_CONFIGS.items():
+        assert sorted(p.name for p in (root / directory).iterdir()) == sorted(readers)
+        for name, (read, gammas) in readers.items():
+            cfg = read(root / directory / name)
+            if gammas is not None:
+                assert cfg.gamma_values == list(gammas)  # bit for bit
 
 
 def test_train_rerun_is_byte_identical_except_manifest(tmp_path):
@@ -306,12 +318,6 @@ def test_spectrum_of_a_saturated_network_exits_0(tmp_path):
     assert row[3] == "1"
 
 
-def test_spectrum_missing_artifacts_exits_2(tmp_path):
-    code = main(["spectrum", "--weights", str(tmp_path),
-                 "--out", str(tmp_path / "s.csv")])
-    assert code == 2
-
-
 def test_spectrum_with_an_unwritable_svg_exits_2_and_writes_nothing(tmp_path, capsys):
     _, out = run_train(tmp_path)
     csv_path, svg_path = tmp_path / "s.csv", tmp_path / "missing" / "s.svg"
@@ -336,6 +342,16 @@ def assert_one_line_error(capsys, *names):
     assert "Traceback" not in err
     for name in names:
         assert name in err
+
+
+@pytest.mark.parametrize("command", ["spectrum", "recall"])
+@pytest.mark.parametrize("missing", ["patterns.txt", "weights.txt"])
+def test_missing_artifact_exits_2_naming_the_file(tmp_path, capsys, command, missing):
+    _, weights_dir = run_train(tmp_path)
+    (weights_dir / missing).unlink()
+    capsys.readouterr()
+    assert run_on_artifacts(command, weights_dir, tmp_path) == 2
+    assert_one_line_error(capsys, str(weights_dir / missing))
 
 
 DAMAGE = {
@@ -628,19 +644,30 @@ def config_error(tmp_path, capsys, command, text):
 def test_config_error_message(tmp_path, capsys, command, case):
     key, new, message = CONFIG_MESSAGES[case]
     text, line = edit_config(CONFIG_TEXT[command], key, new)
-    if message.startswith("missing required field"):  # a key the file lacks has no line
-        line = 0
-    assert config_error(tmp_path, capsys, command, text) == f"error: CFG:{line}: {message}\n"
+    where = "CFG:" if message.startswith("missing required field") else f"CFG:{line}:"
+    assert config_error(tmp_path, capsys, command, text) == f"error: {where} {message}\n"
 
 
-@pytest.mark.parametrize("command, key, new", [
-    ("train", "lambda", "lambda = -1"),
-    ("phase", "lambda", "lambda = -1"),
-], ids=["train", "phase"])
-def test_unknown_key_is_reported_before_a_range_error(tmp_path, capsys, command, key, new):
-    text, line = edit_config(CONFIG_TEXT[command], key, new + "\ntypo = 3")
-    err = config_error(tmp_path, capsys, command, text)
-    assert err == f"error: CFG:{line}: unknown field 'typo'\n"
+# a value that does not parse or a missing required key, then an unknown key, then a
+# range error; case: (the key whose line is replaced, the lines put there, the line the
+# error names or None for the file alone, the message)
+CONFIG_ERROR_ORDER = {
+    "unknown_key_before_range_error": ("lambda", "lambda = -1\ntypo = 3", "typo = 3",
+                                       "unknown field 'typo'"),
+    "parse_error_before_unknown_key": ("lambda", "lambda = x\ntypo = 3", "lambda = x",
+                                       "field 'lambda': not a number: 'x'"),
+    "missing_key_before_unknown_key": ("num_neurons", "typo = 3", None,
+                                       "missing required field 'num_neurons'"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_TEXT))
+@pytest.mark.parametrize("case", sorted(CONFIG_ERROR_ORDER))
+def test_config_errors_are_reported_in_order(tmp_path, capsys, command, case):
+    key, new, at, message = CONFIG_ERROR_ORDER[case]
+    text, _ = edit_config(CONFIG_TEXT[command], key, new)
+    where = "CFG:" if at is None else f"CFG:{text.splitlines().index(at) + 1}:"
+    assert config_error(tmp_path, capsys, command, text) == f"error: {where} {message}\n"
 
 
 @pytest.mark.parametrize("command", sorted(CONFIG_TEXT))
