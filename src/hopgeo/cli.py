@@ -4,10 +4,10 @@ Subcommands: train, spectrum, phase, recall, render. Exit codes are a
 stable contract: 0 success, 2 usage/config errors, problems too large for
 memory and a pool worker that died, 3 numeric failures, 130 an interrupt.
 The output directories of train and phase receive a manifest.json
-recording the command line, resolved configuration, seeds, tool version,
-the numpy, BLAS and Python versions, timestamps, and sha256 digests of the
-emitted files (the manifest itself is excluded from digest comparisons, so
-reruns are byte-identical apart from it).
+recording the command line, resolved configuration (seeds included), tool
+version, numerics (numpy, BLAS and Python versions, BLAS thread count),
+timestamps, and sha256 digests of the emitted files (the manifest itself is
+excluded from digest comparisons, so reruns are byte-identical apart from it).
 """
 
 from __future__ import annotations
@@ -59,25 +59,25 @@ def _now() -> str:
 
 
 def numerics() -> dict:
-    """The versions a run's bits depend on: numpy, the BLAS it was built with, and Python."""
+    """What a run's bits depend on besides its config: the numpy version, the BLAS
+    numpy was built with, the Python version and the BLAS thread count."""
     import platform  # numpy has loaded it already
 
     blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
     return {"numpy": np.__version__, "blas": f"{blas.get('name')} {blas.get('version')}",
-            "python": platform.python_version()}
+            "python": platform.python_version(),
+            "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS")}
 
 
-def _write_manifest(names, argv, resolved_config: dict, seeds: dict, started: str, path: Path):
-    """Write the manifest to `path`; `names` are the files this run wrote beside it."""
+def _write_manifest(names, argv, cfg, started: str, path: Path):
+    """Write the manifest of a run of config `cfg` to `path`, beside the files `names`."""
     outputs = {name: hashlib.sha256((path.parent / name).read_bytes()).hexdigest()
                for name in sorted(names)}
     manifest = {
         "tool": "hopgeo",
         "version": __version__,
         "command_line": list(argv),
-        "resolved_config": resolved_config,
-        "seeds": seeds,
-        "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "resolved_config": resolved(cfg),
         **numerics(),
         "started": started,
         "finished": _now(),
@@ -146,8 +146,7 @@ def cmd_train(args, argv) -> int:
              "weights.txt": partial(save_weights, weights)}
     with _output_dir(out) as write:
         write(files)
-        write({"manifest.json": partial(_write_manifest, files, argv, resolved(run),
-                                        {"pattern_seed": run.seed}, started)})
+        write({"manifest.json": partial(_write_manifest, files, argv, run, started)})
     return EXIT_OK
 
 
@@ -165,6 +164,8 @@ def _load_artifacts(weights_dir):
 
 
 def cmd_spectrum(args, argv) -> int:
+    if args.svg and Path(args.svg).resolve() == Path(args.out).resolve():
+        raise ArgumentError(f"--svg {args.svg} names the --out file {args.out}")
     patterns, weights = _load_artifacts(args.weights)
     K = gram(patterns, KernelConfig(gamma=weights.gamma)).values
     specs = neuron_spectra(weights.alpha, K, lambda i, spec: spec)
@@ -188,8 +189,7 @@ def cmd_phase(args, argv) -> int:
         files = {"grid.csv": partial(write_grid_csv, cells),
                  **_heatmaps(cells, cfg.metrics, out / "grid.csv")}
         write(files)
-        write({"manifest.json": partial(_write_manifest, files, argv, resolved(cfg),
-                                        {"base_seed": cfg.base_seed}, started)})
+        write({"manifest.json": partial(_write_manifest, files, argv, cfg, started)})
     degen = sum(c.degenerate_count for c in cells)
     diverg = sum(c.divergence_count for c in cells)
     if degen or diverg:

@@ -123,16 +123,11 @@ def format_value(v) -> str:
     return str(v)
 
 
-def format_row(values, sep: str = " ") -> str:
-    """The values' texts (format_value) joined by `sep`."""
-    return sep.join(map(format_value, values))
-
-
 def write_rows(path, rows, sep: str = " ") -> None:
-    """Write each row (header row first) as its format_row line: the one writer of every
-    table artifact. Rows stream through the file's buffer; no table is held as one string."""
+    """Write each row, header row first, as its format_value texts joined by `sep`: the one
+    writer of every table artifact. Rows stream through the file's buffer."""
     with open(path, "w") as f:
-        f.writelines(format_row(row, sep) + "\n" for row in rows)
+        f.writelines(sep.join(map(format_value, row)) + "\n" for row in rows)
 
 
 def save_patterns(ps: PatternSet, path) -> None:
@@ -141,9 +136,10 @@ def save_patterns(ps: PatternSet, path) -> None:
 
 
 def read_text(path) -> str:
-    """The text of a file; ArgumentError names the file if it does not decode."""
+    """The text of a file as UTF-8 in any locale, a leading BOM dropped; ArgumentError
+    names the file if it does not decode."""
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError:
         raise ArgumentError(f"{path}: not a text file") from None
 

@@ -81,7 +81,8 @@ def test_train_produces_artifacts_and_manifest(tmp_path):
     assert (out / "weights.txt").exists()
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["resolved_config"]["gamma"] == 0.05
-    assert manifest["seeds"]["pattern_seed"] == 11
+    assert manifest["resolved_config"]["seed"] == 11
+    assert "seeds" not in manifest
     assert set(manifest["outputs"]) == {"patterns.txt", "weights.txt"}
     # trained artifacts are loadable and mutually consistent
     ps = load_patterns(out / "patterns.txt")
@@ -103,6 +104,13 @@ def test_manifest_names_the_numerics_it_ran_on(tmp_path):
     for out in (train_out, phase_out):
         manifest = json.loads((out / "manifest.json").read_text())
         assert {key: manifest[key] for key in running} == running
+
+
+@pytest.mark.parametrize("threads", [None, "3"])
+def test_numerics_names_the_blas_thread_count(monkeypatch, threads):
+    if threads is not None:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+    assert cli.numerics()["openblas_num_threads"] == os.environ.get("OPENBLAS_NUM_THREADS")
 
 
 def read_train_run(path):
@@ -326,6 +334,16 @@ def test_spectrum_with_an_unwritable_svg_exits_2_and_writes_nothing(tmp_path, ca
                  "--svg", str(svg_path)]) == 2
     assert_one_line_error(capsys, str(svg_path))
     assert not csv_path.exists()
+
+
+def test_spectrum_svg_naming_the_out_file_exits_2_and_writes_nothing(tmp_path, capsys,
+                                                                    monkeypatch):
+    _, out = run_train(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert main(["spectrum", "--weights", str(out), "--out", "s.csv", "--svg", "./s.csv"]) == 2
+    assert_one_line_error(capsys, "--svg ./s.csv")
+    assert not (tmp_path / "s.csv").exists()
 
 
 def run_on_artifacts(command, weights_dir, tmp_path):
@@ -680,6 +698,32 @@ def test_non_utf8_config_exits_2_naming_the_file(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", sorted(CONFIG_TEXT))
+def test_a_utf8_config_is_read_in_any_locale(tmp_path, command):
+    cfg = tmp_path / f"{command}.cfg"
+    cfg.write_bytes("# café\n".encode() + CONFIG_TEXT[command].encode())
+    env = {**source_env(), "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    run = subprocess.run(
+        [sys.executable, "-m", "hopgeo.cli", command, "--config", str(cfg),
+         "--out", str(tmp_path / "out"), "--workers", "1"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_TEXT))
+def test_a_config_with_a_byte_order_mark_reads_as_without(tmp_path, command):
+    outputs = {}
+    for name, bom in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_bytes(bom + CONFIG_TEXT[command].encode())
+        out = tmp_path / name
+        assert main([command, "--config", str(cfg), "--out", str(out), "--workers", "1"]) == 0
+        outputs[name] = {p.name: p.read_bytes() for p in out.iterdir()
+                         if p.name != "manifest.json"}
+    assert outputs["bom"] == outputs["plain"]
+
+
 def test_blas_runs_one_thread_unless_the_caller_sets_a_count(tmp_path):
     # At P = N = 256 a second OpenBLAS thread changes the bits of eigh, so an
     # unset thread count must give the bytes of one thread on any machine.
@@ -1008,6 +1052,18 @@ def test_render_by_default_draws_what_the_grid_holds(tmp_path):
     assert len(names) == 5
     for name in names:
         assert (rout / name).read_bytes() == (out / name).read_bytes()
+
+
+def test_render_reads_a_grid_with_a_byte_order_mark_as_without(tmp_path):
+    out = default_phase(tmp_path)
+    bom_grid = tmp_path / "bom.csv"
+    bom_grid.write_bytes(b"\xef\xbb\xbf" + (out / "grid.csv").read_bytes())
+    rendered = {}
+    for name, grid in (("plain", out / "grid.csv"), ("bom", bom_grid)):
+        assert main(["render", "--grid", str(grid), "--out", str(tmp_path / name)]) == 0
+        rendered[name] = {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+    assert rendered["bom"] == rendered["plain"]
+    assert len(rendered["plain"]) == 5
 
 
 @pytest.mark.parametrize("metrics", ["recall_rate", "d_eff recall_rate"])

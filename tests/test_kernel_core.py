@@ -11,12 +11,12 @@ from hopgeo.kernel_core import (
     KernelConfig,
     PatternSet,
     corrupt,
-    format_row,
     format_value,
     generate_patterns,
     gram,
     load_patterns,
     save_patterns,
+    write_rows,
 )
 
 
@@ -110,6 +110,11 @@ def test_generate_patterns_mean_bit_bound():
     assert np.all(np.abs(means) <= 0.2)
 
 
+def test_pattern_set_refuses_a_vector():
+    with pytest.raises(ArgumentError, match="^patterns must be a P x N matrix$"):
+        PatternSet(patterns=np.ones(4, dtype=int), seed=0)
+
+
 def test_generate_patterns_rejects_zero():
     with pytest.raises(ArgumentError):
         generate_patterns(0, 4, 1)
@@ -174,9 +179,12 @@ def test_format_value_writes_an_int_as_its_digits(n):
     assert format_value(n) == str(n)
 
 
-def test_format_row_joins_the_values_of_a_row():
-    assert format_row([3, 0.5, True, -0.0]) == "3 0.5 true -0"
-    assert format_row([1.0, False], ",") == "1,false"
+def test_write_rows_joins_the_values_of_each_row(tmp_path):
+    path = tmp_path / "rows.txt"
+    write_rows(path, [[3, 0.5, True, -0.0]])
+    assert path.read_text() == "3 0.5 true -0\n"
+    write_rows(path, [[3, 0.5, True, -0.0], [1.0, False]], ",")
+    assert path.read_text() == "3,0.5,true,-0\n1,false\n"
 
 
 def test_distance_convention_is_four_hamming():

@@ -441,6 +441,11 @@ def test_dual_weights_rejects_nonfinite():
         DualWeights(alpha=np.array([[np.inf]]), gamma=1.0, lam=0.0, trained_epochs=1)
 
 
+def test_dual_weights_refuses_a_vector_alpha():
+    with pytest.raises(ArgumentError, match="^alpha must be a P x N matrix$"):
+        DualWeights(alpha=np.zeros(4), gamma=1.0, lam=0.0, trained_epochs=0)
+
+
 @pytest.mark.parametrize("gamma", [0.0, -1.0, float("nan"), float("inf")])
 def test_dual_weights_rejects_a_bad_gamma(gamma):
     with pytest.raises(ArgumentError, match="gamma"):

@@ -75,6 +75,10 @@ def test_grid_config_validation():
         tiny_config(metrics=("lambda_max", "bogus"))
     with pytest.raises(ArgumentError):
         tiny_config(load_values=[0.01])  # rounds to zero patterns at N=8
+    # read_config refuses an empty list first, so only library callers reach this check
+    for name in ("gamma_values", "load_values"):
+        with pytest.raises(FieldError, match=f"^{name} must be nonempty$"):
+            tiny_config(**{name: []})
 
 
 def test_seed_derivation_is_stable_and_distinct():
