@@ -287,8 +287,16 @@ def _heatmaps(cells, metrics, grid) -> dict:
     return {name: partial(Path.write_text, data=doc) for name, doc in docs.items()}
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error raises ArgumentError, so that main ends it as any other: one line,
+    exit 2. Subparsers are of this class too (argparse makes them of the parent's)."""
+
+    def error(self, message):
+        raise ArgumentError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hopgeo",
         description="Kernel Hopfield training, Fisher-geometry analysis, and phase sweeps.",
     )
@@ -338,12 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return EXIT_USAGE if e.code not in (0,) else 0
-    try:
+        args = build_parser().parse_args(argv)
         if getattr(args, "seed", None) is not None:
             check_range("--seed", args.seed, 0)
         if hasattr(args, "workers"):
@@ -361,6 +365,8 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
+    except SystemExit as e:  # --help or --version, code 0, once its text is printed
+        return e.code
 
 
 if __name__ == "__main__":

@@ -28,7 +28,8 @@ class FisherSpectrum:
     eigenvalues: np.ndarray   # descending, clamped at 0
     eigenvectors: np.ndarray  # orthonormal columns, same order; neuron_spectra drops them
     lambda_max: float
-    d_eff: float              # 0.0 signals a fully degenerate spectrum
+    degenerate: bool          # lambda_max is 0, every mode clamped: none to invert
+    d_eff: float              # 0.0 when degenerate
     ratios: np.ndarray        # eigenvalues / lambda_max; zeros when degenerate
     ratio_2_1: float
     ratio_tail: float
@@ -96,12 +97,14 @@ def spectrum(G: np.ndarray) -> FisherSpectrum:
     V = V[:, ::-1].copy()
     w = np.clip(w, 0.0, None)
     lam1 = float(w[0])
-    ratios = w / lam1 if lam1 > 0.0 else np.zeros_like(w)
+    degenerate = not lam1 > 0.0
+    ratios = np.zeros_like(w) if degenerate else w / lam1
     return FisherSpectrum(
         eigenvalues=w,
         eigenvectors=V,
         lambda_max=lam1,
-        d_eff=effective_dimension(w) if lam1 > 0.0 else 0.0,
+        degenerate=degenerate,
+        d_eff=0.0 if degenerate else effective_dimension(w),
         ratios=ratios,
         ratio_2_1=float(ratios[1]) if w.size > 1 else 0.0,
         ratio_tail=float(ratios[-1]),
@@ -116,7 +119,7 @@ def natural_gradient(grad, spec: FisherSpectrum, rel_cutoff: float = DEFAULT_REL
     their eigenvalues).
     """
     check_range("rel_cutoff", rel_cutoff, 0, 1, lo_open=True, hi_open=True)
-    if spec.lambda_max <= 0.0:
+    if spec.degenerate:
         raise NumericError("cannot invert an all-zero spectrum")
     keep = spec.eigenvalues > rel_cutoff * spec.lambda_max
     V = spec.eigenvectors[:, keep]
@@ -170,9 +173,7 @@ def gradient_report(
             f"spectrum of {spec.eigenvalues.size} modes does not match Gram size {grad.size}"
         )
     euclid = float(grad @ grad)
-    # a degenerate spectrum (lambda_max and d_eff are +0.0) has no mode to invert
-    degenerate = spec.lambda_max <= 0.0
-    if degenerate:
+    if spec.degenerate:  # no mode to invert
         riemann, residual, retained = 0.0, 0.0 if euclid == 0.0 else 1.0, 0
     else:
         nat, coeffs, lam_kept = natural_gradient(grad, spec, rel_cutoff)
@@ -191,7 +192,7 @@ def gradient_report(
         d_eff=spec.d_eff,
         ratio_2_1=spec.ratio_2_1,
         ratio_tail=spec.ratio_tail,
-        degenerate=degenerate,
+        degenerate=spec.degenerate,
     )
 
 

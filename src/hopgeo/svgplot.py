@@ -150,7 +150,7 @@ def render_spectrum_lines(specs) -> str:
     series = [
         [math.log10(r) if r > 0 else floor for r in spec.ratios.tolist()]
         for spec in specs
-        if spec.lambda_max > 0
+        if not spec.degenerate
     ]
     P = max((len(s) for s in series), default=1)
     ymin = min((min(s) for s in series), default=floor)

@@ -190,19 +190,15 @@ def run_cell(cfg: GridConfig, gamma_index: int, load_index: int) -> CellRecords:
     )
 
 
-def _trial_means(values) -> list:
-    return [float(np.mean(row)) for row in values]
-
-
 def trial_mean(values) -> float:
     """Mean over the neurons of each trial, then over trials, of a (trials, N) record."""
-    return float(np.mean(_trial_means(values)))
+    return float(np.mean(np.mean(values, axis=1)))
 
 
 def aggregate(rec: CellRecords) -> SweepCell:
     """The SweepCell (grid.csv row) of one cell's records."""
     def sd(values):
-        return float(np.std(_trial_means(values), ddof=0))
+        return float(np.std(np.mean(values, axis=1), ddof=0))
     n = rec.neurons
     trials = len(rec.diverged)
     return SweepCell(
@@ -281,6 +277,8 @@ def pool_map(fn, tasks, workers: int) -> list:
 
 
 def _cell_task(task):
+    # module-level, so it pickles by name even where run_cell is wrapped in a closure
+    # (as the benchmark's tracer wraps it), which a pool could not pickle
     return run_cell(*task)
 
 
@@ -308,18 +306,25 @@ def write_grid_csv(cells: list, path) -> None:
 
 
 def read_grid_csv(path) -> list:
-    """Cells of a grid.csv; ArgumentError names the file when columns or values are bad."""
+    """Cells of a grid.csv; ArgumentError names the file when columns are missing, and
+    its line at a malformed row: too few or too many values, a value that does not
+    parse, or a field (the header's too) longer than csv's field size limit."""
     cells = []
     reader = csv.DictReader(io.StringIO(read_text(path), newline=""))
-    missing = [c for c in CSV_COLUMNS if c not in (reader.fieldnames or [])]
-    if missing:
-        raise ArgumentError(f"{path}: missing columns: {', '.join(missing)}")
-    for row in reader:
-        try:
-            cell = SweepCell(**{name: _COLUMN_TYPES[name](row[name]) for name in CSV_COLUMNS})
-        except (TypeError, ValueError):  # TypeError: a short row leaves fields None
-            raise ArgumentError(f"{path}:{reader.line_num}: malformed row") from None
-        cells.append(cell)
+    try:
+        missing = [c for c in CSV_COLUMNS if c not in (reader.fieldnames or [])]
+        if missing:
+            raise ArgumentError(f"{path}: missing columns: {', '.join(missing)}")
+        for row in reader:
+            if None in row:  # DictReader files the values past the header under None
+                raise ValueError
+            cells.append(SweepCell(**{name: _COLUMN_TYPES[name](row[name])
+                                      for name in CSV_COLUMNS}))
+    except ArgumentError:
+        raise
+    except (csv.Error, TypeError, ValueError):  # TypeError: a short row leaves fields None
+        # the csv reader's line count; DictReader's lags a row that fails to parse
+        raise ArgumentError(f"{path}:{reader.reader.line_num}: malformed row") from None
     return cells
 
 

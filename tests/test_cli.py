@@ -1,8 +1,10 @@
+import csv
 import json
 import math
 import multiprocessing
 import os
 import platform
+import shlex
 import signal
 import subprocess
 import sys
@@ -275,6 +277,40 @@ def test_diverging_descent_prints_no_numpy_warning(tmp_path):
 def test_usage_error_exit_code():
     assert main(["train"]) == 2
     assert main(["frobnicate"]) == 2
+
+
+# case: (the arguments, OUT standing for an output path in tmp_path; the error's text)
+USAGE_ERRORS = {
+    "no_command": ([], "error: hopgeo: the following arguments are required: command"),
+    "unknown_command": (["frobnicate"], "error: hopgeo: argument command: invalid choice: "
+                                        "'frobnicate'"),
+    "missing_flag": (["train", "--out", "OUT"],
+                     "error: hopgeo train: the following arguments are required: --config"),
+    "ill_typed_value": (["recall", "--weights", "w", "--flip-fractions", "0.1",
+                         "--trials", "abc", "--out", "OUT"],
+                        "error: hopgeo recall: argument --trials: invalid int value: 'abc'"),
+    "ill_typed_workers": (["phase", "--config", "c.cfg", "--out", "OUT", "--workers", "two"],
+                          "error: hopgeo phase: argument --workers: invalid int value: 'two'"),
+    "unknown_flag": (["train", "--config", "c.cfg", "--out", "OUT", "--bogus"],
+                     "error: hopgeo: unrecognized arguments: --bogus"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+def test_a_usage_error_is_one_line(tmp_path, capsys, case):
+    args, message = USAGE_ERRORS[case]
+    assert main([str(tmp_path / "out") if a == "OUT" else a for a in args]) == 2
+    assert_one_line_error(capsys, message)
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("args, usage", [(["--help"], "usage: hopgeo "),
+                                         (["train", "--help"], "usage: hopgeo train ")])
+def test_help_prints_usage_and_exits_0(capsys, args, usage):
+    assert main(args) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith(usage)
+    assert err == ""
 
 
 def test_spectrum_command_matches_in_process_oracle(tmp_path):
@@ -1092,10 +1128,18 @@ def grid_text(*cells) -> str:
 
 
 NO_FINITE_METRIC = ": no metric column holds a finite value"
+# a one-cell grid that renders its d_eff heatmap
+DRAWABLE_GRID = grid_text(SweepCell(gamma=0.1, load=0.25, P=2, N=8, seed=0, trials=1,
+                                    d_eff_mean=1.5))
+OVERSIZED = "1" * (csv.field_size_limit() + 1)  # one character over csv's field size limit
 # case: (the grid.csv text, the error after its path)
 GRID_ROWS = {
     "missing_columns": ("gamma,load\n0.1,0.5\n", ": missing columns: P, N, seed, trials,"),
     "short_row": (",".join(CSV_COLUMNS) + "\n0.1,0.5,4\n", ":2: malformed row"),
+    "long_row": (DRAWABLE_GRID.rstrip("\n") + ",999\n", ":2: malformed row"),
+    # a field over the limit on line 3, after a good row, then one on the header line
+    "oversized_field": (DRAWABLE_GRID + OVERSIZED + "\n", ":3: malformed row"),
+    "oversized_header": (OVERSIZED + "," + DRAWABLE_GRID, ":1: malformed row"),
     "non_numeric": (",".join(CSV_COLUMNS) + "\n" + ",".join(["x"] * len(CSV_COLUMNS)) + "\n",
                     ":2: malformed row"),
     # every metric nan: without --metrics there is nothing to draw
@@ -1265,6 +1309,26 @@ def test_render_unknown_metric_exits_2(tmp_path, capsys):
                      "--metrics", metrics, "--out", str(tmp_path / "x")]) == 2
         assert_one_line_error(capsys, f"error: {message}")
         assert not (tmp_path / "x").exists()
+
+
+def readme_cli_examples() -> list:
+    """The argument lists of the `hopgeo ...` lines in README's CLI block."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("hopgeo ")]
+
+
+README_EXAMPLES = readme_cli_examples()
+
+
+def test_readme_shows_every_command():
+    assert sorted(args[0] for args in README_EXAMPLES) == sorted(
+        ["train", "spectrum", "recall", "phase", "render"])
+
+
+@pytest.mark.parametrize("args", README_EXAMPLES, ids=lambda args: args[0])
+def test_readme_cli_example_parses(args):
+    assert cli.build_parser().parse_args(args).command == args[0]
 
 
 def test_version_flag_exits_zero():

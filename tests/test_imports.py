@@ -151,6 +151,28 @@ def test_the_benchmark_tracer_runs_on_this_source(tmp_path):
     }
 
 
+def test_the_benchmark_tracer_runs_pooled_commands(tmp_path):
+    # The benchmark traces pooled runs too. A pool pickles its task function by name, which
+    # must still work where the tracer has replaced run_cell and others with closures.
+    grid = tmp_path / "grid.cfg"
+    grid.write_text("gamma_values = 0.02 0.2\nload_values = 0.25\nnum_neurons = 8\n"
+                    "max_epochs = 50\n")
+    spans = tmp_path / "phase.json"
+    run = run_tracer("spans", spans, "--", "phase", "--config", grid, "--out", tmp_path / "grid",
+                     "--workers", 2)
+    assert run.returncode == 0, run.stderr
+    assert "run_grid" in {name for name, *_ in json.loads(spans.read_text())}
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("num_patterns = 3\nnum_neurons = 8\ngamma = 0.1\nmax_epochs = 50\n")
+    run = run_tracer("spans", tmp_path / "train.json", "--", "train", "--config", cfg,
+                     "--out", tmp_path / "net")
+    assert run.returncode == 0, run.stderr
+    run = run_tracer("spans", tmp_path / "recall.json", "--", "recall", "--weights",
+                     tmp_path / "net", "--flip-fractions", "0.1", "--trials", 2,
+                     "--workers", 2, "--out", tmp_path / "recall.csv")
+    assert run.returncode == 0, run.stderr
+
+
 POOL_MODULES = ("concurrent.futures", "multiprocessing")
 
 POOL_PROBE = """

@@ -210,6 +210,15 @@ def test_natural_gradient_orthogonal_to_rank_one_metric():
     assert lam.size == 1
 
 
+def test_spectrum_alone_decides_degeneracy():
+    zero = spectrum(np.zeros((3, 3)))
+    assert zero.degenerate is True
+    assert (zero.lambda_max, zero.d_eff) == (0.0, 0.0)
+    assert spectrum(np.diag([2.0, 1.0, 0.0])).degenerate is False
+    with pytest.raises(NumericError, match="cannot invert an all-zero spectrum"):
+        natural_gradient(np.ones(3), zero)
+
+
 def test_natural_gradient_validation():
     spec = spectrum(np.eye(2))
     with pytest.raises(ArgumentError):
