@@ -291,6 +291,9 @@ class _Parser(argparse.ArgumentParser):
     """A usage error raises ArgumentError, so that main ends it as any other: one line,
     exit 2. Subparsers are of this class too (argparse makes them of the parent's)."""
 
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise ArgumentError(f"{self.prog}: {message}")
 
@@ -347,7 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = build_parser().parse_args(argv)
+        args, extra = build_parser().parse_known_args(argv)
+        if extra:  # argparse hands what a command does not know back to the root parser
+            raise ArgumentError(f"hopgeo {args.command}: unrecognized arguments: {' '.join(extra)}")
         if getattr(args, "seed", None) is not None:
             check_range("--seed", args.seed, 0)
         if hasattr(args, "workers"):

@@ -27,7 +27,6 @@ RECALL_BLOCK = 64
 
 @dataclass
 class RecallResult:
-    final_state: np.ndarray
     overlap: float
     converged: bool
     steps: int
@@ -54,8 +53,8 @@ def recall(
 ) -> RecallResult:
     """Iterate synchronous updates until a fixed point, 2-cycle, or max_steps.
 
-    On a 2-cycle the higher-overlap state of the cycle is reported with
-    converged=False. This is recall_batch on a batch of one cue.
+    On a 2-cycle the higher overlap of the cycle's two states is reported,
+    with converged=False. This is recall_batch on a batch of one cue.
     """
     return recall_batch(
         np.asarray(cue)[None, :], [target_index], patterns, weights, max_steps, success_threshold
@@ -153,19 +152,13 @@ def _recall_block(cues, targets, patterns, weights, max_steps, success_threshold
         if d.size:  # the cues that finish at this step
             rows = ids[d]
             tgt = X[targets[rows]]
-            final = new[d]  # equals state at a fixed point
-            if cycle.any():  # 2-cycle: keep whichever of the two states matches the target better
+            m = _dots(new[d], tgt) / N  # (1/N) sum_i s_i xi_i; a fixed point's new is its state
+            if cycle.any():  # a 2-cycle's new equals prev: keep the better of its two states
                 c = cycle[d]
-                prev_better = c & (_dots(prev[d], tgt) > _dots(state[d], tgt))
-                final[c & ~prev_better] = state[d[c & ~prev_better]]  # the others: new == prev
-            m = _dots(final, tgt) / N  # overlap (1/N) sum_i s_i xi_i of each final state
-            final = final.astype(cues.dtype)
+                m[c] = np.maximum(m[c], _dots(state[d[c]], tgt[c]) / N)
             success = (m >= success_threshold).tolist()
-            for i, row, mi, conv, ok in zip(rows.tolist(), final, m.tolist(),
-                                            fixed[d].tolist(), success):
-                results[i] = RecallResult(
-                    final_state=row, overlap=mi, converged=conv, steps=steps, success=ok
-                )
+            for i, mi, conv, ok in zip(rows.tolist(), m.tolist(), fixed[d].tolist(), success):
+                results[i] = RecallResult(overlap=mi, converged=conv, steps=steps, success=ok)
             if d.size == len(done):
                 break
             live = ~done

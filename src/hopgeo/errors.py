@@ -36,7 +36,6 @@ class ConfigError(ArgumentError):
     """
 
     def __init__(self, path, line: int | None, message: str):
-        self.path = str(path)
         self.line = line
         super().__init__(f"{path}: {message}" if line is None else f"{path}:{line}: {message}")
 

@@ -48,10 +48,6 @@ def _svg(W: int, H: int, body: list) -> str:
 
 
 def _grid_layout(cells):
-    for c in cells:  # only cells phase can write; a nan gamma would pass the rectangle check
-        if not (0.0 < c.gamma < math.inf and 0.0 < c.load <= 1.0 and min(c.trials, c.N) >= 1):
-            raise ArgumentError(f"cell out of range: gamma={c.gamma}, load={c.load}, "
-                                f"trials={c.trials}, N={c.N}")
     gammas = sorted({c.gamma for c in cells})
     loads = sorted({c.load for c in cells})
     lookup = {(c.gamma, c.load): c for c in cells}

@@ -307,8 +307,8 @@ def write_grid_csv(cells: list, path) -> None:
 
 def read_grid_csv(path) -> list:
     """Cells of a grid.csv; ArgumentError names the file when columns are missing, and
-    its line at a malformed row: too few or too many values, a value that does not
-    parse, or a field (the header's too) longer than csv's field size limit."""
+    its line at a malformed row (too few or too many values, a value that does not parse,
+    a field over csv's size limit, the header's too) or at a cell phase never writes."""
     cells = []
     reader = csv.DictReader(io.StringIO(read_text(path), newline=""))
     try:
@@ -318,8 +318,14 @@ def read_grid_csv(path) -> list:
         for row in reader:
             if None in row:  # DictReader files the values past the header under None
                 raise ValueError
-            cells.append(SweepCell(**{name: _COLUMN_TYPES[name](row[name])
-                                      for name in CSV_COLUMNS}))
+            cell = SweepCell(**{name: _COLUMN_TYPES[name](row[name]) for name in CSV_COLUMNS})
+            check_range("gamma", cell.gamma, 0, lo_open=True)
+            check_range("load", cell.load, 0, 1, lo_open=True)
+            check_range("trials", cell.trials, 1)
+            check_range("N", cell.N, 1)
+            cells.append(cell)
+    except FieldError as e:
+        raise ArgumentError(f"{path}:{reader.line_num}: {e}") from None
     except ArgumentError:
         raise
     except (csv.Error, TypeError, ValueError):  # TypeError: a short row leaves fields None

@@ -292,7 +292,10 @@ USAGE_ERRORS = {
     "ill_typed_workers": (["phase", "--config", "c.cfg", "--out", "OUT", "--workers", "two"],
                           "error: hopgeo phase: argument --workers: invalid int value: 'two'"),
     "unknown_flag": (["train", "--config", "c.cfg", "--out", "OUT", "--bogus"],
-                     "error: hopgeo: unrecognized arguments: --bogus"),
+                     "error: hopgeo train: unrecognized arguments: --bogus"),
+    # a prefix of --config is not --config
+    "abbreviated_flag": (["train", "--con", "c.cfg", "--out", "OUT"],
+                         "error: hopgeo train: the following arguments are required: --config"),
 }
 
 
@@ -1146,9 +1149,10 @@ GRID_ROWS = {
     "no_finite_metric": (grid_text(*(SweepCell(gamma=gamma, load=0.25, P=2, N=8, seed=0,
                                                trials=1) for gamma in (0.01, 0.1))),
                          NO_FINITE_METRIC),
+    # the cell is refused as it is read, before render looks for a metric
     "no_finite_metric_in_a_cell_out_of_range": (
         grid_text(SweepCell(gamma=math.nan, load=5, P=2, N=8, seed=0, trials=-1)),
-        NO_FINITE_METRIC),
+        ":2: gamma must be finite and > 0, got nan"),
 }
 
 
@@ -1162,26 +1166,29 @@ def test_render_malformed_grid_exits_2_with_one_line(tmp_path, capsys, case):
     assert not (tmp_path / "svg").exists()
 
 
-# the changes to the two cells of a gamma 0.01 / 0.1, load 0.25 grid.csv; each is a cell
-# no phase run writes, yet each grid still passes the rectangle check (nan != nan)
+# the changes to the two cells (lines 2 and 3) of a gamma 0.01 / 0.1, load 0.25 grid.csv,
+# each a cell no phase run writes, and the error after the grid's path
 OUT_OF_RANGE_CELLS = {
-    "nan_gamma": ({"gamma": math.nan}, {"gamma": math.nan}),
-    "negative_gamma": ({"gamma": -0.1}, {}),
-    "load_above_one": ({"load": 1.5}, {"load": 1.5}),
-    "zero_trials": ({"trials": 0}, {}),
+    "nan_gamma": ({"gamma": math.nan}, {"gamma": math.nan},
+                  ":2: gamma must be finite and > 0, got nan"),
+    "negative_gamma": ({"gamma": -0.1}, {}, ":2: gamma must be > 0, got -0.1"),
+    "load_above_one": ({"load": 1.5}, {"load": 1.5}, ":2: load must lie in (0, 1], got 1.5"),
+    "zero_trials": ({"trials": 0}, {}, ":2: trials must be >= 1, got 0"),
+    "zero_neurons": ({}, {"N": 0}, ":3: N must be >= 1, got 0"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(OUT_OF_RANGE_CELLS))
 def test_render_refuses_a_cell_out_of_range_and_writes_no_svg(tmp_path, capsys, case):
     grid = tmp_path / "grid.csv"
+    *changes, message = OUT_OF_RANGE_CELLS[case]
     write_grid_csv([
         replace(SweepCell(gamma=gamma, load=0.25, P=2, N=8, seed=0, trials=1,
                           lambda_max_mean=1.0), **change)
-        for gamma, change in zip((0.01, 0.1), OUT_OF_RANGE_CELLS[case])
+        for gamma, change in zip((0.01, 0.1), changes, strict=True)
     ], grid)
     assert main(["render", "--grid", str(grid), "--out", str(tmp_path / "svg")]) == 2
-    assert_one_line_error(capsys, f"{grid}: cell out of range")
+    assert_one_line_error(capsys, f"{grid}{message}")
     assert not list(tmp_path.rglob("*.svg"))
 
 

@@ -42,7 +42,7 @@ def test_zero_weights_freeze_the_state():
     res = recall(state, 0, ps, w, max_steps=5)
     assert res.converged
     assert res.steps == 1
-    assert np.array_equal(res.final_state, state)
+    assert res.overlap == float(state @ ps.patterns[0]) / ps.num_neurons  # the cue's own
 
 
 def test_stored_cue_is_fixed_point_after_training():
@@ -148,7 +148,6 @@ def _reference_recall(cue, target_index, patterns, weights, max_steps, success_t
         state = new
     m = overlap(state, target)
     return RecallResult(
-        final_state=state,
         overlap=m,
         converged=converged,
         steps=steps,
@@ -215,12 +214,9 @@ def test_batched_recall_matches_single_cue_reference(monkeypatch):
         assert len(batch) == M
         for cue, t, got in zip(cues, targets, batch):
             want = _reference_recall(cue, t, ps, w, max_steps, threshold)
-            assert got.final_state.dtype == want.final_state.dtype
-            assert np.array_equal(got.final_state, want.final_state)
-            assert got.overlap == want.overlap
-            assert got.converged == want.converged
-            assert got.steps == want.steps
-            assert got.success == want.success
+            assert (got.overlap, got.converged, got.steps, got.success) == (
+                want.overlap, want.converged, want.steps, want.success
+            )
             fields += 1
             if want.converged:
                 seen["fixed"] += 1
@@ -271,23 +267,30 @@ def test_zero_alpha_columns_are_sure_ties_and_never_recomputed(monkeypatch):
     assert recomputes == []
     for cue, t, got in zip(cues, targets, batch):
         want = _reference_recall(cue, t, ps, w, 6, dynamics.DEFAULT_SUCCESS_THRESHOLD)
-        assert np.array_equal(got.final_state, want.final_state)
         assert (got.overlap, got.converged, got.steps, got.success) == (
             want.overlap, want.converged, want.steps, want.success
         )
 
 
-def test_recall_trial_recalls_every_pattern_from_its_own_seed():
+def test_recall_trial_recalls_every_pattern_from_its_own_seed(monkeypatch):
     ps = generate_patterns(5, 24, 2)
     w = DualWeights(alpha=np.random.default_rng(1).standard_normal((5, 24)), gamma=0.05,
                     lam=0.0, trained_epochs=0)
     seeds = [11, 7, 11, 3, 0]
-    got = recall_trial(ps, w, 0.25, seeds, max_steps=4, success_threshold=0.8)
+    corrupted = []  # (pattern row, seed) of each cue recall_trial draws
+
+    def recording_corrupt(xi, flip_fraction, seed):
+        corrupted.append((ps.patterns.tolist().index(xi.tolist()), seed))
+        return corrupt(xi, flip_fraction, seed)
+
+    with monkeypatch.context() as m:
+        m.setattr(dynamics, "corrupt", recording_corrupt)
+        got = recall_trial(ps, w, 0.25, seeds, max_steps=4, success_threshold=0.8)
+    assert sorted(corrupted) == list(enumerate(seeds))
     cues = [corrupt(ps.patterns[mu], 0.25, seed) for mu, seed in enumerate(seeds)]
     want = recall_batch(cues, range(5), ps, w, 4, 0.8)
     assert len(got) == 5
     for g, r in zip(got, want):
-        assert np.array_equal(g.final_state, r.final_state)
         assert (g.overlap, g.converged, g.steps, g.success) == (
             r.overlap, r.converged, r.steps, r.success
         )

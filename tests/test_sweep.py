@@ -214,6 +214,10 @@ def test_grid_csv_int_columns_roundtrip_exactly(tmp_path):
 
 # a column's values: any int, or any float with nan as the one nan that "nan" reads back as
 COLUMN_VALUES = {int: st.integers(0, 2**64), float: st.floats(allow_nan=False) | st.just(math.nan)}
+# but a cell's gamma, load, trials and N are those a phase run can write
+CELL_VALUES = {"gamma": st.floats(0, exclude_min=True, allow_infinity=False),
+               "load": st.floats(0, 1, exclude_min=True),
+               "trials": st.integers(1, 2**64), "N": st.integers(1, 2**64)}
 
 
 def value_bits(v):
@@ -221,8 +225,9 @@ def value_bits(v):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.builds(SweepCell, **{name: COLUMN_VALUES[hint] for name, hint
-                                        in get_type_hints(SweepCell).items()}), max_size=4))
+@given(st.lists(st.builds(SweepCell, **{name: CELL_VALUES.get(name, COLUMN_VALUES[hint])
+                                        for name, hint in get_type_hints(SweepCell).items()}),
+                max_size=4))
 def test_grid_csv_reads_back_every_cell_with_its_bits(cells):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "grid.csv"

@@ -11,9 +11,10 @@ all_targets, fit_dual_weights, neuron_spectra and gradient_report as the origina
   1e-9 relative to each quantity's largest magnitude over the neurons.
 - Target flip (the patterns negated: K unchanged, T -> 1 - T): alpha comes back as
   -alpha and the reports unchanged, within the same 1e-9.
-- Recall with the neurons of the patterns, of alpha and of the cues permuted: each final
-  state comes back permuted, and overlaps, steps, convergence and successes are the
-  same, exactly; recall decides only signs of fields of exact kernel values.
+- Recall with the neurons of the patterns, of alpha and of the cues permuted: overlaps,
+  steps, convergence and successes are the same, exactly, and the state each cue has
+  after its steps comes back permuted; recall decides only signs of fields of exact
+  kernel values.
 """
 
 from dataclasses import fields
@@ -22,7 +23,7 @@ from functools import cache
 import numpy as np
 import pytest
 
-from hopgeo.dynamics import recall_batch
+from hopgeo.dynamics import local_field, recall_batch
 from hopgeo.infogeo import GradientReport, gradient_report, neuron_spectra
 from hopgeo.kernel_core import KernelConfig, PatternSet, corrupt, generate_patterns, gram
 from hopgeo.klr import DualWeights, TrainConfig, all_targets, fit_dual_weights
@@ -93,9 +94,20 @@ def test_a_neuron_permutation_permutes_each_recall_final_state_exactly(P, gamma)
     targets = list(range(P)) * 3
     weights = DualWeights(alpha=alpha, gamma=gamma, lam=CFG.lam, trained_epochs=0)
     permuted = DualWeights(alpha=alpha[:, perm], gamma=gamma, lam=CFG.lam, trained_epochs=0)
-    want = recall_batch(cues, targets, PatternSet(patterns, seed=0), weights)
-    got = recall_batch(cues[:, perm], targets, PatternSet(patterns[:, perm], seed=0), permuted)
-    for g, w in zip(got, want, strict=True):
-        assert np.array_equal(g.final_state, w.final_state[perm])
+    ps, permuted_ps = PatternSet(patterns, seed=0), PatternSet(patterns[:, perm], seed=0)
+    want = recall_batch(cues, targets, ps, weights)
+    got = recall_batch(cues[:, perm], targets, permuted_ps, permuted)
+    for cue, g, w in zip(cues, got, want, strict=True):
         assert (g.overlap, g.steps, g.converged, g.success) == (
             w.overlap, w.steps, w.converged, w.success)
+        assert np.array_equal(state_after(cue[perm], g.steps, permuted_ps, permuted),
+                              state_after(cue, w.steps, ps, weights)[perm])
+
+
+def state_after(cue, steps, patterns, weights):
+    """The state of `steps` synchronous updates from `cue`, ties keeping their value."""
+    state = cue
+    for _ in range(steps):
+        h = local_field(state, patterns, weights)
+        state = np.where(h > 0, 1, np.where(h < 0, -1, state))
+    return state
