@@ -5,7 +5,7 @@ stable contract: 0 success, 2 usage/config errors, problems too large for
 memory and a pool worker that died, 3 numeric failures, 130 an interrupt.
 The output directories of train and phase receive a manifest.json
 recording the command line, resolved configuration (seeds included), tool
-version, numerics (numpy, BLAS and Python versions, BLAS thread count),
+version, numerics (numpy, BLAS and Python versions, BLAS thread count and kernel),
 timestamps, and sha256 digests of the emitted files (the manifest itself is
 excluded from digest comparisons, so reruns are byte-identical apart from it).
 """
@@ -60,13 +60,33 @@ def _now() -> str:
 
 def numerics() -> dict:
     """What a run's bits depend on besides its config: the numpy version, the BLAS
-    numpy was built with, the Python version and the BLAS thread count."""
+    numpy was built with, the Python version, the BLAS thread count and the BLAS kernel."""
     import platform  # numpy has loaded it already
 
     blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
     return {"numpy": np.__version__, "blas": f"{blas.get('name')} {blas.get('version')}",
             "python": platform.python_version(),
-            "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS")}
+            "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+            "blas_core": _blas_core()}
+
+
+def _blas_core() -> str | None:
+    """The kernel OpenBLAS chose for this CPU (or OPENBLAS_CORETYPE), as the library numpy
+    loaded names it; None where that library has no such symbol."""
+    import ctypes  # numpy has loaded both
+
+    from numpy.linalg import _umath_linalg
+
+    try:  # a symbol is looked up in the module and in the libraries it links
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except OSError:
+        return None
+    for name in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
+        corename = getattr(lib, name, None)
+        if corename is not None:
+            corename.restype = ctypes.c_char_p
+            return corename().decode()
+    return None
 
 
 def _write_manifest(names, argv, cfg, started: str, path: Path):

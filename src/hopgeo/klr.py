@@ -11,6 +11,7 @@ second-order solver.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +21,9 @@ from .kernel_core import KernelConfig, PatternSet, gram, read_artifact, write_ro
 
 # Loss may not increase by more than this between accepted epochs.
 DESCENT_SLACK = 1e-12
+# A fit with learning_rate * (r^2/4 + lambda r) below this (2, less a margin) provably
+# lowers every loss each epoch and runs without the descent monitor (_certified).
+CERTIFIED_STEP = 1.9
 # Byte budget for the (P, N) buffers of a block of descent epochs, and the block-size cap.
 BLOCK_BYTES = 1 << 20
 MAX_BLOCK = 16
@@ -132,18 +136,38 @@ def _block_size(P: int, N: int) -> int:
     return min(MAX_BLOCK, max(1, (BLOCK_BYTES // (8 * P * N) - 3) // 4))
 
 
+def _certified(K: np.ndarray, cfg: TrainConfig) -> bool:
+    """Whether every epoch of descent on K lowers every column's loss, in exact arithmetic.
+
+    The loss's Hessian K D K + lam K, with D <= 1/4, is bounded by L = r^2/4 + lam r: for
+    a symmetric K the largest absolute row sum r bounds |lambda(K)| (Gershgorin). A fixed
+    step with lr L < 2 then descends (the descent lemma, Nesterov 2004, Lemma 1.2.3); this
+    asks lr L < CERTIFIED_STEP. A non-finite or asymmetric K is not certified.
+    """
+    r = float(np.abs(K).sum(axis=1).max(initial=0.0))  # a float's r * r overflows to inf
+    return (math.isfinite(r) and np.array_equal(K, K.T)
+            and cfg.learning_rate * (r * r / 4 + cfg.lam * r) < CERTIFIED_STEP)
+
+
+def _converged(G: np.ndarray, tol: float) -> np.ndarray:
+    """The grad_tol test of every column in every slot of a block's (b, P, n) gradients,
+    which it overwrites with their squares."""
+    return np.sqrt(np.sum(np.multiply(G, G, out=G), axis=1)) < tol
+
+
 def _descend_blocks(K, T, cfg: TrainConfig, start: int, A, prev_A, prev_loss, idx):
     """Step the columns idx from epoch `start` in blocks until one of them trips a check.
 
     An epoch only steps: H = K @ A, E = exp(-|H|), Grad and A - lr*Grad go to one
     slot per epoch. Blocks hold _block_size epochs, the last one cut at max_epochs.
-    Once per block the grad_tol test and the descent monitor run over the stacked
-    slots; a column fails the monitor where its loss is non-finite or exceeds the
-    previous epoch's by more than DESCENT_SLACK. A, prev_A and prev_loss hold each
-    column's A_start, A_{start-1} and loss at start - 1 (A None: all zero). Returns
-    (e, A_e, A_{e-1}, loss_e, bad) of the columns idx at the first epoch e that trips a
-    check, bad marking the columns that failed the monitor, or (e, A_e, A_{e-1}, None,
-    None) at e = max_epochs.
+    Once per block the grad_tol test runs over the stacked slots, and so does the
+    descent monitor unless prev_loss is None (a certified fit, which cannot fail it);
+    a column fails the monitor where its loss is non-finite or exceeds the previous
+    epoch's by more than DESCENT_SLACK. A, prev_A and prev_loss hold each column's
+    A_start, A_{start-1} and loss at start - 1 (A None: all zero). Returns (e, A_e,
+    A_{e-1}, loss_e, bad) of the columns idx at the first epoch e that trips a check,
+    bad marking the columns that failed the monitor, or (e, A_e, A_{e-1}, None, None)
+    at e = max_epochs; loss_e and bad are also None where the monitor does not run.
     """
     P, n = K.shape[0], idx.size
     B = _block_size(P, n)
@@ -156,8 +180,9 @@ def _descend_blocks(K, T, cfg: TrainConfig, start: int, A, prev_A, prev_loss, id
     Ta = T if n == T.shape[1] else T[:, idx]
     Hb, Eb, Gb = (np.empty((B, P, n)) for _ in range(3))
     S = np.empty((P, n))
-    L = np.empty((B + 1, n))  # L[s + 1]: loss at epoch s; L[0]: the epoch before
-    L[0] = prev_loss[idx]
+    L = None if prev_loss is None else np.empty((B + 1, n))
+    if L is not None:  # L[s + 1]: loss at epoch s; L[0]: the epoch before
+        L[0] = prev_loss[idx]
     while start < cfg.max_epochs:
         b = min(B, cfg.max_epochs - start)
         for s in range(b):
@@ -169,18 +194,23 @@ def _descend_blocks(K, T, cfg: TrainConfig, start: int, A, prev_A, prev_loss, id
             G += np.multiply(cfg.lam, H, out=S)
             np.subtract(Ae, np.multiply(cfg.learning_rate, G, out=S), out=Ab[s + 2].T)
         # the checks overwrite the Grad, E and H slots; only the A slots are kept
-        Hs, Es, Gs, ls = Hb[:b], Eb[:b], Gb[:b], L[1:b + 1]
-        done = np.sqrt(np.sum(np.multiply(Gs, Gs, out=Gs), axis=1)) < cfg.grad_tol
-        np.sum(_bce_terms(Hs, Ta, Es, out=Gs), axis=1, out=ls)
-        As = Ab[1:b + 1].transpose(0, 2, 1)
-        ls += 0.5 * cfg.lam * np.sum(np.multiply(As, Hs, out=Hs), axis=1)
-        bad = ~np.isfinite(ls) | (ls > L[:b] + DESCENT_SLACK)
-        tripped = np.flatnonzero((bad | done).any(axis=1))
+        trips = _converged(Gb[:b], cfg.grad_tol)
+        if L is not None:
+            Hs, Es, ls = Hb[:b], Eb[:b], L[1:b + 1]
+            np.sum(_bce_terms(Hs, Ta, Es, out=Gb[:b]), axis=1, out=ls)
+            As = Ab[1:b + 1].transpose(0, 2, 1)
+            ls += 0.5 * cfg.lam * np.sum(np.multiply(As, Hs, out=Hs), axis=1)
+            bad = ~np.isfinite(ls) | (ls > L[:b] + DESCENT_SLACK)
+            trips |= bad
+        tripped = np.flatnonzero(trips.any(axis=1))
         if tripped.size:  # the later slots are dropped
             k = int(tripped[0])
+            if L is None:
+                return start + k, Ab[k + 1].T, Ab[k].T, None, None
             return start + k, Ab[k + 1].T, Ab[k].T, L[k + 1], bad[k]
         Ab[0], Ab[1] = Ab[b], Ab[b + 1]  # slot by slot: an overlapping copy would buffer
-        L[0] = L[b]
+        if L is not None:
+            L[0] = L[b]
         start += b
     return start, Ab[1].T, Ab[0].T, None, None
 
@@ -194,12 +224,14 @@ def fit_dual_weights(K: np.ndarray, T: np.ndarray, cfg: TrainConfig) -> FitResul
     finished here: the columns that failed the descent monitor are reverted to their
     last accepted iterate and recorded in `diverged`, only the survivors' gradient is
     recomputed, those below grad_tol are frozen and the rest step; then blocks resume.
+    The monitor runs only where the step is not certified (_certified, once per fit):
+    a certified fit descends every epoch, so only grad_tol can stop its columns.
     A is F-ordered like a gather A[:, idx]: BLAS rounds K @ A differently per layout.
     """
     P, N = T.shape
     A = prev_A = None
     idx = np.arange(N)
-    prev_loss = np.full(N, np.inf)
+    prev_loss = None if _certified(K, cfg) else np.full(N, np.inf)
     converged = np.zeros(N, dtype=bool)
     diverged: list[tuple[int, int]] = []
     epoch = 0
@@ -218,14 +250,15 @@ def fit_dual_weights(K: np.ndarray, T: np.ndarray, cfg: TrainConfig) -> FitResul
             Aa, Ta = (A, T) if idx.size == N else (A[:, idx], T[:, idx])
             H = K @ Aa
             E = np.exp(-np.abs(H))
-            if bad.any():
-                diverged += [(int(j), epoch) for j in idx[bad]]
-                A[:, idx[bad]] = prev_A[:, idx[bad]]
-                idx = idx[~bad]
-                if idx.size == 0:  # an epoch at which every active column diverged is not counted
-                    break
-                H, E, Ta, ls = H[:, ~bad], E[:, ~bad], Ta[:, ~bad], ls[~bad]
-            prev_loss[idx] = ls
+            if bad is not None:  # the monitor ran
+                if bad.any():
+                    diverged += [(int(j), epoch) for j in idx[bad]]
+                    A[:, idx[bad]] = prev_A[:, idx[bad]]
+                    idx = idx[~bad]
+                    if idx.size == 0:  # an epoch at which every active column diverged
+                        break  # is not counted
+                    H, E, Ta, ls = H[:, ~bad], E[:, ~bad], Ta[:, ~bad], ls[~bad]
+                prev_loss[idx] = ls
             Grad = K @ (_logistic(H, E) - Ta) + cfg.lam * H
             done = np.sqrt(np.sum(Grad * Grad, axis=0)) < cfg.grad_tol
             converged[idx[done]] = True

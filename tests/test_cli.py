@@ -1,4 +1,5 @@
 import csv
+import ctypes
 import json
 import math
 import multiprocessing
@@ -102,7 +103,7 @@ def test_manifest_names_the_numerics_it_ran_on(tmp_path):
     assert main(["phase", "--config", str(cfg), "--out", str(phase_out), "--workers", "1"]) == 0
     blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
     running = {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}",
-               "python": platform.python_version()}
+               "python": platform.python_version(), "blas_core": cli.numerics()["blas_core"]}
     for out in (train_out, phase_out):
         manifest = json.loads((out / "manifest.json").read_text())
         assert {key: manifest[key] for key in running} == running
@@ -113,6 +114,29 @@ def test_numerics_names_the_blas_thread_count(monkeypatch, threads):
     if threads is not None:
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
     assert cli.numerics()["openblas_num_threads"] == os.environ.get("OPENBLAS_NUM_THREADS")
+
+
+def test_numerics_names_the_blas_kernel_that_runs():
+    # OPENBLAS_CORETYPE forces the kernel of a DYNAMIC_ARCH OpenBLAS; Nehalem runs on any
+    # x86-64 CPU this century. A BLAS that names no kernel reads None.
+    if cli.numerics()["blas_core"] is None or platform.machine() not in ("x86_64", "AMD64"):
+        pytest.skip("the BLAS numpy loaded names no kernel, or not an x86-64 CPU")
+    run = subprocess.run(
+        [sys.executable, "-c", "from hopgeo.cli import numerics; print(numerics()['blas_core'])"],
+        env={**source_env(), "OPENBLAS_CORETYPE": "Nehalem"}, capture_output=True, text=True,
+        check=True)
+    assert run.stdout == "Nehalem\n"
+
+
+def _no_library(path):
+    raise OSError(f"{path}: cannot open shared object file")
+
+
+@pytest.mark.parametrize("cdll", [lambda path: object(), _no_library],
+                         ids=["no_symbol", "no_library"])
+def test_numerics_reads_no_blas_kernel_where_the_library_names_none(monkeypatch, cdll):
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    assert cli.numerics()["blas_core"] is None
 
 
 def read_train_run(path):

@@ -1,15 +1,19 @@
 import math
 import tracemalloc
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopgeo import klr
 from hopgeo.errors import ArgumentError, TrainingDivergenceError
 from hopgeo.infogeo import fisher_matrix, gradient_report, spectrum
 from hopgeo.kernel_core import KernelConfig, generate_patterns, gram
 from hopgeo.klr import (
+    CERTIFIED_STEP,
     DESCENT_SLACK,
     DualWeights,
     FitResult,
@@ -24,7 +28,9 @@ from hopgeo.klr import (
     sigmoid,
     train,
 )
-from hopgeo.sweep import seed64
+from hopgeo.sweep import grid_config_from_file, seed64
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def random_instance(rng, P):
@@ -191,8 +197,10 @@ def test_train_deterministic():
 def test_train_divergence_error_names_neuron_and_epoch():
     ps = generate_patterns(8, 8, 17)
     # gamma tiny -> near-singular Gram with curvature ~ P^2/4; lr far above 2/L
+    cfg = TrainConfig(lam=0.0, learning_rate=5.0, max_epochs=500, grad_tol=1e-12)
+    assert not klr._certified(gram(ps, KernelConfig(gamma=1e-4)).values, cfg)
     with pytest.raises(TrainingDivergenceError) as exc:
-        train(ps, 1e-4, TrainConfig(lam=0.0, learning_rate=5.0, max_epochs=500, grad_tol=1e-12))
+        train(ps, 1e-4, cfg)
     assert exc.value.neuron >= 0
     assert exc.value.epoch >= 0
 
@@ -303,32 +311,36 @@ def _assert_same_fit(got, want):
 
 def test_fit_matches_gathering_reference_bit_for_bit(monkeypatch):
     # P >= 17 is where OpenBLAS rounds K @ A differently for C- and F-ordered A.
-    # fit_dual_weights runs blocks of epochs over the active columns, checks the
-    # monitor and grad_tol once per block, finishes the first tripping epoch itself
-    # and resumes blocks after it. The block sizes it used are read off the blocks'
-    # loss evaluations; each holds _block_size epochs unless it ends at max_epochs.
-    # `seen` records where each trip fell in its block and which sequences of trips
-    # occurred. Each descent with an event is rerun with MAX_BLOCK set around its
-    # first trip, and cut off at that trip.
+    # fit_dual_weights runs blocks of epochs over the active columns, checks grad_tol
+    # (and the monitor, unless the fit is certified) once per block, finishes the first
+    # tripping epoch itself and resumes blocks after it. The block sizes it used are
+    # read off the blocks' grad_tol tests, which both kinds of fit run; each holds
+    # _block_size epochs unless it ends at max_epochs. `seen` records where each trip
+    # fell in its block and which sequences of trips occurred, and how many fits were
+    # certified; only the others can diverge. Each descent with an event is rerun with
+    # MAX_BLOCK set around its first trip, and cut off at that trip.
     rng = np.random.default_rng(1)
     seen = dict.fromkeys(
         ["large_P", "converged", "diverged", "both", "B=1", "B>1", "several_blocks",
          "first_slot", "mid_block", "last_slot", "last_epoch", "loss_and_grad_in_block",
-         "three_trips", "all_diverged", "trip_after_trip", "B_grows"], 0)
-    bce_terms = klr._bce_terms
+         "three_trips", "all_diverged", "trip_after_trip", "B_grows", "certified",
+         "monitored"], 0)
+    converged = klr._converged
 
     def check(K, T, cfg, want, events):
         P, N = T.shape
         blocks = []  # (epochs, active columns) of each block, in the order run
 
-        def recording(H, t, e, out=None):
-            if H.ndim == 3:
-                blocks.append(H.shape[::2])
-            return bce_terms(H, t, e, out)
+        def recording(G, tol):
+            blocks.append(G.shape[::2])
+            return converged(G, tol)
 
         with monkeypatch.context() as m:
-            m.setattr(klr, "_bce_terms", recording)
+            m.setattr(klr, "_converged", recording)
             _assert_same_fit(fit_dual_weights(K, T, cfg), want)
+        certified = klr._certified(K, cfg)
+        seen["certified" if certified else "monitored"] += 1
+        assert not (certified and want.diverged)
         B = klr._block_size(P, N)
         seen["B=1" if B == 1 else "B>1"] += 1
         seen["B_grows"] += max(b for b, _ in blocks) > B
@@ -410,10 +422,66 @@ def geometry_cell(gamma):
 
 def test_fit_matches_gathering_reference_where_every_column_trips():
     K, T, cfg = geometry_cell(1e-3)
+    assert not klr._certified(K, cfg)
     want = _reference_fit(K, T, cfg)
     _assert_same_fit(fit_dual_weights(K, T, cfg), want)
     assert len(want.diverged) == 256
     assert len({e for _, e in want.diverged}) >= 3
+
+
+@settings(max_examples=30, deadline=None)
+@given(P=st.integers(1, 256), N=st.integers(1, 32), seed=st.integers(0, 2**32 - 1),
+       log_gamma=st.floats(-4, 1), log_lam=st.floats(-8, -1), step=st.floats(0.01, 0.999),
+       max_epochs=st.integers(1, 400), log_tol=st.floats(-9, -1))
+def test_a_certified_fit_equals_the_monitored_reference_bit_for_bit(
+        P, N, seed, log_gamma, log_lam, step, max_epochs, log_tol):
+    # lr * L reaches 0.999 * CERTIFIED_STEP; the reference still runs the monitor, so a
+    # loss it saw rise, by rounding or otherwise, would show here as a diverged column
+    ps = generate_patterns(P, N, seed)
+    K = gram(ps, KernelConfig(gamma=10 ** log_gamma)).values
+    lam = 10 ** log_lam
+    r = K.sum(axis=1).max()
+    cfg = TrainConfig(lam, step * CERTIFIED_STEP / (r * r / 4 + lam * r), max_epochs,
+                      10 ** log_tol)
+    assert klr._certified(K, cfg)
+    T = all_targets(ps)
+    _assert_same_fit(fit_dual_weights(K, T, cfg), _reference_fit(K, T, cfg))
+
+
+@pytest.mark.parametrize("config, uncertified", [
+    ("configs/acceptance.cfg", set()),
+    ("perfbench/configs/phase-descent.cfg", set()),
+    ("perfbench/configs/phase-geometry.cfg", {(1e-3, 0.5), (1e-3, 1.0)}),
+])
+def test_the_certificate_covers_every_workload_fit_but_the_steep_geometry_cells(
+        config, uncertified):
+    # lr * L is at most 1.62 over the acceptance grid's 108 fits and phase-descent's 3,
+    # 0.004 at phase-geometry's gamma 1e-2 and 3.0 and 12.0 at its gamma 1e-3, the
+    # only workload fits whose monitor trips. The fits are run_cell's, at the config's seed.
+    cfg = grid_config_from_file(ROOT / config)
+    got = set()
+    for gi, gamma in enumerate(cfg.gamma_values):
+        for li, load in enumerate(cfg.load_values):
+            for t in range(cfg.trials_per_cell):
+                seed = seed64(cfg.base_seed, gi, li, t)
+                ps = generate_patterns(round(load * cfg.num_neurons), cfg.num_neurons, seed)
+                if not klr._certified(gram(ps, KernelConfig(gamma=gamma)).values, cfg.train):
+                    got.add((gamma, load))
+    assert got == uncertified
+
+
+@pytest.mark.parametrize("K, certified", [
+    (np.eye(2), True),
+    (np.array([[1.0, 0.5], [0.4, 1.0]]), False),  # asymmetric
+    (np.array([[1.0, np.inf], [np.inf, 1.0]]), False),
+    (np.array([[1.0, np.nan], [np.nan, 1.0]]), False),
+    (np.full((2, 2), 1e200), False),  # r * r overflows
+    (np.full((2, 2), math.sqrt(1.01 * CERTIFIED_STEP / 0.1)), False),
+    (np.full((2, 2), math.sqrt(0.99 * CERTIFIED_STEP / 0.1)), True),
+])
+def test_only_a_finite_symmetric_K_under_the_step_bound_is_certified(K, certified):
+    # lam = 0 and lr = 0.1: a (2, 2) K of entries c has r = 2c, so lr * L = 0.1 c^2
+    assert klr._certified(K, TrainConfig(lam=0.0, learning_rate=0.1)) == certified
 
 
 @pytest.mark.parametrize("gamma, halves, diverged, converged, buffers", [

@@ -1,11 +1,12 @@
 """The benchmark's pinned bytes in Tier-1: the `pipeline` workload's CLI invocations,
 taken from perfbench/run.py and run in this process, write the spectrum.csv and
-recall.csv pinned under perfbench/reference/ (perfbench/ is only read)."""
+recall.csv pinned under perfbench/reference/ (perfbench/ is only read). The bits
+depend on the BLAS kernel, so a mismatch names cli.numerics()."""
 
 import importlib
 from pathlib import Path
 
-from hopgeo.cli import main
+from hopgeo.cli import main, numerics
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -17,5 +18,6 @@ def test_the_pipeline_workload_writes_its_pinned_bytes(tmp_path, monkeypatch):
         assert main(args) == 0, args
     for name in ("spectrum.csv", "recall.csv"):
         want = check.reference_digest("pipeline", name)
-        assert check.sha256(tmp_path / name) == want, check.mismatch(
-            "pipeline", name, tmp_path / name, want)
+        assert check.sha256(tmp_path / name) == want, (
+            check.mismatch("pipeline", name, tmp_path / name, want) + "; "
+            + ", ".join(f"{key} {value}" for key, value in numerics().items()))
