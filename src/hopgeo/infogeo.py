@@ -1,9 +1,7 @@
 """Fisher-information geometry of a trained neuron.
 
 The Fisher matrix of one neuron's Bernoulli model over the stored
-patterns is G = K D K with D = diag(p_mu (1 - p_mu)). The expectation
-form (two-outcome enumeration of the score outer product) is kept as an
-independent oracle; the two must agree to machine precision.
+patterns is G = K D K with D = diag(p_mu (1 - p_mu)).
 
 Probabilities entering D are never clamped: vanishing information under
 sigmoid saturation is real behavior of the model and must stay visible.
@@ -18,7 +16,7 @@ import numpy as np
 
 from .errors import ArgumentError, NumericError, check_range
 from .kernel_core import write_rows
-from .klr import loss_gradient, predict_probs
+from .klr import loss_gradient, sigmoid
 
 DEFAULT_REL_CUTOFF = 1e-10
 
@@ -49,29 +47,13 @@ class GradientReport:
 
 
 def fisher_matrix(alpha_col, K: np.ndarray) -> np.ndarray:
-    """The (P, P) matrix G = K diag(p(1-p)) K, symmetrized as (G + G')/2."""
-    p = predict_probs(alpha_col, K)
+    """The (P, P) matrix G = K diag(p(1-p)) K, p = sigma(K alpha), symmetrized as (G + G')/2."""
+    alpha_col, K = np.asarray(alpha_col, dtype=float), np.asarray(K, dtype=float)
+    if alpha_col.ndim != 1 or K.shape != 2 * alpha_col.shape:  # 2 * (P,) is (P, P)
+        raise ArgumentError(f"alpha of shape {alpha_col.shape} does not fit Gram size {K.shape}")
+    p = sigmoid(K @ alpha_col)
     d = p * (1.0 - p)
     G = (K * d) @ K
-    return 0.5 * (G + G.T)
-
-
-def fim_empirical_oracle(alpha_col, K: np.ndarray) -> np.ndarray:
-    """Expectation form of the Fisher matrix, by explicit enumeration.
-
-    For each pattern mu the Bernoulli score at outcome s in {0,1} is
-    (s - p_mu) * K[:, mu]; the two outcomes are enumerated with their
-    probabilities and the score outer products summed over patterns.
-    Deliberately loop-based and independent of fisher_matrix.
-    """
-    p = predict_probs(alpha_col, K)
-    P = p.size
-    G = np.zeros((P, P))
-    for mu in range(P):
-        k_mu = K[:, mu]
-        for s, prob in ((1.0, p[mu]), (0.0, 1.0 - p[mu])):
-            score = (s - p[mu]) * k_mu
-            G += prob * np.outer(score, score)
     return 0.5 * (G + G.T)
 
 

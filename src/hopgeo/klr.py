@@ -92,34 +92,14 @@ def sigmoid(h):
     return _logistic(h, np.exp(-np.abs(h)))
 
 
-def predict_probs(alpha_col: np.ndarray, K: np.ndarray) -> np.ndarray:
-    """p_mu = sigma((K alpha)_mu) for each stored pattern; K is the (P, P) Gram matrix."""
-    alpha_col, K = np.asarray(alpha_col, dtype=float), np.asarray(K, dtype=float)
-    if alpha_col.ndim != 1 or K.shape != 2 * alpha_col.shape:  # 2 * (P,) is (P, P)
-        raise ArgumentError(f"alpha of shape {alpha_col.shape} does not fit Gram size {K.shape}")
-    return sigmoid(K @ alpha_col)
-
-
-def _field(alpha_col, K: np.ndarray, targets):
-    """(alpha, t, h = K alpha) of one neuron; ArgumentError unless alpha, t are (P,), K (P, P)."""
+def loss_gradient(alpha_col, K: np.ndarray, targets, lam: float) -> np.ndarray:
+    """grad = K (p - t) + lam K alpha of one neuron, with p = sigma(K alpha); ArgumentError
+    unless alpha and the targets are (P,) and K is (P, P)."""
     alpha_col, K = np.asarray(alpha_col, dtype=float), np.asarray(K, dtype=float)
     t = np.asarray(targets, dtype=float)
     if alpha_col.ndim != 1 or K.shape != 2 * alpha_col.shape or t.shape != alpha_col.shape:
         raise ArgumentError("alpha, targets and Gram matrix sizes disagree")
-    return alpha_col, t, K @ alpha_col
-
-
-def loss(alpha_col, K: np.ndarray, targets, lam: float) -> float:
-    """Cross-entropy over stored patterns plus (lam/2) alpha' K alpha."""
-    check_range("lambda", lam, 0)
-    alpha_col, t, h = _field(alpha_col, K, targets)
-    bce = _bce_terms(h, t, np.exp(-np.abs(h)), np.empty_like(h))
-    return float(np.sum(bce) + 0.5 * lam * alpha_col @ h)
-
-
-def loss_gradient(alpha_col, K: np.ndarray, targets, lam: float) -> np.ndarray:
-    """grad = K (p - t) + lam K alpha."""
-    _, t, h = _field(alpha_col, K, targets)
+    h = K @ alpha_col
     return K @ (sigmoid(h) - t) + lam * h
 
 

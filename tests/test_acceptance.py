@@ -30,14 +30,14 @@ from hopgeo.cli import main, numerics
 from hopgeo.dynamics import recall
 from hopgeo.infogeo import (
     effective_dimension,
-    fim_empirical_oracle,
     fisher_matrix,
     natural_gradient,
     spectrum,
 )
 from hopgeo.kernel_core import corrupt, generate_patterns
-from hopgeo.klr import TrainConfig, loss, loss_gradient, train
+from hopgeo.klr import TrainConfig, loss_gradient, train
 from hopgeo.sweep import aggregate, grid_config_from_file, run_grid, trial_mean, write_grid_csv
+from oracles import central_difference, fim_empirical_oracle
 
 ROOT = Path(__file__).resolve().parent.parent
 ACCEPTANCE_CFG = ROOT / "configs" / "acceptance.cfg"
@@ -133,12 +133,7 @@ def test_c2_gradient_correctness():
         K, alpha, t = random_instance(rng, P)
         lam = float(rng.uniform(0, 0.5))
         g = loss_gradient(alpha, K, t, lam)
-        fd = np.zeros(P)
-        eps = 1e-6
-        for i in range(P):
-            up = alpha.copy(); up[i] += eps
-            dn = alpha.copy(); dn[i] -= eps
-            fd[i] = (loss(up, K, t, lam) - loss(dn, K, t, lam)) / (2 * eps)
+        fd = central_difference(alpha, K, t, lam)
         rel = float(np.linalg.norm(g - fd) / max(np.linalg.norm(fd), 1e-12))
         worst = max(worst, rel)
     record("C2 gradient correctness", worst < 1e-5, f"worst rel err {worst:.3g}")

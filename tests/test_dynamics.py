@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from hopgeo import dynamics
-from hopgeo.dynamics import RecallResult, local_field, recall, recall_batch, recall_trial
+from hopgeo.dynamics import local_field, recall, recall_batch, recall_trial
 from hopgeo.errors import ArgumentError
 from hopgeo.kernel_core import KernelConfig, PatternSet, corrupt, generate_patterns, gram
 from hopgeo.klr import DualWeights, TrainConfig, all_targets, fit_dual_weights, train
+from oracles import _reference_recall, _step
 
 
 def test_local_field_matches_loop_oracle():
@@ -114,45 +115,6 @@ def test_success_threshold_boundary():
     assert res.success
     res = recall(cue, 0, ps, w, success_threshold=0.95)
     assert not res.success
-
-
-def _step(state, patterns, weights):
-    """One synchronous update; returns (new_state, number of flipped neurons)."""
-    state = np.asarray(state)
-    h = local_field(state, patterns, weights)
-    new = np.where(h > 0, 1, np.where(h < 0, -1, state)).astype(state.dtype)
-    return new, int(np.count_nonzero(new != state))
-
-
-def _reference_recall(cue, target_index, patterns, weights, max_steps, success_threshold):
-    """The single-cue loop recall() ran before cues were batched; the oracle."""
-    def overlap(state, pattern):  # (1/N) sum_i state_i * pattern_i
-        return float(state @ pattern) / state.shape[0]
-
-    target = patterns.patterns[target_index]
-    state = np.asarray(cue).copy()
-    prev = None
-    converged = False
-    steps = 0
-    for _ in range(max_steps):
-        new, changed = _step(state, patterns, weights)
-        steps += 1
-        if changed == 0:
-            converged = True
-            break
-        if prev is not None and np.array_equal(new, prev):
-            if overlap(prev, target) > overlap(state, target):
-                state = prev
-            break
-        prev = state
-        state = new
-    m = overlap(state, target)
-    return RecallResult(
-        overlap=m,
-        converged=converged,
-        steps=steps,
-        success=m >= success_threshold,
-    )
 
 
 def _near_tie_alpha(alpha, patterns, cues, gamma):

@@ -1,4 +1,6 @@
 """Every name a module of the package or of the tests imports is used in it, every
+module-level function and class of the package is named by the package itself (the
+oracles and references that only tests call live in tests/oracles.py), every
 function the benchmark's tracer wraps exists and its runs work on this source, only
 kernel_core formats artifact values, the modules that define table artifacts write no
 file themselves, and a process that forks no pool never loads the pool machinery."""
@@ -14,10 +16,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted(
-    [p for p in (ROOT / "src" / "hopgeo").glob("*.py") if p.name != "__init__.py"]
-    + list((ROOT / "tests").glob("*.py"))
-)
+PACKAGE = sorted((ROOT / "src" / "hopgeo").glob("*.py"))
+MODULES = sorted([p for p in PACKAGE if p.name != "__init__.py"]
+                 + list((ROOT / "tests").glob("*.py")))
 
 
 def unused_imports(source: str) -> list:
@@ -41,6 +42,50 @@ def test_the_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unreferenced_definitions(sources: dict) -> list:
+    """The (module, name) of each module-level function or class in `sources`, a map of
+    module name to source, that no source names as a Name, an Attribute or an import."""
+    defined, named = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        defined += [(module, node.name) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    return [(module, name) for module, name in defined if name not in named]
+
+
+def test_the_scan_finds_an_unreferenced_definition():
+    sources = {
+        "a": "from b import imported\ndef local(): pass\ndef dead():\n    local()\n"
+             "class Dead:\n    def method(self): pass\nclass Kept: pass\n",
+        "b": "import a\ndef imported(): pass\ndef through_attribute(): pass\nx = a.Kept()\n"
+             "y = a.through_attribute\n",
+    }
+    assert unreferenced_definitions(sources) == [("a", "dead"), ("a", "Dead")]
+
+
+# The package's definitions that nothing in it needs to name, and why each stays.
+KEPT_UNREFERENCED = {
+    ("cli", "main"): "the `hopgeo` console entry point of pyproject.toml",
+    ("dynamics", "recall"): "perfbench/tracer.py wraps it by name; it goes once the tracer "
+                            "wraps recall_batch instead",
+}
+
+
+def test_the_package_defines_only_what_it_runs():
+    sources = {p.stem: p.read_text() for p in PACKAGE}
+    assert [d for d in unreferenced_definitions(sources) if d not in KEPT_UNREFERENCED] == []
+    # an exception outlives no deletion
+    assert all(hasattr(importlib.import_module(f"hopgeo.{module}"), name)
+               for module, name in KEPT_UNREFERENCED)
 
 
 def value_formats(source: str) -> list:

@@ -4,7 +4,6 @@ import pytest
 from hopgeo.errors import ArgumentError, NumericError
 from hopgeo.infogeo import (
     effective_dimension,
-    fim_empirical_oracle,
     fisher_matrix,
     gradient_report,
     natural_gradient,
@@ -14,6 +13,7 @@ from hopgeo.infogeo import (
 )
 from hopgeo.kernel_core import KernelConfig, generate_patterns, gram
 from hopgeo.klr import loss_gradient
+from oracles import fim_empirical_oracle
 
 
 def random_gram(rng, P):

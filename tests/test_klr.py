@@ -14,21 +14,18 @@ from hopgeo.infogeo import fisher_matrix, gradient_report, spectrum
 from hopgeo.kernel_core import KernelConfig, generate_patterns, gram
 from hopgeo.klr import (
     CERTIFIED_STEP,
-    DESCENT_SLACK,
     DualWeights,
-    FitResult,
     TrainConfig,
     all_targets,
     fit_dual_weights,
     load_weights,
-    loss,
     loss_gradient,
-    predict_probs,
     save_weights,
     sigmoid,
     train,
 )
 from hopgeo.sweep import grid_config_from_file, seed64
+from oracles import _reference_fit, _reference_optimum, central_difference, loss
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -55,42 +52,44 @@ def test_sigmoid_basics():
     assert np.allclose(sigmoid(hs), [sigmoid(h) for h in hs])
 
 
+# The predicted probabilities p = sigma(K alpha) are checked through fisher_matrix, which
+# weighs each pattern by p(1-p): G = K diag(p(1-p)) K.
+
+
 def test_predict_probs_zero_alpha():
+    # p = 1/2 on every pattern, so every weight p(1-p) is 1/4
     K = gram(generate_patterns(5, 10, 1), KernelConfig(gamma=0.1)).values
-    assert np.allclose(predict_probs(np.zeros(5), K), 0.5)
+    assert np.allclose(fisher_matrix(np.zeros(5), K), 0.25 * K @ K)
 
 
 def test_predict_probs_scalar_case():
-    K = np.array([[1.0]])
-    assert predict_probs(np.array([2.0]), K)[0] == pytest.approx(0.8807970779778823)
+    p = 0.8807970779778823  # sigma(2)
+    assert fisher_matrix(np.array([2.0]), np.array([[1.0]]))[0, 0] == pytest.approx(p * (1 - p))
 
 
 def test_predict_probs_matches_loop_oracle():
     rng = np.random.default_rng(2)
     K, alpha, _ = random_instance(rng, 6)
-    p = predict_probs(alpha, K)
-    for mu in range(6):
-        h = sum(alpha[nu] * K[mu, nu] for nu in range(6))
-        assert p[mu] == pytest.approx(1 / (1 + math.exp(-h)), rel=1e-12)
+    p = np.array([1 / (1 + math.exp(-sum(alpha[nu] * K[mu, nu] for nu in range(6))))
+                  for mu in range(6)])
+    want = K @ np.diag(p * (1 - p)) @ K
+    assert np.allclose(fisher_matrix(alpha, K), want, rtol=1e-12, atol=0)
 
 
 def test_predict_probs_dimension_mismatch():
     K = np.eye(3)
     with pytest.raises(ArgumentError, match=r"alpha of shape \(4,\) does not fit Gram size"):
-        predict_probs(np.zeros(4), K)
+        fisher_matrix(np.zeros(4), K)
 
 
 @pytest.mark.parametrize("K", [np.ones((3, 4)), np.ones(3)], ids=["P_by_P_plus_1", "1d"])
-@pytest.mark.parametrize("call", ["loss", "loss_gradient", "predict_probs", "fisher_matrix",
-                                  "gradient_report"])
+@pytest.mark.parametrize("call", ["loss_gradient", "fisher_matrix", "gradient_report"])
 def test_a_gram_matrix_that_is_not_square_is_refused(K, call):
     # alpha and targets have length P = 3, and K has P rows but is not (P, P)
     alpha, t = np.zeros(3), np.ones(3)
     spec = spectrum(np.eye(3))
     calls = {
-        "loss": lambda: loss(alpha, K, t, 0.1),
         "loss_gradient": lambda: loss_gradient(alpha, K, t, 0.1),
-        "predict_probs": lambda: predict_probs(alpha, K),
         "fisher_matrix": lambda: fisher_matrix(alpha, K),
         "gradient_report": lambda: gradient_report(alpha, K, t, 0.1, spec),
     }
@@ -136,15 +135,6 @@ def test_gradient_identity_kernel_case():
     assert np.allclose(g, [-0.5, 0.5])
 
 
-def central_difference(alpha, K, t, lam, eps=1e-6):
-    g = np.zeros_like(alpha)
-    for i in range(alpha.size):
-        up = alpha.copy(); up[i] += eps
-        dn = alpha.copy(); dn[i] -= eps
-        g[i] = (loss(up, K, t, lam) - loss(dn, K, t, lam)) / (2 * eps)
-    return g
-
-
 def test_gradient_matches_central_differences():
     rng = np.random.default_rng(11)
     for _ in range(100):
@@ -162,7 +152,7 @@ def test_train_separates_two_patterns():
     K = gram(ps, KernelConfig(gamma=0.5)).values
     T = all_targets(ps)
     for i in range(ps.num_neurons):
-        p = predict_probs(w.alpha[:, i], K)
+        p = sigmoid(K @ w.alpha[:, i])
         assert np.all(np.abs(p - T[:, i]) < 0.05)
 
 
@@ -182,7 +172,7 @@ def test_train_huge_lambda_shrinks_weights():
     assert np.abs(w.alpha).max() < 1e-2
     K = gram(ps, KernelConfig(gamma=0.3)).values
     for i in range(ps.num_neurons):
-        assert np.allclose(predict_probs(w.alpha[:, i], K), 0.5, atol=0.02)
+        assert np.allclose(sigmoid(K @ w.alpha[:, i]), 0.5, atol=0.02)
 
 
 def test_train_deterministic():
@@ -236,69 +226,6 @@ def test_weights_roundtrip_exact(tmp_path):
     assert back.gamma == w.gamma
     assert back.lam == w.lam
     assert back.trained_epochs == w.trained_epochs
-
-
-def _reference_fit(K, T, cfg, events=None):
-    """Oracle for fit_dual_weights: gathers the active columns every epoch.
-
-    The plain loop that the blocked, in-place epochs must reproduce bit for bit.
-    `events`, if given, receives (epoch, "loss", active) for each epoch at which a
-    column fails the descent monitor and (epoch, "grad", active) for each at which
-    one reaches grad_tol; `active` counts the columns left active after the event.
-    """
-    def sigmoid_masked(H):
-        out = np.empty_like(H)
-        pos = H >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-H[pos]))
-        eh = np.exp(H[~pos])
-        out[~pos] = eh / (1.0 + eh)
-        return out
-
-    P, N = T.shape
-    A = np.zeros((P, N))
-    active = np.ones(N, dtype=bool)
-    converged = np.zeros(N, dtype=bool)
-    diverged = []
-    prev_loss = np.full(N, np.inf)
-    prev_A = A.copy()
-    epochs_run = 0
-    for epoch in range(cfg.max_epochs):
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
-            break
-        Aa = A[:, idx]
-        H = K @ Aa
-        Ta = T[:, idx]
-        bce = np.logaddexp(0.0, H) - Ta * H
-        ls = np.sum(bce, axis=0) + 0.5 * cfg.lam * np.sum(Aa * H, axis=0)
-        bad = ~np.isfinite(ls) | (ls > prev_loss[idx] + DESCENT_SLACK)
-        if bad.any():
-            for j in idx[bad]:
-                diverged.append((int(j), epoch))
-            A[:, idx[bad]] = prev_A[:, idx[bad]]
-            active[idx[bad]] = False
-            if events is not None:
-                events.append((epoch, "loss", int(active.sum())))
-            idx = idx[~bad]
-            if idx.size == 0:
-                continue
-            H = H[:, ~bad]
-            Ta = Ta[:, ~bad]
-            ls = ls[~bad]
-        prev_loss[idx] = ls
-        Grad = K @ (sigmoid_masked(H) - Ta) + cfg.lam * H
-        gnorm = np.sqrt(np.sum(Grad * Grad, axis=0))
-        done = gnorm < cfg.grad_tol
-        converged[idx[done]] = True
-        active[idx[done]] = False
-        if events is not None and done.any():
-            events.append((epoch, "grad", int(active.sum())))
-        step = ~done
-        if step.any():
-            prev_A[:, idx[step]] = A[:, idx[step]]
-            A[:, idx[step]] -= cfg.learning_rate * Grad[:, step]
-        epochs_run = epoch + 1
-    return FitResult(alpha=A, epochs=epochs_run, diverged=diverged, converged=converged)
 
 
 def _assert_same_fit(got, want):
@@ -518,32 +445,6 @@ def test_dual_weights_refuses_a_vector_alpha():
 def test_dual_weights_rejects_a_bad_gamma(gamma):
     with pytest.raises(ArgumentError, match="gamma"):
         DualWeights(alpha=np.zeros((1, 1)), gamma=gamma, lam=0.0, trained_epochs=0)
-
-
-def _reference_optimum(K, T, lam):
-    """Exact-optimum oracle for descent: damped Newton in the dual, one neuron at a time.
-
-    The gradient is K (p - t + lam alpha) and the Hessian K (D K + lam I), with
-    D = diag(p (1 - p)), so the Newton step is d = (D K + lam I)^-1 (p - t + lam alpha).
-    It is halved until the loss does not rise by more than rounding. Returns the (P, N) alpha.
-    """
-    P, N = T.shape
-    A = np.zeros((P, N))
-    for i in range(N):
-        a, t = A[:, i], T[:, i]
-        f = loss(a, K, t, lam)
-        for _ in range(100):
-            p = sigmoid(K @ a)
-            d = np.linalg.solve(np.diag(p * (1 - p)) @ K + lam * np.eye(P), p - t + lam * a)
-            step, limit = 1.0, f + 4 * np.finfo(float).eps * abs(f)
-            while loss(a - step * d, K, t, lam) > limit and step > 1e-12:
-                step /= 2
-            new = loss(a - step * d, K, t, lam)
-            if new > limit or np.linalg.norm(loss_gradient(a, K, t, lam)) < 1e-13:
-                break
-            a, f = a - step * d, new
-        A[:, i] = a
-    return A
 
 
 def test_descent_agrees_with_the_exact_optimum():

@@ -16,13 +16,9 @@ from hypothesis import strategies as st
 
 from hopgeo import sweep
 from hopgeo.config import ConfigError
-from hopgeo.dynamics import recall_batch
 from hopgeo.errors import ArgumentError, FieldError
-from hopgeo.infogeo import GradientReport, fisher_matrix, gradient_report, spectrum
-from hopgeo.kernel_core import KernelConfig, corrupt, generate_patterns, gram
-from hopgeo.klr import DualWeights, TrainConfig, all_targets, fit_dual_weights
+from hopgeo.klr import TrainConfig
 from hopgeo.sweep import (
-    CellRecords,
     GridConfig,
     SweepCell,
     aggregate,
@@ -33,6 +29,7 @@ from hopgeo.sweep import (
     seed64,
     write_grid_csv,
 )
+from oracles import _reference_run_cell
 
 FAST_TRAIN = TrainConfig(lam=1e-4, learning_rate=0.02, max_epochs=300, grad_tol=1e-6)
 
@@ -321,84 +318,6 @@ def test_aggregation_sanity():
         assert 0.0 <= cell.recall_rate <= 1.0
         assert cell.N == 8
         assert cell.P == round(cell.load * cell.N)
-
-
-def _reference_run_cell(gamma, load, cfg, gamma_index, load_index):
-    """Oracle for run_cell and aggregate: one Fisher spectrum per neuron, reports in
-    neuron order, trial means taken as the loop goes.
-
-    Returns (CellRecords, SweepCell), which run_cell's shared spectra and
-    aggregate must reproduce bit for bit.
-    """
-    N = cfg.num_neurons
-    P = max(1, int(round(load * N)))
-    kcfg = KernelConfig(gamma=gamma)
-    want_recall = "recall_rate" in cfg.metrics
-    means = ("lambda_max", "d_eff", "euclid_norm_sq", "riemann_norm_sq", "rank1_residual")
-    per_trial = {k: [] for k in means}
-    reports, diverged, recall_hits = [], [], []
-    for t in range(cfg.trials_per_cell):
-        seed = seed64(cfg.base_seed, gamma_index, load_index, t)
-        patterns = generate_patterns(P, N, seed)
-        K = gram(patterns, kcfg).values
-        T = all_targets(patterns)
-        res = fit_dual_weights(K, T, cfg.train)
-        diverged.append(len(res.diverged))
-        row = []
-        for i in range(N):
-            spec = spectrum(fisher_matrix(res.alpha[:, i], K))
-            row.append(gradient_report(
-                res.alpha[:, i], K, T[:, i], cfg.train.lam, spec, cfg.rel_cutoff
-            ))
-        reports.append(row)
-        for k in means:
-            per_trial[k].append(float(np.mean([getattr(rep, k) for rep in row])))
-        if want_recall:
-            weights = DualWeights(
-                alpha=res.alpha, gamma=gamma, lam=cfg.train.lam, trained_epochs=res.epochs
-            )
-            cues = [
-                corrupt(patterns.patterns[mu], cfg.recall_flip_fraction,
-                        seed64(cfg.base_seed, gamma_index, load_index,
-                               cfg.trials_per_cell + t * P + mu))
-                for mu in range(P)
-            ]
-            results = recall_batch(
-                cues, range(P), patterns, weights,
-                max_steps=cfg.recall_max_steps,
-                success_threshold=cfg.success_threshold,
-            )
-            recall_hits.append(sum(r.success for r in results))
-    seed = seed64(cfg.base_seed, gamma_index, load_index)
-    records = CellRecords(
-        gamma=gamma, load=load, P=P, N=N, seed=seed,
-        neurons={f.name: np.array([[getattr(rep, f.name) for rep in row] for row in reports])
-                 for f in dataclasses.fields(GradientReport)},
-        diverged=np.array(diverged),
-        recall_hits=np.array(recall_hits) if want_recall else None,
-    )
-
-    def sd(vals):
-        return float(np.std(vals, ddof=0))
-    cell = SweepCell(
-        gamma=gamma,
-        load=load,
-        P=P,
-        N=N,
-        seed=seed,
-        trials=cfg.trials_per_cell,
-        lambda_max_mean=float(np.mean(per_trial["lambda_max"])),
-        lambda_max_sd=sd(per_trial["lambda_max"]),
-        d_eff_mean=float(np.mean(per_trial["d_eff"])),
-        d_eff_sd=sd(per_trial["d_eff"]),
-        euclid_norm_sq_mean=float(np.mean(per_trial["euclid_norm_sq"])),
-        riemann_norm_sq_mean=float(np.mean(per_trial["riemann_norm_sq"])),
-        rank1_residual_mean=float(np.mean(per_trial["rank1_residual"])),
-        recall_rate=(sum(recall_hits) / (cfg.trials_per_cell * P)) if want_recall else float("nan"),
-        degenerate_count=sum(rep.degenerate for row in reports for rep in row),
-        divergence_count=sum(diverged),
-    )
-    return records, cell
 
 
 def cell_bits(cell):
