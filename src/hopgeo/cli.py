@@ -38,7 +38,6 @@ from .kernel_core import save_patterns, write_rows
 from .klr import TrainConfig, load_weights, save_weights, train
 from .sweep import (
     METRICS,
-    aggregate,
     grid_config_from_file,
     pool_map,
     pool_size,
@@ -205,7 +204,7 @@ def cmd_phase(args, argv) -> int:
     out = Path(args.out)
     # --out is made before the sweep, so that a bad path fails at once
     with _output_dir(out) as write:
-        cells = [aggregate(rec) for rec in run_grid(cfg, workers=args.workers)]
+        cells = [rec.cell for rec in run_grid(cfg, workers=args.workers)]
         files = {"grid.csv": partial(write_grid_csv, cells),
                  **_heatmaps(cells, cfg.metrics, out / "grid.csv")}
         write(files)

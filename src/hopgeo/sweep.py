@@ -7,10 +7,9 @@ numpy.random.SeedSequence([base_seed, gi, li, t]), and the cell's own seed
 that of [base_seed, gi, li]. Cells are independent and runs reproducible
 bit-for-bit at any worker count.
 
-run_cell returns a cell's per-neuron and per-trial records; aggregate
-turns them into its SweepCell: arithmetic mean over neurons within a
-trial, then mean (and standard deviation for lambda_max and d_eff) over
-trials.
+run_cell returns a cell's per-neuron records and its SweepCell, the
+grid.csv row: arithmetic mean over neurons within a trial, then mean (and
+standard deviation for lambda_max and d_eff) over trials.
 Neuron-trials with a fully degenerate spectrum contribute d_eff = 0 and
 are counted in degenerate_count; neurons whose descent monitor tripped
 are frozen at their last accepted iterate, still measured, and counted
@@ -124,26 +123,21 @@ class GridConfig:
 
 @dataclass
 class CellRecords:
-    """What run_cell measured in one cell, before aggregation.
+    """What run_cell measured in one cell: its grid.csv row, and per neuron,
+    `neurons`, each GradientReport field as a (trials, N) array in neuron order."""
 
-    Per neuron, `neurons` maps each GradientReport field to a (trials, N) array
-    in neuron order. Per trial: `diverged`, the neurons the descent monitor froze,
-    and `recall_hits`, the cues recalled (None unless recall_rate is a metric).
-    """
-
-    gamma: float
-    load: float
-    P: int
-    N: int
-    seed: int
+    cell: SweepCell
     neurons: dict[str, np.ndarray]
-    diverged: np.ndarray
-    recall_hits: np.ndarray | None
 
 
 def seed64(*keys) -> int:
     """The first 64-bit word of SeedSequence(keys), the one seeding scheme of a sweep."""
     return int(np.random.SeedSequence([int(k) for k in keys]).generate_state(1, np.uint64)[0])
+
+
+def trial_mean(values) -> float:
+    """Mean over the neurons of each trial, then over trials, of a (trials, N) record."""
+    return float(np.mean(np.mean(values, axis=1)))
 
 
 def run_cell(cfg: GridConfig, gamma_index: int, load_index: int) -> CellRecords:
@@ -154,15 +148,14 @@ def run_cell(cfg: GridConfig, gamma_index: int, load_index: int) -> CellRecords:
     P = round(load * N)  # at least 1: GridConfig checks it
     want_recall = "recall_rate" in cfg.metrics
     reports = []  # per trial, the GradientReport of every neuron in neuron order
-    diverged = []
-    recall_hits = []
+    diverged = recall_hits = 0
     for t in range(cfg.trials_per_cell):
         seed = seed64(cfg.base_seed, gamma_index, load_index, t)
         patterns = generate_patterns(P, N, seed)
         K = gram(patterns, KernelConfig(gamma=gamma)).values
         T = all_targets(patterns)
         res = fit_dual_weights(K, T, cfg.train)
-        diverged.append(len(res.diverged))
+        diverged += len(res.diverged)
         reports.append(neuron_spectra(res.alpha, K, lambda i, spec: gradient_report(
             res.alpha[:, i], K, T[:, i], cfg.train.lam, spec, cfg.rel_cutoff
         )))
@@ -174,40 +167,19 @@ def run_cell(cfg: GridConfig, gamma_index: int, load_index: int) -> CellRecords:
             seeds = [seed64(cfg.base_seed, gamma_index, load_index, first + mu) for mu in range(P)]
             results = recall_trial(patterns, weights, cfg.recall_flip_fraction, seeds,
                                    cfg.recall_max_steps, cfg.success_threshold)
-            recall_hits.append(sum(r.success for r in results))
-    return CellRecords(
+            recall_hits += sum(r.success for r in results)
+    n = {f.name: np.array([[getattr(rep, f.name) for rep in row] for row in reports])
+         for f in fields(GradientReport)}
+
+    def sd(values):
+        return float(np.std(np.mean(values, axis=1), ddof=0))
+    cell = SweepCell(
         gamma=gamma,
         load=load,
         P=P,
         N=N,
         seed=seed64(cfg.base_seed, gamma_index, load_index),
-        neurons={
-            f.name: np.array([[getattr(rep, f.name) for rep in row] for row in reports])
-            for f in fields(GradientReport)
-        },
-        diverged=np.array(diverged),
-        recall_hits=np.array(recall_hits) if want_recall else None,
-    )
-
-
-def trial_mean(values) -> float:
-    """Mean over the neurons of each trial, then over trials, of a (trials, N) record."""
-    return float(np.mean(np.mean(values, axis=1)))
-
-
-def aggregate(rec: CellRecords) -> SweepCell:
-    """The SweepCell (grid.csv row) of one cell's records."""
-    def sd(values):
-        return float(np.std(np.mean(values, axis=1), ddof=0))
-    n = rec.neurons
-    trials = len(rec.diverged)
-    return SweepCell(
-        gamma=rec.gamma,
-        load=rec.load,
-        P=rec.P,
-        N=rec.N,
-        seed=rec.seed,
-        trials=trials,
+        trials=cfg.trials_per_cell,
         lambda_max_mean=trial_mean(n["lambda_max"]),
         lambda_max_sd=sd(n["lambda_max"]),
         d_eff_mean=trial_mean(n["d_eff"]),
@@ -215,13 +187,11 @@ def aggregate(rec: CellRecords) -> SweepCell:
         euclid_norm_sq_mean=trial_mean(n["euclid_norm_sq"]),
         riemann_norm_sq_mean=trial_mean(n["riemann_norm_sq"]),
         rank1_residual_mean=trial_mean(n["rank1_residual"]),
-        recall_rate=(
-            int(rec.recall_hits.sum()) / (trials * rec.P)
-            if rec.recall_hits is not None else float("nan")
-        ),
+        recall_rate=recall_hits / (cfg.trials_per_cell * P) if want_recall else float("nan"),
         degenerate_count=int(n["degenerate"].sum()),
-        divergence_count=int(rec.diverged.sum()),
+        divergence_count=diverged,
     )
+    return CellRecords(cell, n)
 
 
 def pool_size(workers: int, tasks: int) -> int:
@@ -297,7 +267,7 @@ def run_grid(cfg: GridConfig, workers: int = 1) -> list:
         for gi in range(len(cfg.gamma_values))
     ]
     records = pool_map(_cell_task, tasks, workers)
-    records.sort(key=lambda rec: (rec.load, rec.gamma))
+    records.sort(key=lambda rec: (rec.cell.load, rec.cell.gamma))
     return records
 
 

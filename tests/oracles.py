@@ -190,11 +190,11 @@ def _reference_recall(cue, target_index, patterns, weights, max_steps, success_t
 
 
 def _reference_run_cell(gamma, load, cfg, gamma_index, load_index):
-    """Oracle for run_cell and aggregate: one Fisher spectrum per neuron, reports in
-    neuron order, trial means taken as the loop goes.
+    """Oracle for run_cell: one Fisher spectrum per neuron, reports in neuron order,
+    trial means taken as the loop goes.
 
-    Returns (CellRecords, SweepCell), which run_cell's shared spectra and
-    aggregate must reproduce bit for bit.
+    Returns the CellRecords, grid.csv row included, that run_cell's shared
+    spectra must reproduce bit for bit.
     """
     N = cfg.num_neurons
     P = max(1, int(round(load * N)))
@@ -202,14 +202,15 @@ def _reference_run_cell(gamma, load, cfg, gamma_index, load_index):
     want_recall = "recall_rate" in cfg.metrics
     means = ("lambda_max", "d_eff", "euclid_norm_sq", "riemann_norm_sq", "rank1_residual")
     per_trial = {k: [] for k in means}
-    reports, diverged, recall_hits = [], [], []
+    reports = []
+    diverged = recall_hits = 0
     for t in range(cfg.trials_per_cell):
         seed = seed64(cfg.base_seed, gamma_index, load_index, t)
         patterns = generate_patterns(P, N, seed)
         K = gram(patterns, kcfg).values
         T = all_targets(patterns)
         res = fit_dual_weights(K, T, cfg.train)
-        diverged.append(len(res.diverged))
+        diverged += len(res.diverged)
         row = []
         for i in range(N):
             spec = spectrum(fisher_matrix(res.alpha[:, i], K))
@@ -234,15 +235,7 @@ def _reference_run_cell(gamma, load, cfg, gamma_index, load_index):
                 max_steps=cfg.recall_max_steps,
                 success_threshold=cfg.success_threshold,
             )
-            recall_hits.append(sum(r.success for r in results))
-    seed = seed64(cfg.base_seed, gamma_index, load_index)
-    records = CellRecords(
-        gamma=gamma, load=load, P=P, N=N, seed=seed,
-        neurons={f.name: np.array([[getattr(rep, f.name) for rep in row] for row in reports])
-                 for f in dataclasses.fields(GradientReport)},
-        diverged=np.array(diverged),
-        recall_hits=np.array(recall_hits) if want_recall else None,
-    )
+            recall_hits += sum(r.success for r in results)
 
     def sd(vals):
         return float(np.std(vals, ddof=0))
@@ -251,7 +244,7 @@ def _reference_run_cell(gamma, load, cfg, gamma_index, load_index):
         load=load,
         P=P,
         N=N,
-        seed=seed,
+        seed=seed64(cfg.base_seed, gamma_index, load_index),
         trials=cfg.trials_per_cell,
         lambda_max_mean=float(np.mean(per_trial["lambda_max"])),
         lambda_max_sd=sd(per_trial["lambda_max"]),
@@ -260,8 +253,11 @@ def _reference_run_cell(gamma, load, cfg, gamma_index, load_index):
         euclid_norm_sq_mean=float(np.mean(per_trial["euclid_norm_sq"])),
         riemann_norm_sq_mean=float(np.mean(per_trial["riemann_norm_sq"])),
         rank1_residual_mean=float(np.mean(per_trial["rank1_residual"])),
-        recall_rate=(sum(recall_hits) / (cfg.trials_per_cell * P)) if want_recall else float("nan"),
+        recall_rate=(recall_hits / (cfg.trials_per_cell * P)) if want_recall else float("nan"),
         degenerate_count=sum(rep.degenerate for row in reports for rep in row),
-        divergence_count=sum(diverged),
+        divergence_count=diverged,
     )
-    return records, cell
+    return CellRecords(cell, {
+        f.name: np.array([[getattr(rep, f.name) for rep in row] for row in reports])
+        for f in dataclasses.fields(GradientReport)
+    })

@@ -1,12 +1,12 @@
 """End-to-end acceptance suite.
 
 Runs the frozen desk-scale grid in configs/acceptance.cfg once (module
-fixture) through sweep.run_grid and sweep.aggregate, the cell evaluator
-and aggregation that `hopgeo phase` runs, and checks ten numbered
-criteria, printing one PASS/FAIL line per criterion. Criteria 1-4 are
-oracle equivalences and contracts on random instances; 5-8 are
-qualitative phase-diagram claims on the grid; 9 is the memory function;
-10 is bit-level reproducibility of the CLI sweep across worker counts.
+fixture) through sweep.run_grid, the cell evaluator that `hopgeo phase`
+runs, and checks ten numbered criteria, printing one PASS/FAIL line per
+criterion. Criteria 1-4 are oracle equivalences and contracts on random
+instances; 5-8 are qualitative phase-diagram claims on the grid; 9 is the
+memory function; 10 is bit-level reproducibility of the CLI sweep across
+worker counts.
 The fixture's cells are also written as `hopgeo phase` writes grid.csv and
 compared byte for byte with tests/data/acceptance_grid.csv, at no extra fit.
 
@@ -36,7 +36,7 @@ from hopgeo.infogeo import (
 )
 from hopgeo.kernel_core import corrupt, generate_patterns
 from hopgeo.klr import TrainConfig, loss_gradient, train
-from hopgeo.sweep import aggregate, grid_config_from_file, run_grid, trial_mean, write_grid_csv
+from hopgeo.sweep import grid_config_from_file, run_grid, trial_mean, write_grid_csv
 from oracles import central_difference, fim_empirical_oracle
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -61,8 +61,8 @@ def random_instance(rng, P):
 
 # --------------------------------------------------------------------------
 # grid fixtures: every (gamma, load) cell of the frozen acceptance config from
-# sweep.run_grid, its aggregated SweepCell (the grid.csv row `hopgeo phase`
-# writes), and per load row its SweepCell fields and spectral-ratio means
+# sweep.run_grid, its SweepCell (the grid.csv row `hopgeo phase` writes), and
+# per load row its SweepCell fields and spectral-ratio means
 # --------------------------------------------------------------------------
 
 
@@ -73,16 +73,16 @@ def records():
 
 @pytest.fixture(scope="module")
 def cells(records):
-    return [aggregate(rec) for rec in records]
+    return [rec.cell for rec in records]
 
 
 @pytest.fixture(scope="module")
-def grid(records, cells):
+def grid(records):
     rows = {}
-    for rec, cell in zip(records, cells):
-        row = rows.setdefault(rec.load, [])
+    for rec in records:
+        row = rows.setdefault(rec.cell.load, [])
         row.append(SimpleNamespace(
-            **dataclasses.asdict(cell),
+            **dataclasses.asdict(rec.cell),
             gamma_index=len(row),
             ratio_2_1_mean=trial_mean(rec.neurons["ratio_2_1"]),
             ratio_tail_mean=trial_mean(rec.neurons["ratio_tail"]),

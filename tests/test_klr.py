@@ -53,21 +53,16 @@ def test_sigmoid_basics():
 
 
 # The predicted probabilities p = sigma(K alpha) are checked through fisher_matrix, which
-# weighs each pattern by p(1-p): G = K diag(p(1-p)) K.
+# weighs each pattern by p(1-p): G = K diag(p(1-p)) K. At alpha = 0 every weight is 1/4,
+# which test_infogeo checks.
 
 
-def test_predict_probs_zero_alpha():
-    # p = 1/2 on every pattern, so every weight p(1-p) is 1/4
-    K = gram(generate_patterns(5, 10, 1), KernelConfig(gamma=0.1)).values
-    assert np.allclose(fisher_matrix(np.zeros(5), K), 0.25 * K @ K)
-
-
-def test_predict_probs_scalar_case():
+def test_fisher_weight_p_one_minus_p_scalar_case():
     p = 0.8807970779778823  # sigma(2)
     assert fisher_matrix(np.array([2.0]), np.array([[1.0]]))[0, 0] == pytest.approx(p * (1 - p))
 
 
-def test_predict_probs_matches_loop_oracle():
+def test_fisher_weights_p_one_minus_p_match_loop_oracle():
     rng = np.random.default_rng(2)
     K, alpha, _ = random_instance(rng, 6)
     p = np.array([1 / (1 + math.exp(-sum(alpha[nu] * K[mu, nu] for nu in range(6))))
@@ -76,7 +71,7 @@ def test_predict_probs_matches_loop_oracle():
     assert np.allclose(fisher_matrix(alpha, K), want, rtol=1e-12, atol=0)
 
 
-def test_predict_probs_dimension_mismatch():
+def test_fisher_weights_p_one_minus_p_dimension_mismatch():
     K = np.eye(3)
     with pytest.raises(ArgumentError, match=r"alpha of shape \(4,\) does not fit Gram size"):
         fisher_matrix(np.zeros(4), K)

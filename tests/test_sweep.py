@@ -21,7 +21,6 @@ from hopgeo.klr import TrainConfig
 from hopgeo.sweep import (
     GridConfig,
     SweepCell,
-    aggregate,
     grid_config_from_file,
     read_grid_csv,
     run_cell,
@@ -35,15 +34,17 @@ FAST_TRAIN = TrainConfig(lam=1e-4, learning_rate=0.02, max_epochs=300, grad_tol=
 
 
 def record_bits(rec):
-    """Every field of a CellRecords, every per-neuron array included, floats by their exact
-    bits (nan and -0.0 included)."""
+    """Every field of a CellRecords, its SweepCell and every per-neuron array included,
+    floats by their exact bits (nan and -0.0 included)."""
     def bits(v):
+        if dataclasses.is_dataclass(v):
+            return {f.name: bits(getattr(v, f.name)) for f in dataclasses.fields(v)}
         if isinstance(v, dict):
             return {k: bits(x) for k, x in v.items()}
         if isinstance(v, np.ndarray):
             return v.dtype.str, v.shape, [bits(x) for x in v.ravel().tolist()]
         return v.hex() if isinstance(v, float) else v
-    return {f.name: bits(getattr(rec, f.name)) for f in dataclasses.fields(rec)}
+    return bits(rec)
 
 
 def tiny_config(**overrides):
@@ -94,7 +95,7 @@ def test_seed_derivation_is_stable_and_distinct():
 def test_single_pattern_cell_has_unit_effective_dimension():
     # P = 1: the Fisher matrix is a scalar, so d_eff = 1 exactly
     cfg = tiny_config(load_values=[0.125], gamma_values=[0.05], trials_per_cell=1)
-    cell = aggregate(run_cell(cfg, 0, 0))
+    cell = run_cell(cfg, 0, 0).cell
     assert cell.P == 1
     assert cell.d_eff_mean == pytest.approx(1.0, abs=1e-12)
     assert cell.degenerate_count == 0
@@ -110,13 +111,13 @@ def test_run_cell_deterministic():
 
 def test_run_grid_composes_cells_in_row_major_order():
     cfg = tiny_config()
-    cells = run_grid(cfg, workers=1)
-    assert len(cells) == 4
-    assert [(c.load, c.gamma) for c in cells] == [
+    records = run_grid(cfg, workers=1)
+    assert len(records) == 4
+    assert [(rec.cell.load, rec.cell.gamma) for rec in records] == [
         (0.25, 0.01), (0.25, 0.1), (0.5, 0.01), (0.5, 0.1)
     ]
     lone = run_cell(cfg, 1, 1)
-    assert record_bits(cells[3]) == record_bits(lone)
+    assert record_bits(records[3]) == record_bits(lone)
 
 
 def test_worker_count_does_not_change_results():
@@ -128,7 +129,7 @@ def test_worker_count_does_not_change_results():
 
 def test_pool_has_at_most_one_worker_per_cell(pool_sizes):
     cfg = tiny_config(gamma_values=[0.1])
-    assert [rec.load for rec in run_grid(cfg, workers=5000)] == [0.25, 0.5]
+    assert [rec.cell.load for rec in run_grid(cfg, workers=5000)] == [0.25, 0.5]
     run_grid(tiny_config(gamma_values=[0.1], load_values=[0.5]), workers=5000)
     assert pool_sizes == [2]  # the one-cell grid ran without a pool
 
@@ -186,7 +187,7 @@ def test_grid_csv_roundtrip(tmp_path):
     cfg = tiny_config(metrics=("lambda_max", "d_eff", "euclid_norm_sq",
                                "riemann_norm_sq", "rank1_residual", "recall_rate"),
                       recall_max_steps=20)
-    cells = [aggregate(rec) for rec in run_grid(cfg, workers=1)]
+    cells = [rec.cell for rec in run_grid(cfg, workers=1)]
     path = tmp_path / "grid.csv"
     write_grid_csv(cells, path)
     header = path.read_text().splitlines()[0]
@@ -239,8 +240,8 @@ def test_worker_count_does_not_change_csv_bytes(tmp_path):
     cfg = tiny_config()
     p1 = tmp_path / "w1.csv"
     p2 = tmp_path / "w2.csv"
-    write_grid_csv([aggregate(rec) for rec in run_grid(cfg, workers=1)], p1)
-    write_grid_csv([aggregate(rec) for rec in run_grid(cfg, workers=2)], p2)
+    write_grid_csv([rec.cell for rec in run_grid(cfg, workers=1)], p1)
+    write_grid_csv([rec.cell for rec in run_grid(cfg, workers=2)], p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -308,7 +309,7 @@ def test_aggregation_sanity():
     cfg = tiny_config(metrics=("lambda_max", "d_eff", "euclid_norm_sq",
                                "riemann_norm_sq", "rank1_residual", "recall_rate"),
                       recall_max_steps=20)
-    for cell in map(aggregate, run_grid(cfg, workers=1)):
+    for cell in (rec.cell for rec in run_grid(cfg, workers=1)):
         assert cell.lambda_max_mean > 0
         assert cell.lambda_max_sd >= 0
         assert 1.0 <= cell.d_eff_mean <= cell.P
@@ -362,10 +363,10 @@ def test_shared_spectra_match_per_neuron_reference_bit_for_bit(monkeypatch, case
     monkeypatch.setattr(sweep, "neuron_spectra", recording)
     records = run_cell(cfg, 0, 0)
     groups = list(Counter(map(id, seen)).values())
-    want_records, want = _reference_run_cell(gamma, load, cfg, 0, 0)
-    assert record_bits(records) == record_bits(want_records)
-    got = aggregate(records)
-    assert cell_bits(got) == cell_bits(want)
+    want = _reference_run_cell(gamma, load, cfg, 0, 0)
+    assert record_bits(records) == record_bits(want)
+    got = records.cell
+    assert cell_bits(got) == cell_bits(want.cell)
     assert sum(groups) == cfg.num_neurons * cfg.trials_per_cell
     if case == "all_frozen":
         assert got.divergence_count == cfg.num_neurons * cfg.trials_per_cell
