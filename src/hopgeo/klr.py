@@ -77,10 +77,10 @@ def _logistic(h: np.ndarray, e: np.ndarray, out=None, den=None) -> np.ndarray:
     return num
 
 
-def _bce_terms(h: np.ndarray, t: np.ndarray, e: np.ndarray, out: np.ndarray) -> np.ndarray:
-    # softplus(h) - t*h == -[t log p + (1-t) log(1-p)], with e = exp(-|h|);
-    # the terms are written to `out` without temporaries, and e is overwritten
-    np.maximum(h, 0.0, out=out)
+def _bce_terms(h: np.ndarray, t: np.ndarray, e: np.ndarray) -> np.ndarray:
+    # softplus(h) - t*h == -[t log p + (1-t) log(1-p)], with e = exp(-|h|), which it
+    # overwrites in place of temporaries
+    out = np.maximum(h, 0.0)
     out += np.log1p(e, out=e)
     out -= np.multiply(t, h, out=e)
     return out
@@ -112,8 +112,8 @@ class FitResult:
 
 
 def _block_size(P: int, N: int) -> int:
-    # epochs per block such that all 4B + 3 (P, N) buffers of _descend_blocks fit BLOCK_BYTES
-    return min(MAX_BLOCK, max(1, (BLOCK_BYTES // (8 * P * N) - 3) // 4))
+    # epochs per block such that all 2B + 4 (P, N) buffers of _descend_blocks fit BLOCK_BYTES
+    return min(MAX_BLOCK, max(1, (BLOCK_BYTES // (8 * P * N) - 4) // 2))
 
 
 def _certified(K: np.ndarray, cfg: TrainConfig) -> bool:
@@ -135,117 +135,106 @@ def _converged(G: np.ndarray, tol: float) -> np.ndarray:
     return np.sqrt(np.sum(np.multiply(G, G, out=G), axis=1)) < tol
 
 
-def _descend_blocks(K, T, cfg: TrainConfig, start: int, A, prev_A, prev_loss, idx):
-    """Step the columns idx from epoch `start` in blocks until one of them trips a check.
+def _descend_blocks(K, T, cfg: TrainConfig, start: int, A, idx):
+    """Step the columns idx of a certified fit from epoch `start`, A holding their A_start.
 
-    An epoch only steps: H = K @ A, E = exp(-|H|), Grad and A - lr*Grad go to one
-    slot per epoch. Blocks hold _block_size epochs, the last one cut at max_epochs.
-    Once per block the grad_tol test runs over the stacked slots, and so does the
-    descent monitor unless prev_loss is None (a certified fit, which cannot fail it);
-    a column fails the monitor where its loss is non-finite or exceeds the previous
-    epoch's by more than DESCENT_SLACK. A, prev_A and prev_loss hold each column's
-    A_start, A_{start-1} and loss at start - 1 (A None: all zero). Returns (e, A_e,
-    A_{e-1}, loss_e, bad) of the columns idx at the first epoch e that trips a check,
-    bad marking the columns that failed the monitor, or (e, A_e, A_{e-1}, None, None)
-    at e = max_epochs; loss_e and bad are also None where the monitor does not run.
+    An epoch only steps: H = K @ A, E = exp(-|H|), Grad to one slot and A - lr*Grad to the
+    next. Blocks hold _block_size epochs, the last cut at max_epochs; the grad_tol test
+    runs once per block over their Grad slots. Returns (e, A_e, A_{e+1}, done) of the
+    columns idx at the first epoch e at which the columns `done` reach grad_tol, else
+    (max_epochs, A_e, None, None).
     """
     P, n = K.shape[0], idx.size
     B = _block_size(P, n)
-    # slot s + 1 holds the A of the block's epoch s, slot 0 the epoch before the block;
-    # Ab[s].T is a (P, n) F-ordered view, the layout of a gather A[:, idx]
-    Ab = (np.zeros if A is None else np.empty)((B + 2, n, P))
-    if A is not None:  # gathered straight into the slots, with no copy of A[:, idx]
-        np.take(prev_A, idx, axis=1, out=Ab[0].T, mode="clip")
-        np.take(A, idx, axis=1, out=Ab[1].T, mode="clip")
+    # slot s holds the A of the block's epoch s; Ab[s].T is a (P, n) F-ordered view, the
+    # layout of a gather A[:, idx], gathered straight into slot 0 with no copy of A[:, idx]
+    Ab = np.empty((B + 1, n, P))
+    np.take(A, idx, axis=1, out=Ab[0].T, mode="clip")
     Ta = T if n == T.shape[1] else T[:, idx]
-    Hb, Eb, Gb = (np.empty((B, P, n)) for _ in range(3))
-    S = np.empty((P, n))
-    L = None if prev_loss is None else np.empty((B + 1, n))
-    if L is not None:  # L[s + 1]: loss at epoch s; L[0]: the epoch before
-        L[0] = prev_loss[idx]
+    Gb = np.empty((B, P, n))
+    H, E, S = (np.empty((P, n)) for _ in range(3))
     while start < cfg.max_epochs:
         b = min(B, cfg.max_epochs - start)
         for s in range(b):
-            Ae, H, E, G = Ab[s + 1].T, Hb[s], Eb[s], Gb[s]
+            Ae, G = Ab[s].T, Gb[s]
             np.matmul(K, Ae, out=H)
             np.exp(np.negative(np.abs(H, out=E), out=E), out=E)
             np.subtract(_logistic(H, E, out=S, den=G), Ta, out=S)
             np.matmul(K, S, out=G)
             G += np.multiply(cfg.lam, H, out=S)
-            np.subtract(Ae, np.multiply(cfg.learning_rate, G, out=S), out=Ab[s + 2].T)
-        # the checks overwrite the Grad, E and H slots; only the A slots are kept
-        trips = _converged(Gb[:b], cfg.grad_tol)
-        if L is not None:
-            Hs, Es, ls = Hb[:b], Eb[:b], L[1:b + 1]
-            np.sum(_bce_terms(Hs, Ta, Es, out=Gb[:b]), axis=1, out=ls)
-            As = Ab[1:b + 1].transpose(0, 2, 1)
-            ls += 0.5 * cfg.lam * np.sum(np.multiply(As, Hs, out=Hs), axis=1)
-            bad = ~np.isfinite(ls) | (ls > L[:b] + DESCENT_SLACK)
-            trips |= bad
-        tripped = np.flatnonzero(trips.any(axis=1))
+            np.subtract(Ae, np.multiply(cfg.learning_rate, G, out=S), out=Ab[s + 1].T)
+        done = _converged(Gb[:b], cfg.grad_tol)
+        tripped = np.flatnonzero(done.any(axis=1))
         if tripped.size:  # the later slots are dropped
             k = int(tripped[0])
-            if L is None:
-                return start + k, Ab[k + 1].T, Ab[k].T, None, None
-            return start + k, Ab[k + 1].T, Ab[k].T, L[k + 1], bad[k]
-        Ab[0], Ab[1] = Ab[b], Ab[b + 1]  # slot by slot: an overlapping copy would buffer
-        if L is not None:
-            L[0] = L[b]
+            return start + k, Ab[k].T, Ab[k + 1].T, done[k]
+        Ab[0] = Ab[b]
         start += b
-    return start, Ab[1].T, Ab[0].T, None, None
+    return start, Ab[0].T, None, None
 
 
 def fit_dual_weights(K: np.ndarray, T: np.ndarray, cfg: TrainConfig) -> FitResult:
     """Gradient descent on every neuron column at once.
 
     Columns are independent (the update of column i reads only column i), so this
-    matches per-neuron training while batching the matmuls. Active columns descend in
-    blocks (_descend_blocks) up to the first epoch at which one trips a check, which is
-    finished here: the columns that failed the descent monitor are reverted to their
-    last accepted iterate and recorded in `diverged`, only the survivors' gradient is
-    recomputed, those below grad_tol are frozen and the rest step; then blocks resume.
-    The monitor runs only where the step is not certified (_certified, once per fit):
-    a certified fit descends every epoch, so only grad_tol can stop its columns.
+    matches per-neuron training while batching the matmuls. A certified fit (_certified,
+    once per fit) descends every epoch, so only grad_tol stops a column: it runs blocks
+    (_descend_blocks), whose epochs take Grad over every column that entered them, so at
+    a trip the columns below grad_tol stop at A_e and the rest keep the block's A_{e+1}.
+    Any other fit runs the descent monitor every epoch: a column whose loss is non-finite
+    or rose by more than DESCENT_SLACK is reverted to its last accepted iterate and
+    recorded in `diverged`; then the survivors alone take Grad ((K @ X)[:, sub] and
+    K @ X[:, sub] differ in bits), those below grad_tol are frozen and the rest step.
     A is F-ordered like a gather A[:, idx]: BLAS rounds K @ A differently per layout.
     """
     P, N = T.shape
-    A = prev_A = None
+    A = np.zeros((P, N), order="F")
     idx = np.arange(N)
-    prev_loss = None if _certified(K, cfg) else np.full(N, np.inf)
     converged = np.zeros(N, dtype=bool)
     diverged: list[tuple[int, int]] = []
     epoch = 0
+    if _certified(K, cfg):
+        while idx.size and epoch < cfg.max_epochs:
+            epoch, Ae, Anext, done = _descend_blocks(K, T, cfg, epoch, A, idx)
+            A[:, idx] = Ae
+            if done is not None:
+                converged[idx[done]] = True
+                idx = idx[~done]
+                A[:, idx] = Anext[:, ~done]
+                epoch += 1
+            del Ae, Anext  # frees the slots before the next call allocates its own
+        return FitResult(np.ascontiguousarray(A), epoch, diverged, converged)
+    prev_A = np.zeros((P, N), order="F")
+    prev_loss = np.full(N, np.inf)
     # diverging columns overflow; the monitor reports them, so warnings are silenced
     with np.errstate(all="ignore"):
         while idx.size and epoch < cfg.max_epochs:
-            epoch, Ae, Ap, ls, bad = _descend_blocks(K, T, cfg, epoch, A, prev_A, prev_loss, idx)
-            if A is None:
-                A, prev_A = np.empty((P, N), order="F"), np.empty((P, N), order="F")
-            A[:, idx], prev_A[:, idx] = Ae, Ap
-            del Ae, Ap  # frees the slots before the tripping epoch allocates
-            if epoch == cfg.max_epochs:
-                break
-            # the tripping epoch; with every column active A needs no gather. H spans the
-            # columns that entered it: (K @ A)[:, sub] and K @ A[:, sub] differ in bits
-            Aa, Ta = (A, T) if idx.size == N else (A[:, idx], T[:, idx])
+            Aa, Ta = (A, T) if idx.size == N else (A[:, idx], T[:, idx])  # all: no gather
             H = K @ Aa
             E = np.exp(-np.abs(H))
-            if bad is not None:  # the monitor ran
-                if bad.any():
-                    diverged += [(int(j), epoch) for j in idx[bad]]
-                    A[:, idx[bad]] = prev_A[:, idx[bad]]
-                    idx = idx[~bad]
-                    if idx.size == 0:  # an epoch at which every active column diverged
-                        break  # is not counted
-                    H, E, Ta, ls = H[:, ~bad], E[:, ~bad], Ta[:, ~bad], ls[~bad]
-                prev_loss[idx] = ls
-            Grad = K @ (_logistic(H, E) - Ta) + cfg.lam * H
+            S = _logistic(H, E)  # before _bce_terms overwrites E
+            Ls = _bce_terms(H, Ta, E)
+            ls = np.sum(Ls, axis=0) + 0.5 * cfg.lam * np.sum(np.multiply(Aa, H, out=Ls), axis=0)
+            bad = ~np.isfinite(ls) | (ls > prev_loss[idx] + DESCENT_SLACK)
+            del Aa, E, Ls
+            if bad.any():
+                diverged += [(int(j), epoch) for j in idx[bad]]
+                A[:, idx[bad]] = prev_A[:, idx[bad]]
+                idx, ls = idx[~bad], ls[~bad]
+                if idx.size == 0:  # an epoch at which every active column diverged
+                    break  # is not counted
+                H, S, Ta = H[:, ~bad], S[:, ~bad], Ta[:, ~bad]
+            prev_loss[idx] = ls
+            S -= Ta
+            Grad = K @ S
+            Grad += np.multiply(cfg.lam, H, out=H)
+            del H, S, Ta  # freed before the step allocates
             done = np.sqrt(np.sum(Grad * Grad, axis=0)) < cfg.grad_tol
             converged[idx[done]] = True
             idx, Grad = idx[~done], Grad[:, ~done]
             prev_A[:, idx] = A[:, idx]
             A[:, idx] -= cfg.learning_rate * Grad
-            del Aa, Ta, H, E, Grad, ls, bad  # freed before the next call allocates its slots
+            del Grad
             epoch += 1
     return FitResult(np.ascontiguousarray(A), epoch, diverged, converged)
 

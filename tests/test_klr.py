@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -9,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopgeo import klr
+from hopgeo.cli import TrainRun
+from hopgeo.config import read_config
 from hopgeo.errors import ArgumentError, TrainingDivergenceError
 from hopgeo.infogeo import fisher_matrix, gradient_report, spectrum
 from hopgeo.kernel_core import KernelConfig, generate_patterns, gram
@@ -233,42 +236,44 @@ def _assert_same_fit(got, want):
 
 def test_fit_matches_gathering_reference_bit_for_bit(monkeypatch):
     # P >= 17 is where OpenBLAS rounds K @ A differently for C- and F-ordered A.
-    # fit_dual_weights runs blocks of epochs over the active columns, checks grad_tol
-    # (and the monitor, unless the fit is certified) once per block, finishes the first
-    # tripping epoch itself and resumes blocks after it. The block sizes it used are
-    # read off the blocks' grad_tol tests, which both kinds of fit run; each holds
-    # _block_size epochs unless it ends at max_epochs. `seen` records where each trip
+    # A certified fit runs blocks of epochs over the active columns, checks grad_tol
+    # once per block, takes the first tripping epoch from the block and resumes blocks
+    # after it; any other fit runs the descent monitor every epoch and no block. The
+    # block sizes are read off the blocks' grad_tol tests; each holds _block_size epochs
+    # unless it ends at max_epochs. `seen` records, over certified fits, where each trip
     # fell in its block and which sequences of trips occurred, and how many fits were
     # certified; only the others can diverge. Each descent with an event is rerun with
     # MAX_BLOCK set around its first trip, and cut off at that trip.
     rng = np.random.default_rng(1)
     seen = dict.fromkeys(
         ["large_P", "converged", "diverged", "both", "B=1", "B>1", "several_blocks",
-         "first_slot", "mid_block", "last_slot", "last_epoch", "loss_and_grad_in_block",
-         "three_trips", "all_diverged", "trip_after_trip", "B_grows", "certified",
-         "monitored"], 0)
+         "first_slot", "mid_block", "last_slot", "last_epoch", "three_trips",
+         "all_diverged", "trip_after_trip", "B_grows", "certified", "monitored"], 0)
     converged = klr._converged
 
     def check(K, T, cfg, want, events):
         P, N = T.shape
+        certified = klr._certified(K, cfg)
         blocks = []  # (epochs, active columns) of each block, in the order run
 
         def recording(G, tol):
+            assert certified, "a monitored fit ran a block"
             blocks.append(G.shape[::2])
             return converged(G, tol)
 
         with monkeypatch.context() as m:
             m.setattr(klr, "_converged", recording)
             _assert_same_fit(fit_dual_weights(K, T, cfg), want)
-        certified = klr._certified(K, cfg)
         seen["certified" if certified else "monitored"] += 1
-        assert not (certified and want.diverged)
+        seen["all_diverged"] += any(kind == "loss" and left == 0 for _, kind, left in events)
+        if not certified:
+            return
+        assert not want.diverged
         B = klr._block_size(P, N)
         seen["B=1" if B == 1 else "B>1"] += 1
         seen["B_grows"] += max(b for b, _ in blocks) > B
         trips = sorted({e for e, _, _ in events})
         seen["three_trips"] += len(trips) >= 3
-        seen["all_diverged"] += any(kind == "loss" and left == 0 for _, kind, left in events)
         seen["trip_after_trip"] += any(e + 1 in trips for e in trips)
         seen["last_epoch"] += cfg.max_epochs - 1 in trips
         # a call starts at epoch 0 or right after a trip, and stops in the block holding
@@ -286,13 +291,11 @@ def test_fit_matches_gathering_reference_bit_for_bit(monkeypatch):
                 seen["first_slot"] += b > 1 and slot == 0
                 seen["mid_block"] += 0 < slot < b - 1
                 seen["last_slot"] += b > 1 and slot == b - 1
-                kinds = {kind for e, kind, _ in events if start <= e < start + b}
-                seen["loss_and_grad_in_block"] += kinds == {"loss", "grad"}
             start += b
         assert not pending and (trips or start == cfg.max_epochs)
 
     for c in range(200):
-        if c % 10 == 0:  # P*N large enough for blocks of one epoch
+        if c % 10 == 0:  # P*N large enough for blocks of one to four epochs
             P, N, max_epochs = int(rng.integers(95, 125)), int(rng.integers(110, 140)), 60
         else:
             P, N, max_epochs = int(rng.integers(1, 40)), int(rng.integers(1, 80)), 300
@@ -323,15 +326,17 @@ def test_fit_matches_gathering_reference_bit_for_bit(monkeypatch):
         cut = TrainConfig(cfg.lam, cfg.learning_rate, first + 1, cfg.grad_tol)
         cut_events = []
         check(K, T, cut, _reference_fit(K, T, cut, cut_events), cut_events)
-    # Targets of 1/2 give a zero gradient at alpha = 0, so column 0 converges at epoch 0.
-    # Blocks over all 373 columns hold one epoch, over the other 372 they hold two.
-    ps = generate_patterns(32, 373, 0)
+    # Targets of 1/2 give a zero gradient at alpha = 0, so column 0 converges at epoch 0;
+    # columns 1 and 2, within 2e-7 and 2.5e-7 of 1/2, converge at epochs 5 and 14 of this
+    # certified fit. Blocks over all 513 columns hold one epoch, over 512 they hold two.
+    ps = generate_patterns(32, 513, 0)
     K = gram(ps, KernelConfig(gamma=0.05)).values
     T = all_targets(ps)
-    T[:, 0] = 0.5
+    T[:, :3] = 0.5 + np.array([0.0, 4e-7, 5e-7]) * (T[:, :3] - 0.5)
     cfg = TrainConfig(lam=1e-3, learning_rate=0.1, max_epochs=20, grad_tol=1e-6)
     events = []
     check(K, T, cfg, _reference_fit(K, T, cfg, events), events)
+    assert [e for e, _, _ in events] == [0, 5, 14]
     assert min(seen.values()) >= 1, seen
 
 
@@ -358,7 +363,8 @@ def test_fit_matches_gathering_reference_where_every_column_trips():
 def test_a_certified_fit_equals_the_monitored_reference_bit_for_bit(
         P, N, seed, log_gamma, log_lam, step, max_epochs, log_tol):
     # lr * L reaches 0.999 * CERTIFIED_STEP; the reference still runs the monitor, so a
-    # loss it saw rise, by rounding or otherwise, would show here as a diverged column
+    # loss it saw rise, by rounding or otherwise, would show here as a diverged column.
+    # A certified fit runs outside np.errstate, so any numpy warning it raises fails here.
     ps = generate_patterns(P, N, seed)
     K = gram(ps, KernelConfig(gamma=10 ** log_gamma)).values
     lam = 10 ** log_lam
@@ -367,28 +373,40 @@ def test_a_certified_fit_equals_the_monitored_reference_bit_for_bit(
                       10 ** log_tol)
     assert klr._certified(K, cfg)
     T = all_targets(ps)
-    _assert_same_fit(fit_dual_weights(K, T, cfg), _reference_fit(K, T, cfg))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = fit_dual_weights(K, T, cfg)
+    _assert_same_fit(got, _reference_fit(K, T, cfg))
 
 
 @pytest.mark.parametrize("config, uncertified", [
     ("configs/acceptance.cfg", set()),
     ("perfbench/configs/phase-descent.cfg", set()),
     ("perfbench/configs/phase-geometry.cfg", {(1e-3, 0.5), (1e-3, 1.0)}),
+    ("perfbench/configs/pipeline-train.cfg", set()),
 ])
 def test_the_certificate_covers_every_workload_fit_but_the_steep_geometry_cells(
         config, uncertified):
     # lr * L is at most 1.62 over the acceptance grid's 108 fits and phase-descent's 3,
-    # 0.004 at phase-geometry's gamma 1e-2 and 3.0 and 12.0 at its gamma 1e-3, the
-    # only workload fits whose monitor trips. The fits are run_cell's, at the config's seed.
-    cfg = grid_config_from_file(ROOT / config)
-    got = set()
-    for gi, gamma in enumerate(cfg.gamma_values):
-        for li, load in enumerate(cfg.load_values):
-            for t in range(cfg.trials_per_cell):
-                seed = seed64(cfg.base_seed, gi, li, t)
-                ps = generate_patterns(round(load * cfg.num_neurons), cfg.num_neurons, seed)
-                if not klr._certified(gram(ps, KernelConfig(gamma=gamma)).values, cfg.train):
-                    got.add((gamma, load))
+    # 0.004 at phase-geometry's gamma 1e-2, about 0.019 for pipeline's network, and 3.0
+    # and 12.0 at phase-geometry's gamma 1e-3, the only workload fits that run the
+    # monitor. The grid fits are run_cell's, at the config's seed; pipeline's train config
+    # has its seed replaced by the benchmark's --seed, here 0-4.
+    fits = []  # (gamma, load, patterns, training config)
+    if config.endswith("pipeline-train.cfg"):
+        run = read_config(ROOT / config, TrainRun)
+        fits = [(run.gamma, None, generate_patterns(run.num_patterns, run.num_neurons, seed),
+                 run.train) for seed in range(5)]
+    else:
+        cfg = grid_config_from_file(ROOT / config)
+        for gi, gamma in enumerate(cfg.gamma_values):
+            for li, load in enumerate(cfg.load_values):
+                for t in range(cfg.trials_per_cell):
+                    seed = seed64(cfg.base_seed, gi, li, t)
+                    ps = generate_patterns(round(load * cfg.num_neurons), cfg.num_neurons, seed)
+                    fits.append((gamma, load, ps, cfg.train))
+    got = {(gamma, load) for gamma, load, ps, train in fits
+           if not klr._certified(gram(ps, KernelConfig(gamma=gamma)).values, train)}
     assert got == uncertified
 
 
@@ -409,11 +427,12 @@ def test_only_a_finite_symmetric_K_under_the_step_bound_is_certified(K, certifie
 @pytest.mark.parametrize("gamma, halves, diverged, converged, buffers", [
     (1e-3, 0, 256, 0, 7.5), (1e-2, 0, 0, 0, 7.5), (1e-2, 1, 0, 1, 10.5)])
 def test_descent_memory_stays_within_its_buffers(gamma, halves, diverged, converged, buffers):
-    # The first call's blocks hold 4B + 3 (P, N) buffers, 7 at this shape; keeping its
-    # slots into the tripping epoch, or a copy of T, would pass 7.5. At gamma 1e-3 every
-    # column trips, at 1e-2 none does. A column with targets of 1/2 converges at epoch 0,
-    # and the other 255 then descend in blocks beside A and prev_A: 10 buffers, as in the
-    # per-epoch loop the blocks replaced. The tripping epoch's arrays would add 3 more.
+    # A certified fit's blocks hold 2B + 4 (P, N) buffers, 6 at this shape (B = 1), beside
+    # A: 7 at gamma 1e-2, where no column trips, and a copy of T would pass 7.5. At gamma
+    # 1e-3 the fit is not certified and every column diverges; its per-epoch monitor peaks
+    # near 6 buffers (A, prev_A, H, E, sigma(H) and the loss terms). A column with targets
+    # of 1/2 converges at epoch 0, and the other 255 then descend in blocks beside A and
+    # their gathered targets: 8 buffers.
     K, T, cfg = geometry_cell(gamma)
     T[:, :halves] = 0.5
     tracemalloc.start()
