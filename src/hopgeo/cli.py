@@ -251,8 +251,7 @@ def cmd_recall(args, argv) -> int:
         rate = format_value(hits / (args.trials * patterns.num_patterns))
         rates.append([f"# success_rate flip_fraction={format_value(frac)} rate={rate}"])
     header = ["trial", "target", "flip_fraction", "steps", "converged", "overlap", "success"]
-    with _output_dir(None) as write:
-        write({args.out: partial(write_rows, rows=chain([header], *done, rates), sep=",")})
+    write_rows(args.out, chain([header], *done, rates), sep=",")
     return EXIT_OK
 
 

@@ -71,28 +71,24 @@ def recall_batch(
 ) -> list:
     """recall() of cues[m] toward pattern target_indices[m], for every m.
 
-    `cues` is a sequence of length-N ±1 vectors (or an (M, N) array).
-    Cues are stepped together in blocks of RECALL_BLOCK, which bounds the
-    temporaries whatever M is; each RecallResult equals recall() of that
-    cue alone, bit for bit.
+    `cues` is a sequence of length-N ±1 vectors (or an (M, N) array); the
+    whole batch is checked before any cue steps. Cues are stepped together
+    in blocks of RECALL_BLOCK, which bounds the temporaries whatever M is;
+    each RecallResult equals recall() of that cue alone, bit for bit.
     """
     check_range("max_steps", max_steps, 1)
     check_range("success_threshold", success_threshold, 0, 1, lo_open=True)
-    if len(target_indices) != len(cues):
-        raise ArgumentError(f"{len(target_indices)} targets for {len(cues)} cues")
-    results = []
-    for start in range(0, len(cues), RECALL_BLOCK):
-        block = np.asarray(cues[start:start + RECALL_BLOCK])
-        if block.ndim != 2 or block.shape[1] != patterns.num_neurons:
-            raise ArgumentError(
-                f"cue shape {block.shape[1:]} does not match N={patterns.num_neurons}"
-            )
-        check_bipolar(block, "cue")
-        targets = np.asarray(target_indices[start:start + RECALL_BLOCK], dtype=int)
-        results.extend(
-            _recall_block(block, targets, patterns, weights, max_steps, success_threshold)
-        )
-    return results
+    cues, targets = np.asarray(cues), np.asarray(target_indices, dtype=int)
+    if len(targets) != len(cues):
+        raise ArgumentError(f"{len(targets)} targets for {len(cues)} cues")
+    if not len(cues):
+        return []
+    if cues.ndim != 2 or cues.shape[1] != patterns.num_neurons:
+        raise ArgumentError(f"cue shape {cues.shape[1:]} does not match N={patterns.num_neurons}")
+    check_bipolar(cues, "cue")
+    return [r for s in range(0, len(cues), RECALL_BLOCK)
+            for r in _recall_block(cues[s:s + RECALL_BLOCK], targets[s:s + RECALL_BLOCK],
+                                   patterns, weights, max_steps, success_threshold)]
 
 
 def recall_trial(

@@ -206,6 +206,24 @@ def test_recall_batch_argument_checks():
         recall_batch(np.zeros((1, 4), dtype=int), [0], ps, w)
 
 
+def test_recall_batch_checks_every_cue_before_any_cue_steps(monkeypatch):
+    # a 0 in the one cue of the second block is found before the first block steps
+    ps = generate_patterns(2, 4, 0)
+    w = DualWeights(alpha=np.zeros((2, 4)), gamma=0.1, lam=0.0, trained_epochs=0)
+    cues = np.ones((dynamics.RECALL_BLOCK + 1, 4), dtype=int)
+    cues[-1, 2] = 0
+    blocks = []
+
+    def counting_block(cues, *args):
+        blocks.append(len(cues))
+        return []
+
+    monkeypatch.setattr(dynamics, "_recall_block", counting_block)
+    with pytest.raises(ArgumentError, match="cue entries must be exactly -1 or \\+1"):
+        recall_batch(cues, [0] * len(cues), ps, w)
+    assert blocks == []
+
+
 def test_zero_alpha_columns_are_sure_ties_and_never_recomputed(monkeypatch):
     # a column frozen at alpha = 0 has field +-0 in any summation order: a tie
     # that keeps the state, decided without recomputing the cue's fields

@@ -1,6 +1,7 @@
 """Every name a module of the package or of the tests imports is used in it, every
-module-level function and class of the package is named by the package itself (the
-oracles and references that only tests call live in tests/oracles.py), every
+module-level function and class of the package is reached by a chain of references
+from the console entry point or from a name the benchmark calls (the oracles and
+references that only tests call live in tests/oracles.py), every
 function the benchmark's tracer wraps exists and its runs work on this source, only
 kernel_core formats artifact values, the modules that define table artifacts write no
 file themselves, and a process that forks no pool never loads the pool machinery."""
@@ -44,48 +45,89 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-def unreferenced_definitions(sources: dict) -> list:
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def unreachable_definitions(sources: dict, roots) -> list:
     """The (module, name) of each module-level function or class in `sources`, a map of
-    module name to source, that no source names as a Name, an Attribute or an import."""
-    defined, named = [], set()
+    module name to package module source, that no chain of references reaches from
+    `roots` or from a module's top-level statements. A name in a definition refers to
+    a definition of its own module or to one it imports (`from .m import name`), and
+    `m.name` to one of a module it imports (`from . import m`)."""
+    defs, refs, todo = {}, {}, list(roots)  # refs: node -> the definitions it names
     for module, source in sources.items():
         tree = ast.parse(source)
-        defined += [(module, node.name) for node in tree.body
-                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                named.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                named.add(node.attr)
-            elif isinstance(node, ast.alias):
-                named.add(node.name)
-    return [(module, name) for module, name in defined if name not in named]
+        names, modules = {}, set()  # module-level names -> (module, name); module aliases
+        for node in tree.body:
+            if isinstance(node, DEFINITIONS):
+                defs[module, node.name] = node
+                names[node.name] = (module, node.name)
+            elif isinstance(node, ast.ImportFrom) and node.level and node.module:
+                names.update({a.asname or a.name: (node.module, a.name) for a in node.names})
+            elif isinstance(node, ast.ImportFrom) and node.level:
+                modules.update(a.asname or a.name for a in node.names)
+        for node in tree.body:
+            refs[node] = named = set()
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and sub.id in names:
+                    named.add(names[sub.id])
+                elif isinstance(sub, ast.Attribute) and getattr(sub.value, "id", None) in modules:
+                    named.add((sub.value.id, sub.attr))
+            if not isinstance(node, DEFINITIONS):  # top-level code runs on import
+                todo += named
+    seen = set()
+    while todo:
+        d = todo.pop()
+        if d in defs and d not in seen:
+            seen.add(d)
+            todo += refs[defs[d]]
+    return [d for d in defs if d not in seen]
 
 
 def test_the_scan_finds_an_unreferenced_definition():
     sources = {
-        "a": "from b import imported\ndef local(): pass\ndef dead():\n    local()\n"
+        "a": "from .b import imported\ndef local(): pass\ndef dead():\n    local()\n"
              "class Dead:\n    def method(self): pass\nclass Kept: pass\n",
-        "b": "import a\ndef imported(): pass\ndef through_attribute(): pass\nx = a.Kept()\n"
-             "y = a.through_attribute\n",
+        "b": "from . import a\ndef imported(): pass\ndef through_attribute(): pass\n"
+             "x = a.Kept()\ny = a.through_attribute\n",
     }
-    assert unreferenced_definitions(sources) == [("a", "dead"), ("a", "Dead")]
+    assert unreachable_definitions(sources, []) == [
+        ("a", "local"), ("a", "dead"), ("a", "Dead"), ("b", "imported"),
+        ("b", "through_attribute")]
+    assert unreachable_definitions(sources, [("a", "dead")]) == [
+        ("a", "Dead"), ("b", "imported"), ("b", "through_attribute")]
 
 
-# The package's definitions that nothing in it needs to name, and why each stays.
-KEPT_UNREFERENCED = {
-    ("cli", "main"): "the `hopgeo` console entry point of pyproject.toml",
-    ("dynamics", "recall"): "perfbench/tracer.py wraps it by name; it goes once the tracer "
-                            "wraps recall_batch instead",
-}
+def test_the_scan_finds_a_definition_that_only_dead_code_names():
+    # each definition is named once, but only `kept` and what it calls are reached
+    sources = {
+        "a": "from .b import helper\ndef kept():\n    helper()\n"
+             "def dead():\n    also_dead()\ndef also_dead():\n    dead()\n",
+        "b": "def helper(): pass\n",
+    }
+    assert unreachable_definitions(sources, [("a", "kept")]) == [
+        ("a", "dead"), ("a", "also_dead")]
+
+
+def benchmark_names() -> list:
+    """The (module, name) of every hopgeo name that perfbench/ imports, and of every
+    function its tracer wraps."""
+    found = []
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("hopgeo."):
+                found += [(node.module.split(".", 1)[1], alias.name) for alias in node.names]
+    return found + TRACED
 
 
 def test_the_package_defines_only_what_it_runs():
-    sources = {p.stem: p.read_text() for p in PACKAGE}
-    assert [d for d in unreferenced_definitions(sources) if d not in KEPT_UNREFERENCED] == []
-    # an exception outlives no deletion
+    # the roots: the `hopgeo` console entry point of pyproject.toml and what the benchmark
+    # calls; every other definition must be reached from them
+    roots = [("cli", "main"), *benchmark_names()]
     assert all(hasattr(importlib.import_module(f"hopgeo.{module}"), name)
-               for module, name in KEPT_UNREFERENCED)
+               for module, name in roots)
+    sources = {p.stem: p.read_text() for p in PACKAGE}
+    assert unreachable_definitions(sources, roots) == []
 
 
 def value_formats(source: str) -> list:
