@@ -5,9 +5,10 @@ stable contract: 0 success, 2 usage/config errors, problems too large for
 memory and a pool worker that died, 3 numeric failures, 130 an interrupt.
 The output directories of train and phase receive a manifest.json
 recording the command line, resolved configuration (seeds included), tool
-version, numerics (numpy, BLAS and Python versions, BLAS thread count and kernel),
-timestamps, and sha256 digests of the emitted files (the manifest itself is
-excluded from digest comparisons, so reruns are byte-identical apart from it).
+version, numerics (numpy, BLAS and Python versions, BLAS thread count and kernel,
+and the digest of the package's source), timestamps, and sha256 digests of the
+emitted files (the manifest itself is excluded from digest comparisons, so reruns
+are byte-identical apart from it).
 """
 
 from __future__ import annotations
@@ -59,14 +60,24 @@ def _now() -> str:
 
 def numerics() -> dict:
     """What a run's bits depend on besides its config: the numpy version, the BLAS
-    numpy was built with, the Python version, the BLAS thread count and the BLAS kernel."""
+    numpy was built with, the Python version, the BLAS thread count, the BLAS kernel
+    and the package's source."""
     import platform  # numpy has loaded it already
 
     blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
     return {"numpy": np.__version__, "blas": f"{blas.get('name')} {blas.get('version')}",
             "python": platform.python_version(),
             "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
-            "blas_core": _blas_core()}
+            "blas_core": _blas_core(), "source_sha256": _source_sha256()}
+
+
+def _source_sha256() -> str:
+    """sha256 over the package's own *.py files in sorted order, each as its name, NUL,
+    then its bytes."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
 
 
 def _blas_core() -> str | None:

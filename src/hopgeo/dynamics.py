@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, check_range
+from .errors import ArgumentError, check_index, check_range
 from .kernel_core import PatternSet, check_bipolar, corrupt, rbf_of_inner
 from .klr import DualWeights
 
@@ -71,14 +71,15 @@ def recall_batch(
 ) -> list:
     """recall() of cues[m] toward pattern target_indices[m], for every m.
 
-    `cues` is a sequence of length-N ±1 vectors (or an (M, N) array); the
-    whole batch is checked before any cue steps. Cues are stepped together
-    in blocks of RECALL_BLOCK, which bounds the temporaries whatever M is;
-    each RecallResult equals recall() of that cue alone, bit for bit.
+    `cues` is a sequence of length-N ±1 vectors (or an (M, N) array) and each
+    target an integer in [0, P); the whole batch is checked before any cue steps.
+    Cues are stepped together in blocks of RECALL_BLOCK, which bounds the
+    temporaries whatever M is; each RecallResult equals recall() of that cue alone,
+    bit for bit.
     """
     check_range("max_steps", max_steps, 1)
     check_range("success_threshold", success_threshold, 0, 1, lo_open=True)
-    cues, targets = np.asarray(cues), np.asarray(target_indices, dtype=int)
+    cues, targets = np.asarray(cues), list(target_indices)
     if len(targets) != len(cues):
         raise ArgumentError(f"{len(targets)} targets for {len(cues)} cues")
     if not len(cues):
@@ -86,6 +87,9 @@ def recall_batch(
     if cues.ndim != 2 or cues.shape[1] != patterns.num_neurons:
         raise ArgumentError(f"cue shape {cues.shape[1:]} does not match N={patterns.num_neurons}")
     check_bipolar(cues, "cue")
+    for t in targets:
+        check_index("target index", t, patterns.num_patterns)
+    targets = np.array(targets, dtype=int)
     return [r for s in range(0, len(cues), RECALL_BLOCK)
             for r in _recall_block(cues[s:s + RECALL_BLOCK], targets[s:s + RECALL_BLOCK],
                                    patterns, weights, max_steps, success_threshold)]

@@ -1,4 +1,4 @@
-"""Every exception type of the package, and the one numeric range check.
+"""Every exception type of the package, the one numeric range check and the index check.
 
 A type exists only where a handler tells it apart or it carries data. Each is
 an ArgumentError, which cli.main ends in exit 2, a NumericError, which it ends
@@ -7,6 +7,7 @@ ValueError also ends in exit 2.
 """
 
 import math
+import numbers
 
 
 class ArgumentError(ValueError):
@@ -54,6 +55,14 @@ def check_range(field: str, value, lo, hi=math.inf, lo_open=False, hi_open=False
         raise FieldError(field, f"must be finite and {rule.removeprefix('be ')}, got {value}")
     if not ((value > lo if lo_open else value >= lo) and (value < hi if hi_open else value <= hi)):
         raise FieldError(field, f"must {rule}, got {value}")
+
+
+def check_index(field: str, value, size: int) -> None:
+    """Raise FieldError naming `field` unless `value` is an integer, not a bool, in [0, size)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise FieldError(field, f"must be an integer, got {value}")
+    if not 0 <= value < size:
+        check_range(field, value, 0, size, hi_open=True)  # raises, stating the range
 
 
 class NumericError(ValueError):

@@ -6,7 +6,8 @@ The objective is binary cross-entropy plus the RKHS ridge penalty
 (lambda/2) alpha' K alpha, minimized by full-batch fixed-step gradient
 descent from alpha = 0. The optimizer is deliberately plain first-order
 descent so curvature effects are visible rather than hidden by a
-second-order solver.
+second-order solver. fit_many fits a sequence of such problems and steps
+consecutive certified ones as one stack, each with the bits it gets alone.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ DESCENT_SLACK = 1e-12
 # A fit with learning_rate * (r^2/4 + lambda r) below this (2, less a margin) provably
 # lowers every loss each epoch and runs without the descent monitor (_certified).
 CERTIFIED_STEP = 1.9
-# Byte budget for the (P, N) buffers of a block of descent epochs, and the block-size cap.
+# Byte budget for the (R, N) buffers of a block of descent epochs over a stack of R rows,
+# and the block-size cap; a stack grows only while its blocks stay at the cap.
 BLOCK_BYTES = 1 << 20
 MAX_BLOCK = 16
 
@@ -111,9 +113,9 @@ class FitResult:
     converged: np.ndarray             # bool per neuron: reached grad_tol
 
 
-def _block_size(P: int, N: int) -> int:
-    # epochs per block such that all 2B + 4 (P, N) buffers of _descend_blocks fit BLOCK_BYTES
-    return min(MAX_BLOCK, max(1, (BLOCK_BYTES // (8 * P * N) - 4) // 2))
+def _block_size(R: int, N: int) -> int:
+    # epochs per block such that all 2B + 4 (R, N) buffers of _descend_blocks fit BLOCK_BYTES
+    return min(MAX_BLOCK, max(1, (BLOCK_BYTES // (8 * R * N) - 4) // 2))
 
 
 def _certified(K: np.ndarray, cfg: TrainConfig) -> bool:
@@ -135,57 +137,109 @@ def _converged(G: np.ndarray, tol: float) -> np.ndarray:
     return np.sqrt(np.sum(np.multiply(G, G, out=G), axis=1)) < tol
 
 
-def _descend_blocks(K, T, cfg: TrainConfig, start: int, A, idx):
-    """Step the columns idx of a certified fit from epoch `start`, A holding their A_start.
+def _descend_blocks(Ks, Ts, cfg: TrainConfig, start: int, As, idx):
+    """Step the columns idx of a stack of certified fits from epoch `start`, As[i] holding
+    fit i's A_start; leave each A at the first epoch e at which a column of any fit
+    reaches grad_tol and return (e, done), done[i] the columns of fit i that reach it
+    there; else leave each A at A_max_epochs and return (max_epochs, None).
 
-    An epoch only steps: H = K @ A, E = exp(-|H|), Grad to one slot and A - lr*Grad to the
-    next. Blocks hold _block_size epochs, the last cut at max_epochs; the grad_tol test
-    runs once per block over their Grad slots. Returns (e, A_e, A_{e+1}, done) of the
-    columns idx at the first epoch e at which the columns `done` reach grad_tol, else
-    (max_epochs, A_e, None, None).
+    The fits' rows are stacked, R in all. An epoch takes H = K_i @ A_i and K_i @ S_i per
+    fit, into its rows, and runs the rest once over the stack: E = exp(-|H|), Grad to one
+    slot and A - lr*Grad to the next. Blocks hold _block_size(R, n) epochs, the last cut
+    at max_epochs; the grad_tol test runs once per block and fit, over the fit's rows of
+    the Grad slots. At e the columns `done` stop at A_e, the rest keep A_{e+1}, and the
+    block's later slots are dropped.
     """
-    P, n = K.shape[0], idx.size
-    B = _block_size(P, n)
-    # slot s holds the A of the block's epoch s; Ab[s].T is a (P, n) F-ordered view, the
-    # layout of a gather A[:, idx], gathered straight into slot 0 with no copy of A[:, idx]
-    Ab = np.empty((B + 1, n, P))
-    np.take(A, idx, axis=1, out=Ab[0].T, mode="clip")
+    rows, R = [], 0
+    for K in Ks:
+        rows.append(slice(R, R + K.shape[0]))
+        R += K.shape[0]
+    n = idx.size
+    B = _block_size(R, n)
+    # slot s holds the A of the block's epoch s; Ab[s].T is an (R, n) F-ordered view, the
+    # layout of a gather A[:, idx], and a fit's rows of it differ from that only in their
+    # leading dimension, R, which BLAS packs away: K_i @ A_i keeps the bits of a lone fit
+    Ab = np.empty((B + 1, n, R))
+    At = [a.T for a in Ab]
+    for A, r in zip(As, rows):
+        np.take(A, idx, axis=1, out=At[0][r], mode="clip")
+    T = Ts[0] if len(Ts) == 1 else np.concatenate(Ts)
     Ta = T if n == T.shape[1] else T[:, idx]
-    Gb = np.empty((B, P, n))
-    H, E, S = (np.empty((P, n)) for _ in range(3))
+    Gb = np.empty((B, R, n))
+    H, E, S = (np.empty((R, n)) for _ in range(3))
+    # per slot, each fit's operands of its two matmuls: (K, its rows of A, of H) and
+    # (K, its rows of S, of Grad); views made once, not every epoch
+    fields = [[(K, a[r], H[r]) for K, r in zip(Ks, rows)] for a in At]
+    grads = [[(K, S[r], g[r]) for K, r in zip(Ks, rows)] for g in Gb]
     while start < cfg.max_epochs:
         b = min(B, cfg.max_epochs - start)
         for s in range(b):
-            Ae, G = Ab[s].T, Gb[s]
-            np.matmul(K, Ae, out=H)
+            G = Gb[s]
+            for K, a, h in fields[s]:
+                np.matmul(K, a, out=h)
             np.exp(np.negative(np.abs(H, out=E), out=E), out=E)
             np.subtract(_logistic(H, E, out=S, den=G), Ta, out=S)
-            np.matmul(K, S, out=G)
+            for K, x, g in grads[s]:
+                np.matmul(K, x, out=g)
             G += np.multiply(cfg.lam, H, out=S)
-            np.subtract(Ae, np.multiply(cfg.learning_rate, G, out=S), out=Ab[s + 1].T)
-        done = _converged(Gb[:b], cfg.grad_tol)
-        tripped = np.flatnonzero(done.any(axis=1))
-        if tripped.size:  # the later slots are dropped
-            k = int(tripped[0])
-            return start + k, Ab[k].T, Ab[k + 1].T, done[k]
+            np.subtract(At[s], np.multiply(cfg.learning_rate, G, out=S), out=At[s + 1])
+        done = [_converged(Gb[:b, r], cfg.grad_tol) for r in rows]
+        tripped = [int(d.any(axis=1).argmax()) for d in done if d.any()]
+        if tripped:
+            k = min(tripped)
+            for A, r, d in zip(As, rows, done):
+                np.copyto(At[k + 1][r], At[k][r], where=d[k])
+                A[:, idx] = At[k + 1][r]
+            return start + k, [d[k] for d in done]
         Ab[0] = Ab[b]
         start += b
-    return start, Ab[0].T, None, None
+    for A, r in zip(As, rows):
+        A[:, idx] = At[0][r]
+    return start, None
 
 
-def fit_dual_weights(K: np.ndarray, T: np.ndarray, cfg: TrainConfig) -> FitResult:
-    """Gradient descent on every neuron column at once.
+def _descend(Ks, Ts, cfg: TrainConfig) -> list:
+    """The FitResults of certified fits of one N, stepped as one stack (_descend_blocks).
 
-    Columns are independent (the update of column i reads only column i), so this
-    matches per-neuron training while batching the matmuls. A certified fit (_certified,
-    once per fit) descends every epoch, so only grad_tol stops a column: it runs blocks
-    (_descend_blocks), whose epochs take Grad over every column that entered them, so at
-    a trip the columns below grad_tol stop at A_e and the rest keep the block's A_{e+1}.
-    Any other fit runs the descent monitor every epoch: a column whose loss is non-finite
-    or rose by more than DESCENT_SLACK is reverted to its last accepted iterate and
-    recorded in `diverged`; then the survivors alone take Grad ((K @ X)[:, sub] and
-    K @ X[:, sub] differ in bits), those below grad_tol are frozen and the rest step.
-    A is F-ordered like a gather A[:, idx]: BLAS rounds K @ A differently per layout.
+    Every epoch lowers every loss, so only grad_tol stops a column. At a trip the fits
+    whose columns reached it leave the stack: each goes on alone over its columns still
+    active, and the others resume stacked. A is F-ordered like a gather A[:, idx]: BLAS
+    rounds K @ A differently per layout.
+    """
+    N = Ts[0].shape[1]
+    As = [np.zeros(T.shape, order="F") for T in Ts]
+    converged = [np.zeros(N, dtype=bool) for _ in Ts]
+    epochs = [0] * len(Ts)
+    runs = [(list(range(len(Ts))), 0, np.arange(N))] if N else []  # (fits, epoch, columns)
+    while runs:
+        fits, epoch, idx = runs.pop()
+        while fits and epoch < cfg.max_epochs:
+            epoch, done = _descend_blocks([Ks[i] for i in fits], [Ts[i] for i in fits], cfg,
+                                          epoch, [As[i] for i in fits], idx)
+            for i in fits:
+                epochs[i] = epoch if done is None else epoch + 1
+            if done is None:
+                break
+            stacked = []
+            for i, d in zip(fits, done):
+                if not d.any():
+                    stacked.append(i)
+                    continue
+                converged[i][idx[d]] = True
+                if not d.all():
+                    runs.append(([i], epoch + 1, idx[~d]))
+            fits, epoch = stacked, epoch + 1
+    return [FitResult(np.ascontiguousarray(A), e, [], c)
+            for A, e, c in zip(As, epochs, converged)]
+
+
+def _monitored(K: np.ndarray, T: np.ndarray, cfg: TrainConfig) -> FitResult:
+    """A fit that runs the descent monitor every epoch.
+
+    A column whose loss is non-finite or rose by more than DESCENT_SLACK is reverted to
+    its last accepted iterate and recorded in `diverged`; then the survivors alone take
+    Grad ((K @ X)[:, sub] and K @ X[:, sub] differ in bits), those below grad_tol are
+    frozen and the rest step.
     """
     P, N = T.shape
     A = np.zeros((P, N), order="F")
@@ -193,17 +247,6 @@ def fit_dual_weights(K: np.ndarray, T: np.ndarray, cfg: TrainConfig) -> FitResul
     converged = np.zeros(N, dtype=bool)
     diverged: list[tuple[int, int]] = []
     epoch = 0
-    if _certified(K, cfg):
-        while idx.size and epoch < cfg.max_epochs:
-            epoch, Ae, Anext, done = _descend_blocks(K, T, cfg, epoch, A, idx)
-            A[:, idx] = Ae
-            if done is not None:
-                converged[idx[done]] = True
-                idx = idx[~done]
-                A[:, idx] = Anext[:, ~done]
-                epoch += 1
-            del Ae, Anext  # frees the slots before the next call allocates its own
-        return FitResult(np.ascontiguousarray(A), epoch, diverged, converged)
     prev_A = np.zeros((P, N), order="F")
     prev_loss = np.full(N, np.inf)
     # diverging columns overflow; the monitor reports them, so warnings are silenced
@@ -237,6 +280,45 @@ def fit_dual_weights(K: np.ndarray, T: np.ndarray, cfg: TrainConfig) -> FitResul
             del Grad
             epoch += 1
     return FitResult(np.ascontiguousarray(A), epoch, diverged, converged)
+
+
+def fit_many(problems, cfg: TrainConfig):
+    """Yield the FitResult of each (K, T) of `problems`, in order.
+
+    Each is fit_dual_weights of its problem, bit for bit. A certified fit (_certified,
+    once per problem) descends every epoch, and consecutive certified problems of one N
+    step as one stack (_descend) while _block_size(R, N), R their summed P, stays
+    MAX_BLOCK. Any other problem runs the descent monitor (_monitored) alone. `problems`
+    is read lazily: at most one problem past a stack is read before it descends, and
+    none past a stack that no problem could join.
+    """
+    stack, R = [], 0
+    for K, T in problems:
+        certified = _certified(K, cfg)
+        if stack and not (certified and T.shape[1] == N
+                          and _block_size(R + len(T), N) == MAX_BLOCK):
+            yield from _descend(*zip(*stack), cfg)
+            stack, R = [], 0
+        if certified:
+            stack.append((K, T))
+            R, N = R + len(T), T.shape[1]
+        else:
+            yield _monitored(K, T, cfg)
+        del K, T  # not kept while the next problem is read
+        if stack and _block_size(R + 1, N) < MAX_BLOCK:
+            yield from _descend(*zip(*stack), cfg)
+            stack, R = [], 0
+    if stack:
+        yield from _descend(*zip(*stack), cfg)
+
+
+def fit_dual_weights(K: np.ndarray, T: np.ndarray, cfg: TrainConfig) -> FitResult:
+    """Gradient descent on every neuron column of one problem at once: fit_many of it.
+
+    Columns are independent (the update of column i reads only column i), so this
+    matches per-neuron training while batching the matmuls.
+    """
+    return next(fit_many([(K, T)], cfg))
 
 
 def train(patterns: PatternSet, gamma: float, tcfg: TrainConfig) -> DualWeights:

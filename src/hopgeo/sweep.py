@@ -7,9 +7,12 @@ numpy.random.SeedSequence([base_seed, gi, li, t]), and the cell's own seed
 that of [base_seed, gi, li]. Cells are independent and runs reproducible
 bit-for-bit at any worker count.
 
-run_cell returns a cell's per-neuron records and its SweepCell, the
-grid.csv row: arithmetic mean over neurons within a trial, then mean (and
-standard deviation for lambda_max and d_eff) over trials.
+run_grid deals the cells into groups, one pool task each, whose trials
+are built lazily and descend in stacks across cells (klr.fit_many); stacks
+never change a bit. run_cell measures a cell: it returns the cell's
+per-neuron records and its SweepCell, the grid.csv row: arithmetic mean
+over neurons within a trial, then mean (and standard deviation for
+lambda_max and d_eff) over trials.
 Neuron-trials with a fully degenerate spectrum contribute d_eff = 0 and
 are counted in degenerate_count; neurons whose descent monitor tripped
 are frozen at their last accepted iterate, still measured, and counted
@@ -23,6 +26,7 @@ import io
 import os
 import signal
 import threading
+from collections import deque
 from dataclasses import astuple, dataclass, field, fields
 from typing import get_type_hints
 
@@ -30,10 +34,10 @@ import numpy as np
 
 from .config import read_config
 from .dynamics import DEFAULT_MAX_STEPS, DEFAULT_SUCCESS_THRESHOLD, recall_trial
-from .errors import ArgumentError, FieldError, PoolError, check_range
+from .errors import ArgumentError, FieldError, PoolError, check_index, check_range
 from .infogeo import DEFAULT_REL_CUTOFF, GradientReport, gradient_report, neuron_spectra
 from .kernel_core import KernelConfig, generate_patterns, gram, read_text, write_rows
-from .klr import DualWeights, TrainConfig, all_targets, fit_dual_weights
+from .klr import DualWeights, TrainConfig, all_targets, fit_many
 
 
 @dataclass
@@ -140,21 +144,24 @@ def trial_mean(values) -> float:
     return float(np.mean(np.mean(values, axis=1)))
 
 
-def run_cell(cfg: GridConfig, gamma_index: int, load_index: int) -> CellRecords:
+def run_cell(cfg: GridConfig, gamma_index: int, load_index: int, fits=None) -> CellRecords:
     """Train and measure the grid cell at (gamma_values[gamma_index],
-    load_values[load_index]) over all trials; the same indices key its seeds."""
+    load_values[load_index]) over all trials; the same indices key its seeds.
+
+    `fits` yields the cell's trials as they are trained, as _run_cells passes them:
+    per trial its (patterns, K, T, FitResult). Without it the cell trains them itself.
+    """
+    check_index("gamma_index", gamma_index, len(cfg.gamma_values))
+    check_index("load_index", load_index, len(cfg.load_values))
+    if fits is None:
+        return _run_cells((cfg, [(gamma_index, load_index)]))[0]
     gamma, load = cfg.gamma_values[gamma_index], cfg.load_values[load_index]
     N = cfg.num_neurons
     P = round(load * N)  # at least 1: GridConfig checks it
     want_recall = "recall_rate" in cfg.metrics
     reports = []  # per trial, the GradientReport of every neuron in neuron order
     diverged = recall_hits = 0
-    for t in range(cfg.trials_per_cell):
-        seed = seed64(cfg.base_seed, gamma_index, load_index, t)
-        patterns = generate_patterns(P, N, seed)
-        K = gram(patterns, KernelConfig(gamma=gamma)).values
-        T = all_targets(patterns)
-        res = fit_dual_weights(K, T, cfg.train)
+    for t, (patterns, K, T, res) in enumerate(fits):
         diverged += len(res.diverged)
         reports.append(neuron_spectra(res.alpha, K, lambda i, spec: gradient_report(
             res.alpha[:, i], K, T[:, i], cfg.train.lam, spec, cfg.rel_cutoff
@@ -192,6 +199,40 @@ def run_cell(cfg: GridConfig, gamma_index: int, load_index: int) -> CellRecords:
         divergence_count=diverged,
     )
     return CellRecords(cell, n)
+
+
+def _run_cells(task) -> list:
+    """run_cell of each (gamma_index, load_index) of `cells`, in order, for the task
+    (cfg, cells): a pool task of run_grid.
+
+    The trials are built one by one as klr.fit_many reads them, so consecutive trials,
+    across cells too, descend in stacks. Each cell goes through run_cell as this module
+    binds it when called, which measures each trial as soon as it is fitted; a pool
+    pickles this function by name, so a run_cell wrapped in a closure (as the
+    benchmark's tracer wraps it) runs in the workers too.
+    """
+    cfg, cells = task
+    N = cfg.num_neurons
+    built = deque()  # (patterns, K, T) of the trials read but not yet fitted
+
+    def problems():
+        for gi, li in cells:
+            for t in range(cfg.trials_per_cell):
+                patterns = generate_patterns(round(cfg.load_values[li] * N), N,
+                                             seed64(cfg.base_seed, gi, li, t))
+                K = gram(patterns, KernelConfig(gamma=cfg.gamma_values[gi])).values
+                built.append((patterns, K, all_targets(patterns)))
+                del patterns, K  # held by `built` alone
+                yield built[-1][1:]
+
+    fits = fit_many(problems(), cfg.train)
+
+    def trials():  # one cell's, each as it is fitted
+        for _ in range(cfg.trials_per_cell):
+            res = next(fits)
+            yield (*built.popleft(), res)
+
+    return [run_cell(cfg, gi, li, trials()) for gi, li in cells]
 
 
 def pool_size(workers: int, tasks: int) -> int:
@@ -246,27 +287,26 @@ def pool_map(fn, tasks, workers: int) -> list:
             os.close(end)
 
 
-def _cell_task(task):
-    # module-level, so it pickles by name even where run_cell is wrapped in a closure
-    # (as the benchmark's tracer wraps it), which a pool could not pickle
-    return run_cell(*task)
-
-
 def run_grid(cfg: GridConfig, workers: int = 1) -> list:
     """CellRecords of every (gamma, load) pair, sorted by (load, gamma).
 
-    Cells are independent; scheduling never changes values or order. Tasks
-    are submitted largest load (so largest P, the longest descent) first, so
-    that a pool does not end waiting on one long cell; both axes ascend, so
-    sorting by (load, gamma) restores index order. The pool (pool_map) has at
-    most one worker per cell and one per CPU.
+    Cells are independent; grouping never changes values or order. The cells are
+    split into pool_size groups, one pool task each (_run_cells, whose trials descend
+    in stacks): largest load first, so largest P, each cell goes to the group with the
+    fewest rows so far (the patterns of its trials), which keeps the groups' descents
+    even. Both axes ascend, so sorting by (load, gamma) restores index order. The pool
+    (pool_map) has at most one worker per cell and one per CPU.
     """
-    tasks = [
-        (cfg, gi, li)
-        for li in reversed(range(len(cfg.load_values)))
-        for gi in range(len(cfg.gamma_values))
-    ]
-    records = pool_map(_cell_task, tasks, workers)
+    cells = len(cfg.gamma_values) * len(cfg.load_values)
+    groups = [[] for _ in range(pool_size(workers, cells))]
+    rows = [0] * len(groups)
+    for li in reversed(range(len(cfg.load_values))):
+        for gi in range(len(cfg.gamma_values)):
+            g = rows.index(min(rows))
+            groups[g].append((gi, li))
+            rows[g] += round(cfg.load_values[li] * cfg.num_neurons) * cfg.trials_per_cell
+    records = [rec for group in pool_map(_run_cells, [(cfg, g) for g in groups], workers)
+               for rec in group]
     records.sort(key=lambda rec: (rec.cell.load, rec.cell.gamma))
     return records
 

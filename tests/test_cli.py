@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import platform
 import shlex
+import shutil
 import signal
 import subprocess
 import sys
@@ -103,7 +104,8 @@ def test_manifest_names_the_numerics_it_ran_on(tmp_path):
     assert main(["phase", "--config", str(cfg), "--out", str(phase_out), "--workers", "1"]) == 0
     blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
     running = {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}",
-               "python": platform.python_version(), "blas_core": cli.numerics()["blas_core"]}
+               "python": platform.python_version(), "blas_core": cli.numerics()["blas_core"],
+               "source_sha256": cli.numerics()["source_sha256"]}
     for out in (train_out, phase_out):
         manifest = json.loads((out / "manifest.json").read_text())
         assert {key: manifest[key] for key in running} == running
@@ -126,6 +128,20 @@ def test_numerics_names_the_blas_kernel_that_runs():
         env={**source_env(), "OPENBLAS_CORETYPE": "Nehalem"}, capture_output=True, text=True,
         check=True)
     assert run.stdout == "Nehalem\n"
+
+
+def test_the_source_digest_reads_every_byte_of_the_package(tmp_path, monkeypatch):
+    # the digest covers the *.py files beside cli.py: a copy of them gives the same
+    # digest, and one changed byte another
+    copy = tmp_path / "hopgeo"
+    shutil.copytree(Path(cli.__file__).parent, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    want = cli.numerics()["source_sha256"]
+    monkeypatch.setattr(cli, "__file__", str(copy / "cli.py"))
+    assert cli.numerics()["source_sha256"] == want
+    source = copy / "errors.py"
+    text = source.read_bytes()
+    source.write_bytes(text[:-1] + b" ")  # its closing newline
+    assert cli.numerics()["source_sha256"] != want
 
 
 def _no_library(path):
@@ -669,6 +685,9 @@ def test_reruns_from_its_manifest(tmp_path, command):
     assert main([command, "--config", str(rerun_cfg), "--out", str(again), "--workers", "1"]) == 0
     for name in outputs:
         assert (again / name).read_bytes() == (first / name).read_bytes()
+    source = [json.loads((out / "manifest.json").read_text())["source_sha256"]
+              for out in (first, again)]
+    assert source[0] == source[1]
 
 
 def edit_config(text, key, new):

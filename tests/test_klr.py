@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import mpmath
@@ -337,6 +338,93 @@ def test_fit_matches_gathering_reference_bit_for_bit(monkeypatch):
     events = []
     check(K, T, cfg, _reference_fit(K, T, cfg, events), events)
     assert [e for e, _, _ in events] == [0, 5, 14]
+    assert min(seen.values()) >= 1, seen
+
+
+def _trip_epochs(K, T, cfg):
+    events = []
+    _reference_fit(K, T, cfg, events)
+    return [e for e, kind, _ in events if kind == "grad"]
+
+
+def test_stacked_fits_match_the_reference_problem_by_problem(monkeypatch):
+    # fit_many steps consecutive certified problems of one N as one stack while its
+    # blocks keep MAX_BLOCK epochs; every problem must still get _reference_fit's bits.
+    # Sequences mix P from 1 to 40 and N of 8, 24 and 64, certified and monitored
+    # problems; a column whose targets sit near 1/2 reaches grad_tol early, late, at the
+    # last epoch or never. `seen` counts, over the problems of stacks of two or more, when
+    # each first tripped, and over the blocks' calls (Ks, start, done), stacks that
+    # tripped and stacks that resumed after a trip.
+    rng = np.random.default_rng(3)
+    seen = dict.fromkeys(["stack", "alone", "monitored", "two_N", "trip_in_stack",
+                          "resumed", "early", "late", "last_epoch", "never"], 0)
+    descend, descend_blocks = klr._descend, klr._descend_blocks
+    stacks, calls, reads = [], [], []
+
+    def recording(Ks, Ts, cfg):
+        stacks.append(([id(K) for K in Ks], len(reads)))
+        return descend(Ks, Ts, cfg)
+
+    def recording_blocks(Ks, Ts, cfg, start, As, idx):
+        epoch, done = descend_blocks(Ks, Ts, cfg, start, As, idx)
+        calls.append((len(Ks), start, done is not None))
+        return epoch, done
+
+    monkeypatch.setattr(klr, "_descend", recording)
+    monkeypatch.setattr(klr, "_descend_blocks", recording_blocks)
+    for c in range(45):
+        cfg = TrainConfig(lam=float(10 ** rng.uniform(-6, -2)),
+                          learning_rate=float(10 ** rng.uniform(-2, 0)),
+                          max_epochs=150, grad_tol=float(10 ** rng.uniform(-7, -3)))
+        Ns = rng.choice([8, 24, 64], size=2)
+        problems = []
+        for _ in range(int(rng.integers(1, 9))):
+            N = int(Ns[int(rng.random() < 0.2)])
+            ps = generate_patterns(int(rng.integers(1, 41)), N, int(rng.integers(2**31)))
+            K = gram(ps, KernelConfig(gamma=float(10 ** rng.uniform(-4, 0)))).values
+            T = all_targets(ps)
+            if rng.random() < 0.7:
+                j = int(rng.integers(N))
+                T[:, j] = 0.5 + 10 ** rng.uniform(-9, -1) * (T[:, j] - 0.5)
+            problems.append((K, T))
+        seen["two_N"] += len({T.shape[1] for _, T in problems}) > 1
+        # the epochs are cut after a trip at e, so that it comes at the last epoch, late,
+        # or not at all; epochs before the cut do not depend on it
+        trips = [e for K, T in problems for e in _trip_epochs(K, T, cfg) if e > 0]
+        if trips and c % 3:
+            e = int(rng.choice(trips))
+            cfg = replace(cfg, max_epochs=(e + 1, 3 * e // 2 + 1)[c % 3 - 1])
+
+        def read():
+            for problem in problems:
+                reads.append(problem)
+                yield problem
+
+        stacks.clear()
+        reads.clear()
+        got = list(klr.fit_many(read(), cfg))
+        assert len(got) == len(problems)
+        stacked = {}  # id(K) -> the size of its stack
+        for ids, read_so_far in stacks:
+            last = max(i for i, (K, _) in enumerate(problems) if id(K) in ids)
+            assert read_so_far <= last + 2  # at most one problem past the stack
+            stacked.update(dict.fromkeys(ids, len(ids)))
+        for K, T in problems:
+            events = []
+            _assert_same_fit(got.pop(0), _reference_fit(K, T, cfg, events))
+            size = stacked.get(id(K))
+            seen["monitored" if size is None else "stack" if size > 1 else "alone"] += 1
+            if size is None or size == 1:
+                continue
+            trips = [e for e, kind, _ in events if kind == "grad"]
+            if not trips:
+                seen["never"] += 1
+            elif trips[0] == cfg.max_epochs - 1:
+                seen["last_epoch"] += 1
+            else:
+                seen["early" if trips[0] < cfg.max_epochs / 2 else "late"] += 1
+    seen["trip_in_stack"] = sum(n > 1 and tripped for n, _, tripped in calls)
+    seen["resumed"] = sum(n > 1 and start > 0 for n, start, _ in calls)
     assert min(seen.values()) >= 1, seen
 
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopgeo import sweep
+from hopgeo import klr, sweep
 from hopgeo.config import ConfigError
 from hopgeo.errors import ArgumentError, FieldError
 from hopgeo.klr import TrainConfig
@@ -377,3 +377,26 @@ def test_shared_spectra_match_per_neuron_reference_bit_for_bit(monkeypatch, case
         assert max(groups) == 1
     else:
         assert got.degenerate_count == cfg.num_neurons * cfg.trials_per_cell
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_grouped_and_stacked_cells_match_the_reference_cell_by_cell(monkeypatch, workers):
+    # run_grid deals the cells into pool_size groups, and a group's trials descend in
+    # stacks that cross cells; every cell must keep the bits of the per-cell reference.
+    # At lr 0.5 the smallest gamma's fits run the monitor, so they break the stacks.
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    stacks = []
+    descend = klr._descend
+    monkeypatch.setattr(klr, "_descend", lambda Ks, Ts, cfg: stacks.append(len(Ks))
+                        or descend(Ks, Ts, cfg))
+    cfg = tiny_config(gamma_values=[0.01, 0.1, 1.0], load_values=[0.25, 0.5, 0.75],
+                      train=TrainConfig(lam=1e-4, learning_rate=0.5, max_epochs=200),
+                      metrics=tuple(sweep.METRICS), recall_max_steps=20)
+    records = run_grid(cfg, workers)
+    want = [_reference_run_cell(gamma, load, cfg, gi, li)
+            for li, load in enumerate(cfg.load_values)
+            for gi, gamma in enumerate(cfg.gamma_values)]
+    assert [record_bits(rec) for rec in records] == [record_bits(rec) for rec in want]
+    assert sum(rec.cell.divergence_count for rec in records) > 0
+    if workers == 1:  # the pool's workers record in their own processes
+        assert max(stacks) > 2
