@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .config import read_config, resolved
-from .dynamics import DEFAULT_MAX_STEPS, DEFAULT_SUCCESS_THRESHOLD, recall_trial
+from .dynamics import RecallConfig, recall_trial
 from .errors import ArgumentError, FieldError, NumericError, PoolError, check_range
 from .infogeo import neuron_spectra, write_spectrum_csv
 from .kernel_core import KernelConfig, format_value, generate_patterns, gram, load_patterns
@@ -239,23 +239,24 @@ def cmd_recall(args, argv) -> int:
                          f"must be numbers, got {args.flip_fractions!r}") from None
     if not fractions:
         raise FieldError("--flip-fractions", "must be nonempty")
-    for f in fractions:
-        check_range("--flip-fractions", f, 0, 1)
+    try:  # one RecallConfig per fraction; its errors are the flags'
+        rcfgs = [RecallConfig(f, args.success_threshold, args.max_steps) for f in fractions]
+    except FieldError as e:
+        flag = {"recall_flip_fraction": "--flip-fractions", "recall_max_steps": "--max-steps",
+                "success_threshold": "--success-threshold"}[e.field]
+        raise FieldError(flag, e.message) from None
     check_range("--trials", args.trials, 1)
-    check_range("--max-steps", args.max_steps, 1)
-    check_range("--success-threshold", args.success_threshold, 0, 1, lo_open=True)
     patterns, weights = _load_artifacts(args.weights)
     # a task is one flip fraction over a contiguous run of its trials, one run per
     # process the pool can start; rows keep task order
     runs = pool_size(args.workers, args.trials)
     tasks = [
-        (fi, frac, range(args.trials * j // runs, args.trials * (j + 1) // runs))
-        for fi, frac in enumerate(fractions)
+        (fi, rcfg, range(args.trials * j // runs, args.trials * (j + 1) // runs))
+        for fi, rcfg in enumerate(rcfgs)
         for j in range(runs)
     ]
-    recall_trials = partial(_recall_trials, patterns, weights, args.seed or 0,
-                            args.max_steps, args.success_threshold)
-    done = pool_map(recall_trials, tasks, args.workers)
+    done = pool_map(partial(_recall_trials, patterns, weights, args.seed or 0), tasks,
+                    args.workers)
     rates = []
     for fi, frac in enumerate(fractions):  # one line per fraction of the flag, repeats included
         hits = sum(row[-1] for rows in done[fi * runs:(fi + 1) * runs] for row in rows)
@@ -266,16 +267,16 @@ def cmd_recall(args, argv) -> int:
     return EXIT_OK
 
 
-def _recall_trials(patterns, weights, base_seed, max_steps, success_threshold, task):
-    """The recall.csv rows (t, mu, frac, steps, converged, overlap, success) of one
-    (fraction index, fraction, trials) task."""
-    fi, frac, trials = task
+def _recall_trials(patterns, weights, base_seed, task):
+    """The recall.csv rows (t, mu, flip_fraction, steps, converged, overlap, success) of
+    one (fraction index, RecallConfig, trials) task."""
+    fi, rcfg, trials = task
     rows = []
     for t in trials:
         first = ((base_seed * 1_000_003 + fi) * 1_000_003 + t) * 1_000_003
         seeds = [first + mu for mu in range(patterns.num_patterns)]
-        results = recall_trial(patterns, weights, frac, seeds, max_steps, success_threshold)
-        rows += [(t, mu, frac, r.steps, r.converged, r.overlap, r.success)
+        results = recall_trial(patterns, weights, rcfg, seeds)
+        rows += [(t, mu, rcfg.flip_fraction, r.steps, r.converged, r.overlap, r.success)
                  for mu, r in enumerate(results)]
     return rows
 
@@ -363,8 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flip-fractions", required=True,
                    help="whitespace-separated corruption fractions in [0,1]")
     p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
-    p.add_argument("--success-threshold", type=float, default=DEFAULT_SUCCESS_THRESHOLD)
+    p.add_argument("--max-steps", type=int, default=RecallConfig.max_steps)
+    p.add_argument("--success-threshold", type=float, default=RecallConfig.success_threshold)
     add_common(p, "output CSV path")
     p.set_defaults(func=cmd_recall)
 

@@ -10,7 +10,7 @@ which are detected and reported as non-converged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,11 +18,24 @@ from .errors import ArgumentError, check_index, check_range
 from .kernel_core import PatternSet, check_bipolar, corrupt, rbf_of_inner
 from .klr import DualWeights
 
-# the recall defaults of the API, the `recall` flags and the grid config keys
-DEFAULT_SUCCESS_THRESHOLD = 0.95
-DEFAULT_MAX_STEPS = 100
 # cues stepped together by recall_batch; bounds its (block, P) and (block, N) temporaries
 RECALL_BLOCK = 64
+
+
+@dataclass(frozen=True)
+class RecallConfig:
+    """The recall settings of the API, the `recall` flags and the grid config keys, checked
+    here alone and named by their grid keys: a cue's share of flipped entries, the overlap
+    a recall must reach to succeed, and the cap on its synchronous steps."""
+
+    flip_fraction: float = field(default=0.1, metadata={"key": "recall_flip_fraction"})
+    success_threshold: float = 0.95
+    max_steps: int = field(default=100, metadata={"key": "recall_max_steps"})
+
+    def __post_init__(self):
+        check_range("recall_flip_fraction", self.flip_fraction, 0, 1)
+        check_range("recall_max_steps", self.max_steps, 1)
+        check_range("success_threshold", self.success_threshold, 0, 1, lo_open=True)
 
 
 @dataclass
@@ -48,17 +61,14 @@ def recall(
     target_index: int,
     patterns: PatternSet,
     weights: DualWeights,
-    max_steps: int = DEFAULT_MAX_STEPS,
-    success_threshold: float = DEFAULT_SUCCESS_THRESHOLD,
+    rcfg: RecallConfig = RecallConfig(),
 ) -> RecallResult:
-    """Iterate synchronous updates until a fixed point, 2-cycle, or max_steps.
+    """Iterate synchronous updates until a fixed point, 2-cycle, or rcfg.max_steps.
 
     On a 2-cycle the higher overlap of the cycle's two states is reported,
     with converged=False. This is recall_batch on a batch of one cue.
     """
-    return recall_batch(
-        np.asarray(cue)[None, :], [target_index], patterns, weights, max_steps, success_threshold
-    )[0]
+    return recall_batch(np.asarray(cue)[None, :], [target_index], patterns, weights, rcfg)[0]
 
 
 def recall_batch(
@@ -66,8 +76,7 @@ def recall_batch(
     target_indices,
     patterns: PatternSet,
     weights: DualWeights,
-    max_steps: int = DEFAULT_MAX_STEPS,
-    success_threshold: float = DEFAULT_SUCCESS_THRESHOLD,
+    rcfg: RecallConfig = RecallConfig(),
 ) -> list:
     """recall() of cues[m] toward pattern target_indices[m], for every m.
 
@@ -77,8 +86,6 @@ def recall_batch(
     temporaries whatever M is; each RecallResult equals recall() of that cue alone,
     bit for bit.
     """
-    check_range("max_steps", max_steps, 1)
-    check_range("success_threshold", success_threshold, 0, 1, lo_open=True)
     cues, targets = np.asarray(cues), list(target_indices)
     if len(targets) != len(cues):
         raise ArgumentError(f"{len(targets)} targets for {len(cues)} cues")
@@ -92,28 +99,20 @@ def recall_batch(
     targets = np.array(targets, dtype=int)
     return [r for s in range(0, len(cues), RECALL_BLOCK)
             for r in _recall_block(cues[s:s + RECALL_BLOCK], targets[s:s + RECALL_BLOCK],
-                                   patterns, weights, max_steps, success_threshold)]
+                                   patterns, weights, rcfg)]
 
 
-def recall_trial(
-    patterns: PatternSet,
-    weights: DualWeights,
-    flip_fraction: float,
-    seeds,
-    max_steps: int = DEFAULT_MAX_STEPS,
-    success_threshold: float = DEFAULT_SUCCESS_THRESHOLD,
-) -> list:
-    """recall_batch of corrupt(pattern mu, flip_fraction, seeds[mu]) toward mu, for every mu.
+def recall_trial(patterns: PatternSet, weights: DualWeights, rcfg: RecallConfig, seeds) -> list:
+    """recall_batch of corrupt(pattern mu, rcfg.flip_fraction, seeds[mu]) toward mu, for every mu.
 
     One trial of the memory function; `recall` and the sweep's recall_rate both run it.
     """
-    cues = [corrupt(xi, flip_fraction, seed)
+    cues = [corrupt(xi, rcfg.flip_fraction, seed)
             for xi, seed in zip(patterns.patterns, seeds, strict=True)]
-    return recall_batch(cues, range(patterns.num_patterns), patterns, weights,
-                        max_steps, success_threshold)
+    return recall_batch(cues, range(patterns.num_patterns), patterns, weights, rcfg)
 
 
-def _recall_block(cues, targets, patterns, weights, max_steps, success_threshold):
+def _recall_block(cues, targets, patterns, weights, rcfg):
     # Each step computes the kernel values of all live cues with one matmul
     # and their fields with another. The distances are sums of +-1 products,
     # exact in any order, and exp is elementwise, so k has local_field's bits.
@@ -135,7 +134,7 @@ def _recall_block(cues, targets, patterns, weights, max_steps, success_threshold
     ids = np.arange(cues.shape[0])  # block row of each live cue
     state = cues.astype(float)
     prev = state  # no state differs from itself, so step 1 finds no 2-cycle
-    for steps in range(1, max_steps + 1):
+    for steps in range(1, rcfg.max_steps + 1):
         k = rbf_of_inner(state @ X.T, N, weights.gamma)
         h = k @ alpha
         bound = (guard * k.max(axis=1))[:, None] * abs_alpha_sum
@@ -147,7 +146,7 @@ def _recall_block(cues, targets, patterns, weights, max_steps, success_threshold
         new[tie] = state[tie]
         fixed = (new == state).all(axis=1)
         cycle = ~fixed & (new == prev).all(axis=1)
-        done = fixed | cycle if steps < max_steps else np.ones_like(fixed)
+        done = fixed | cycle if steps < rcfg.max_steps else np.ones_like(fixed)
         d = done.nonzero()[0]
         if d.size:  # the cues that finish at this step
             rows = ids[d]
@@ -156,7 +155,7 @@ def _recall_block(cues, targets, patterns, weights, max_steps, success_threshold
             if cycle.any():  # a 2-cycle's new equals prev: keep the better of its two states
                 c = cycle[d]
                 m[c] = np.maximum(m[c], _dots(state[d[c]], tgt[c]) / N)
-            success = (m >= success_threshold).tolist()
+            success = (m >= rcfg.success_threshold).tolist()
             for i, mi, conv, ok in zip(rows.tolist(), m.tolist(), fixed[d].tolist(), success):
                 results[i] = RecallResult(overlap=mi, converged=conv, steps=steps, success=ok)
             if d.size == len(done):

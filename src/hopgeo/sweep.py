@@ -33,7 +33,7 @@ from typing import get_type_hints
 import numpy as np
 
 from .config import read_config
-from .dynamics import DEFAULT_MAX_STEPS, DEFAULT_SUCCESS_THRESHOLD, recall_trial
+from .dynamics import RecallConfig, recall_trial
 from .errors import ArgumentError, FieldError, PoolError, check_index, check_range
 from .infogeo import DEFAULT_REL_CUTOFF, GradientReport, gradient_report, neuron_spectra
 from .kernel_core import KernelConfig, generate_patterns, gram, read_text, write_rows
@@ -90,9 +90,7 @@ class GridConfig:
     rel_cutoff: float = DEFAULT_REL_CUTOFF
     # recall_rate, which runs recall in every cell, is opt-in
     metrics: tuple[str, ...] = tuple(METRICS)[:5]
-    recall_flip_fraction: float = 0.1
-    success_threshold: float = DEFAULT_SUCCESS_THRESHOLD
-    recall_max_steps: int = DEFAULT_MAX_STEPS
+    recall: RecallConfig = field(default_factory=RecallConfig)
 
     def __post_init__(self):
         for name in ("gamma_values", "load_values"):
@@ -115,10 +113,7 @@ class GridConfig:
         check_range("num_neurons", self.num_neurons, 1, np.iinfo(np.intp).max // (8 * P))
         check_range("trials_per_cell", self.trials_per_cell, 1)
         check_range("base_seed", self.base_seed, 0)
-        check_range("recall_flip_fraction", self.recall_flip_fraction, 0, 1)
-        check_range("success_threshold", self.success_threshold, 0, 1, lo_open=True)
         check_range("rel_cutoff", self.rel_cutoff, 0, 1, lo_open=True, hi_open=True)
-        check_range("recall_max_steps", self.recall_max_steps, 1)
         self.metrics = tuple(self.metrics)
         unknown = set(self.metrics) - set(METRICS)
         if unknown:
@@ -172,8 +167,7 @@ def run_cell(cfg: GridConfig, gamma_index: int, load_index: int, fits=None) -> C
             )
             first = cfg.trials_per_cell + t * P  # the seed keys of this trial's cues
             seeds = [seed64(cfg.base_seed, gamma_index, load_index, first + mu) for mu in range(P)]
-            results = recall_trial(patterns, weights, cfg.recall_flip_fraction, seeds,
-                                   cfg.recall_max_steps, cfg.success_threshold)
+            results = recall_trial(patterns, weights, cfg.recall, seeds)
             recall_hits += sum(r.success for r in results)
     n = {f.name: np.array([[getattr(rep, f.name) for rep in row] for row in reports])
          for f in fields(GradientReport)}

@@ -1,7 +1,13 @@
-import concurrent.futures
 import os
 
-import pytest
+# One BLAS thread in this process, as hopgeo's import sets it, but before any test module
+# imports numpy, which reads the count once: the 2-worker acceptance fixture then runs
+# 2 BLAS threads in all, not 2 per worker.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import concurrent.futures  # noqa: E402
+
+import pytest  # noqa: E402
 
 
 @pytest.fixture

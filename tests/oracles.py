@@ -225,16 +225,12 @@ def _reference_run_cell(gamma, load, cfg, gamma_index, load_index):
                 alpha=res.alpha, gamma=gamma, lam=cfg.train.lam, trained_epochs=res.epochs
             )
             cues = [
-                corrupt(patterns.patterns[mu], cfg.recall_flip_fraction,
+                corrupt(patterns.patterns[mu], cfg.recall.flip_fraction,
                         seed64(cfg.base_seed, gamma_index, load_index,
                                cfg.trials_per_cell + t * P + mu))
                 for mu in range(P)
             ]
-            results = recall_batch(
-                cues, range(P), patterns, weights,
-                max_steps=cfg.recall_max_steps,
-                success_threshold=cfg.success_threshold,
-            )
+            results = recall_batch(cues, range(P), patterns, weights, cfg.recall)
             recall_hits += sum(r.success for r in results)
 
     def sd(vals):

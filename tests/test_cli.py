@@ -1,5 +1,6 @@
 import csv
 import ctypes
+import io
 import json
 import math
 import multiprocessing
@@ -10,24 +11,28 @@ import shutil
 import signal
 import subprocess
 import sys
+import tempfile
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stderr
 from dataclasses import astuple, fields, is_dataclass, replace
 from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopgeo import cli, sweep
 from hopgeo.cli import TrainRun, main
 from hopgeo.config import read_config
-from hopgeo.errors import FieldError, NumericError, TrainingDivergenceError
+from hopgeo.dynamics import RecallConfig
+from hopgeo.errors import ConfigError, FieldError, NumericError, TrainingDivergenceError
 from hopgeo.infogeo import fisher_matrix, spectrum, write_spectrum_csv
 from hopgeo.kernel_core import KernelConfig, gram, load_patterns
 from hopgeo.klr import load_weights
 from hopgeo.svgplot import render_spectrum_lines
-from hopgeo.sweep import CSV_COLUMNS, GridConfig, SweepCell, write_grid_csv
+from hopgeo.sweep import CSV_COLUMNS, GridConfig, SweepCell, grid_config_from_file, write_grid_csv
 
 
 def train_cfg_text(**overrides):
@@ -128,6 +133,20 @@ def test_numerics_names_the_blas_kernel_that_runs():
         env={**source_env(), "OPENBLAS_CORETYPE": "Nehalem"}, capture_output=True, text=True,
         check=True)
     assert run.stdout == "Nehalem\n"
+
+
+def test_the_tests_run_one_blas_thread():
+    # conftest.py sets the count before numpy loads; read it from the library that
+    # numerics() asks for its kernel, under either name the library gives it
+    from numpy.linalg import _umath_linalg
+
+    lib = ctypes.CDLL(_umath_linalg.__file__)
+    names = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads")
+    get = next((getattr(lib, name) for name in names if hasattr(lib, name)), None)
+    if get is None:
+        pytest.skip("the BLAS numpy loaded names no thread count")
+    get.argtypes, get.restype = [], ctypes.c_int
+    assert get() == 1
 
 
 def test_the_source_digest_reads_every_byte_of_the_package(tmp_path, monkeypatch):
@@ -1334,8 +1353,9 @@ RECALL_FLAGS = {"--flip-fractions": "0.1", "--trials": "1", "--max-steps": "100"
 
 @pytest.mark.parametrize("flag, value", [
     ("--flip-fractions", "abc"), ("--flip-fractions", ""), ("--flip-fractions", "0.1 1.5"),
-    ("--flip-fractions", "nan"), ("--trials", "0"), ("--max-steps", "0"),
-    ("--success-threshold", "0"), ("--success-threshold", "inf"),
+    ("--flip-fractions", "nan"), ("--flip-fractions", "-0.1"), ("--trials", "0"),
+    ("--max-steps", "0"), ("--max-steps", "-1"), ("--success-threshold", "0"),
+    ("--success-threshold", "1.01"), ("--success-threshold", "inf"),
 ])
 def test_recall_flag_error_names_the_flag_before_reading_artifacts(tmp_path, capsys, flag, value):
     argv = ["recall", "--weights", str(tmp_path / "missing"), "--out", str(tmp_path / "r.csv")]
@@ -1344,6 +1364,50 @@ def test_recall_flag_error_names_the_flag_before_reading_artifacts(tmp_path, cap
     assert main(argv) == 2
     assert_one_line_error(capsys, f"error: {flag} must ")
     assert not (tmp_path / "r.csv").exists()
+
+
+# each RecallConfig field: its grid key, its `recall` flag, and the values drawn for it
+RECALL_SETTINGS = {
+    "flip_fraction": ("recall_flip_fraction", "--flip-fractions",
+                      st.floats(-0.5, 1.5) | st.floats()),
+    "success_threshold": ("success_threshold", "--success-threshold",
+                          st.floats(-0.5, 1.5) | st.floats()),
+    "max_steps": ("recall_max_steps", "--max-steps", st.integers(-2, 200) | st.integers()),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_every_recall_setting_is_accepted_or_refused_alike_by_config_file_and_flag(data):
+    # RecallConfig, the grid keys and the `recall` flags take the same values, and refuse
+    # the same first one with the same message, named by the key, file:line and key, or flag
+    values = {name: data.draw(drawn, label=name)
+              for name, (_, _, drawn) in RECALL_SETTINGS.items()}
+    try:
+        want, refused = RecallConfig(**values), None
+    except FieldError as e:
+        want, refused = None, e
+    keys = [key for key, _, _ in RECALL_SETTINGS.values()]
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "grid.cfg"
+        cfg.write_text("gamma_values = 0.1\nload_values = 0.25\nnum_neurons = 8\n" + "".join(
+            f"{key} = {values[name]!r}\n" for name, (key, _, _) in RECALL_SETTINGS.items()))
+        argv = ["recall", "--weights", tmp, "--out", str(Path(tmp) / "r.csv")]
+        argv += [f"{flag}={values[name]!r}" for name, (_, flag, _) in RECALL_SETTINGS.items()]
+        err = io.StringIO()
+        with redirect_stderr(err):
+            assert main(argv) == 2
+        if refused is None:  # the flags pass, and the missing artifacts are read
+            assert grid_config_from_file(cfg).recall == want
+            assert err.getvalue().endswith(f"{Path(tmp) / 'patterns.txt'}'\n")
+            return
+        assert refused.field in keys
+        with pytest.raises(ConfigError) as e:
+            grid_config_from_file(cfg)
+        line = 4 + keys.index(refused.field)
+        assert str(e.value) == f"{cfg}:{line}: field '{refused.field}': {refused.message}"
+        flag = next(flag for key, flag, _ in RECALL_SETTINGS.values() if key == refused.field)
+        assert err.getvalue() == f"error: {flag} {refused.message}\n"
 
 
 def test_render_unknown_metric_exits_2(tmp_path, capsys):

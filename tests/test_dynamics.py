@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hopgeo import dynamics
-from hopgeo.dynamics import local_field, recall, recall_batch, recall_trial
+from hopgeo.dynamics import RecallConfig, local_field, recall, recall_batch, recall_trial
 from hopgeo.errors import ArgumentError
 from hopgeo.kernel_core import KernelConfig, PatternSet, corrupt, generate_patterns, gram
 from hopgeo.klr import DualWeights, TrainConfig, all_targets, fit_dual_weights, train
@@ -40,7 +40,7 @@ def test_zero_weights_freeze_the_state():
     new, changed = _step(state, ps, w)
     assert changed == 0
     assert np.array_equal(new, state)
-    res = recall(state, 0, ps, w, max_steps=5)
+    res = recall(state, 0, ps, w, RecallConfig(max_steps=5))
     assert res.converged
     assert res.steps == 1
     assert res.overlap == float(state @ ps.patterns[0]) / ps.num_neurons  # the cue's own
@@ -51,7 +51,7 @@ def test_stored_cue_is_fixed_point_after_training():
     w = train(ps, 0.05, TrainConfig(lam=1e-6, learning_rate=0.02,
                                     max_epochs=20000, grad_tol=1e-6))
     for mu in range(ps.num_patterns):
-        res = recall(ps.patterns[mu], mu, ps, w, max_steps=10)
+        res = recall(ps.patterns[mu], mu, ps, w, RecallConfig(max_steps=10))
         assert res.converged
         assert res.steps == 1
         assert res.overlap == 1.0
@@ -80,7 +80,7 @@ def test_two_cycle_detected_and_not_converged():
     w = DualWeights(alpha=alpha, gamma=0.1, lam=0.0, trained_epochs=1)
     h = local_field(X[0], ps, w)
     assert np.all(h < 0)  # pushes toward -x
-    res = recall(X[0].copy(), 0, ps, w, max_steps=50)
+    res = recall(X[0].copy(), 0, ps, w, RecallConfig(max_steps=50))
     assert not res.converged
     assert res.steps < 50
     # the better-overlap member of the cycle is the target itself
@@ -92,7 +92,7 @@ def test_max_steps_exhaustion_reports_not_converged():
     ps = PatternSet(patterns=X, seed=0)
     alpha = np.array([[-5.0, -5.0], [5.0, 5.0]])
     w = DualWeights(alpha=alpha, gamma=0.1, lam=0.0, trained_epochs=1)
-    res = recall(X[0].copy(), 0, ps, w, max_steps=1)
+    res = recall(X[0].copy(), 0, ps, w, RecallConfig(max_steps=1))
     assert not res.converged
     assert res.steps == 1
 
@@ -101,19 +101,19 @@ def test_recall_argument_validation():
     ps = generate_patterns(2, 4, 0)
     w = DualWeights(alpha=np.zeros((2, 4)), gamma=0.1, lam=0.0, trained_epochs=0)
     with pytest.raises(ArgumentError):
-        recall(ps.patterns[0], 0, ps, w, max_steps=0)
+        recall(ps.patterns[0], 0, ps, w, RecallConfig(max_steps=0))
     with pytest.raises(ArgumentError):
-        recall(ps.patterns[0], 0, ps, w, success_threshold=1.5)
+        recall(ps.patterns[0], 0, ps, w, RecallConfig(success_threshold=1.5))
 
 
 def test_success_threshold_boundary():
     ps = generate_patterns(1, 20, 3)
     w = DualWeights(alpha=np.zeros((1, 20)), gamma=0.1, lam=0.0, trained_epochs=0)
     cue = corrupt(ps.patterns[0], 0.05, 1)  # one flip -> overlap 0.9
-    res = recall(cue, 0, ps, w, success_threshold=0.9)
+    res = recall(cue, 0, ps, w, RecallConfig(success_threshold=0.9))
     assert res.overlap == pytest.approx(0.9)
     assert res.success
-    res = recall(cue, 0, ps, w, success_threshold=0.95)
+    res = recall(cue, 0, ps, w, RecallConfig(success_threshold=0.95))
     assert not res.success
 
 
@@ -167,10 +167,11 @@ def test_batched_recall_matches_single_cue_reference(monkeypatch):
         w = DualWeights(alpha=alpha, gamma=gamma, lam=0.0, trained_epochs=0)
         max_steps = 1 if c % 7 == 0 else int(rng.integers(2, 9))
         threshold = float(rng.uniform(0.5, 1.0))
+        rcfg = RecallConfig(success_threshold=threshold, max_steps=max_steps)
         recomputes.clear()
         with monkeypatch.context() as m:
             m.setattr(dynamics, "local_field", counting_field)
-            batch = recall_batch(cues, targets, ps, w, max_steps, threshold)
+            batch = recall_batch(cues, targets, ps, w, rcfg)
         if kind == "near_tie":
             near_tie_recomputes += len(recomputes)
         assert len(batch) == M
@@ -243,10 +244,10 @@ def test_zero_alpha_columns_are_sure_ties_and_never_recomputed(monkeypatch):
         return local_field(*args, **kwargs)
 
     monkeypatch.setattr(dynamics, "local_field", counting_field)
-    batch = recall_batch(cues, targets, ps, w, max_steps=6)
+    batch = recall_batch(cues, targets, ps, w, RecallConfig(max_steps=6))
     assert recomputes == []
     for cue, t, got in zip(cues, targets, batch):
-        want = _reference_recall(cue, t, ps, w, 6, dynamics.DEFAULT_SUCCESS_THRESHOLD)
+        want = _reference_recall(cue, t, ps, w, 6, RecallConfig.success_threshold)
         assert (got.overlap, got.converged, got.steps, got.success) == (
             want.overlap, want.converged, want.steps, want.success
         )
@@ -265,14 +266,15 @@ def test_recall_trial_recalls_every_pattern_from_its_own_seed(monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(dynamics, "corrupt", recording_corrupt)
-        got = recall_trial(ps, w, 0.25, seeds, max_steps=4, success_threshold=0.8)
+        rcfg = RecallConfig(flip_fraction=0.25, success_threshold=0.8, max_steps=4)
+        got = recall_trial(ps, w, rcfg, seeds)
     assert sorted(corrupted) == list(enumerate(seeds))
     cues = [corrupt(ps.patterns[mu], 0.25, seed) for mu, seed in enumerate(seeds)]
-    want = recall_batch(cues, range(5), ps, w, 4, 0.8)
+    want = recall_batch(cues, range(5), ps, w, rcfg)
     assert len(got) == 5
     for g, r in zip(got, want):
         assert (g.overlap, g.converged, g.steps, g.success) == (
             r.overlap, r.converged, r.steps, r.success
         )
     with pytest.raises(ValueError):  # one seed per stored pattern
-        recall_trial(ps, w, 0.25, seeds[:4])
+        recall_trial(ps, w, rcfg, seeds[:4])

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from hopgeo import klr, sweep
 from hopgeo.config import ConfigError
+from hopgeo.dynamics import RecallConfig
 from hopgeo.errors import ArgumentError, FieldError
 from hopgeo.klr import TrainConfig
 from hopgeo.sweep import (
@@ -186,7 +187,7 @@ def test_pool_map_forks_whatever_the_default_start_method(monkeypatch):
 def test_grid_csv_roundtrip(tmp_path):
     cfg = tiny_config(metrics=("lambda_max", "d_eff", "euclid_norm_sq",
                                "riemann_norm_sq", "rank1_residual", "recall_rate"),
-                      recall_max_steps=20)
+                      recall=RecallConfig(max_steps=20))
     cells = [rec.cell for rec in run_grid(cfg, workers=1)]
     path = tmp_path / "grid.csv"
     write_grid_csv(cells, path)
@@ -308,7 +309,7 @@ def test_duplicate_key_rejected(tmp_path):
 def test_aggregation_sanity():
     cfg = tiny_config(metrics=("lambda_max", "d_eff", "euclid_norm_sq",
                                "riemann_norm_sq", "rank1_residual", "recall_rate"),
-                      recall_max_steps=20)
+                      recall=RecallConfig(max_steps=20))
     for cell in (rec.cell for rec in run_grid(cfg, workers=1)):
         assert cell.lambda_max_mean > 0
         assert cell.lambda_max_sd >= 0
@@ -350,7 +351,7 @@ def test_shared_spectra_match_per_neuron_reference_bit_for_bit(monkeypatch, case
     gamma, load, overrides = SHARED_SPECTRUM_CASES[case]
     cfg = tiny_config(metrics=("lambda_max", "d_eff", "euclid_norm_sq",
                                "riemann_norm_sq", "rank1_residual", "recall_rate"),
-                      recall_max_steps=20, trials_per_cell=3, **overrides)
+                      recall=RecallConfig(max_steps=20), trials_per_cell=3, **overrides)
     seen = []  # every spectrum passed on, kept alive so that id() tells groups apart
     shared = sweep.neuron_spectra
 
@@ -391,7 +392,7 @@ def test_grouped_and_stacked_cells_match_the_reference_cell_by_cell(monkeypatch,
                         or descend(Ks, Ts, cfg))
     cfg = tiny_config(gamma_values=[0.01, 0.1, 1.0], load_values=[0.25, 0.5, 0.75],
                       train=TrainConfig(lam=1e-4, learning_rate=0.5, max_epochs=200),
-                      metrics=tuple(sweep.METRICS), recall_max_steps=20)
+                      metrics=tuple(sweep.METRICS), recall=RecallConfig(max_steps=20))
     records = run_grid(cfg, workers)
     want = [_reference_run_cell(gamma, load, cfg, gi, li)
             for li, load in enumerate(cfg.load_values)
