@@ -32,7 +32,7 @@ import numpy as np
 from . import __version__
 from .config import read_config, resolved
 from .dynamics import RecallConfig, recall_trial
-from .errors import ArgumentError, FieldError, NumericError, PoolError, check_range
+from .errors import ArgumentError, FieldError, NumericError, PoolError, check_integer, check_range
 from .infogeo import neuron_spectra, write_spectrum_csv
 from .kernel_core import KernelConfig, format_value, generate_patterns, gram, load_patterns
 from .kernel_core import save_patterns, write_rows
@@ -156,11 +156,11 @@ class TrainRun:
 
     def __post_init__(self):
         # the P x N patterns, 8 bytes each, must fit in one array, as in GridConfig
-        check_range("num_patterns", self.num_patterns, 1, np.iinfo(np.intp).max // 8)
-        check_range("num_neurons", self.num_neurons, 1,
-                    np.iinfo(np.intp).max // (8 * self.num_patterns))
+        check_integer("num_patterns", self.num_patterns, 1, np.iinfo(np.intp).max // 8)
+        check_integer("num_neurons", self.num_neurons, 1,
+                      np.iinfo(np.intp).max // (8 * self.num_patterns))
         check_range("gamma", self.gamma, 0, lo_open=True)
-        check_range("seed", self.seed, 0)
+        check_integer("seed", self.seed, 0)
 
 
 def cmd_train(args, argv) -> int:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ArgumentError, check_index, check_range
+from .errors import ArgumentError, check_index, check_integer, check_range
 from .kernel_core import PatternSet, check_bipolar, corrupt, rbf_of_inner
 from .klr import DualWeights
 
@@ -34,7 +34,7 @@ class RecallConfig:
 
     def __post_init__(self):
         check_range("recall_flip_fraction", self.flip_fraction, 0, 1)
-        check_range("recall_max_steps", self.max_steps, 1)
+        check_integer("recall_max_steps", self.max_steps, 1)
         check_range("success_threshold", self.success_threshold, 0, 1, lo_open=True)
 
 

@@ -1,4 +1,4 @@
-"""Every exception type of the package, the one numeric range check and the index check.
+"""Every exception type of the package and the one range check, with its integer and index forms.
 
 A type exists only where a handler tells it apart or it carries data. Each is
 an ArgumentError, which cli.main ends in exit 2, a NumericError, which it ends
@@ -57,12 +57,17 @@ def check_range(field: str, value, lo, hi=math.inf, lo_open=False, hi_open=False
         raise FieldError(field, f"must {rule}, got {value}")
 
 
-def check_index(field: str, value, size: int) -> None:
-    """Raise FieldError naming `field` unless `value` is an integer, not a bool, in [0, size)."""
+def check_integer(field: str, value, lo, hi=math.inf, hi_open=False) -> None:
+    """check_range of an integer setting: a bool, or a value that is not numbers.Integral
+    (numpy's integers are), raises FieldError `must be an integer, got 2.5`."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise FieldError(field, f"must be an integer, got {value}")
-    if not 0 <= value < size:
-        check_range(field, value, 0, size, hi_open=True)  # raises, stating the range
+    check_range(field, value, lo, hi, hi_open=hi_open)
+
+
+def check_index(field: str, value, size: int) -> None:
+    """Raise FieldError naming `field` unless `value` is an integer, not a bool, in [0, size)."""
+    check_integer(field, value, 0, size, hi_open=True)
 
 
 class NumericError(ValueError):

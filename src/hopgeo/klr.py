@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ArgumentError, TrainingDivergenceError, check_range
+from .errors import ArgumentError, TrainingDivergenceError, check_integer, check_range
 from .kernel_core import KernelConfig, PatternSet, gram, read_artifact, write_rows
 
 # Loss may not increase by more than this between accepted epochs.
@@ -41,7 +41,7 @@ class TrainConfig:
     def __post_init__(self):
         check_range("lambda", self.lam, 0)
         check_range("learning_rate", self.learning_rate, 0, lo_open=True)
-        check_range("max_epochs", self.max_epochs, 1)
+        check_integer("max_epochs", self.max_epochs, 1)
         check_range("grad_tol", self.grad_tol, 0, lo_open=True)
 
 
@@ -182,7 +182,9 @@ def _descend_blocks(Ks, Ts, cfg: TrainConfig, start: int, As, idx):
             for K, x, g in grads[s]:
                 np.matmul(K, x, out=g)
             G += np.multiply(cfg.lam, H, out=S)
-            np.subtract(At[s], np.multiply(cfg.learning_rate, G, out=S), out=At[s + 1])
+            # lr * Grad goes to the next slot in its own layout, so the step is not strided
+            np.multiply(cfg.learning_rate, G, out=At[s + 1], order="F")
+            np.subtract(At[s], At[s + 1], out=At[s + 1])
         done = [_converged(Gb[:b, r], cfg.grad_tol) for r in rows]
         tripped = [int(d.any(axis=1).argmax()) for d in done if d.any()]
         if tripped:
@@ -201,34 +203,26 @@ def _descend_blocks(Ks, Ts, cfg: TrainConfig, start: int, As, idx):
 def _descend(Ks, Ts, cfg: TrainConfig) -> list:
     """The FitResults of certified fits of one N, stepped as one stack (_descend_blocks).
 
-    Every epoch lowers every loss, so only grad_tol stops a column. At a trip the fits
-    whose columns reached it leave the stack: each goes on alone over its columns still
-    active, and the others resume stacked. A is F-ordered like a gather A[:, idx]: BLAS
+    Every epoch lowers every loss, so only grad_tol stops a column. At the first epoch
+    where a fit of the stack has a column at grad_tol, the stack ends and every fit goes
+    on alone over its columns still active. A is F-ordered like a gather A[:, idx]: BLAS
     rounds K @ A differently per layout.
     """
     N = Ts[0].shape[1]
     As = [np.zeros(T.shape, order="F") for T in Ts]
     converged = [np.zeros(N, dtype=bool) for _ in Ts]
     epochs = [0] * len(Ts)
-    runs = [(list(range(len(Ts))), 0, np.arange(N))] if N else []  # (fits, epoch, columns)
+    runs = [(range(len(Ts)), 0, np.arange(N))] if N else []  # (fits, epoch, columns)
     while runs:
         fits, epoch, idx = runs.pop()
-        while fits and epoch < cfg.max_epochs:
-            epoch, done = _descend_blocks([Ks[i] for i in fits], [Ts[i] for i in fits], cfg,
-                                          epoch, [As[i] for i in fits], idx)
-            for i in fits:
-                epochs[i] = epoch if done is None else epoch + 1
-            if done is None:
-                break
-            stacked = []
-            for i, d in zip(fits, done):
-                if not d.any():
-                    stacked.append(i)
-                    continue
-                converged[i][idx[d]] = True
-                if not d.all():
-                    runs.append(([i], epoch + 1, idx[~d]))
-            fits, epoch = stacked, epoch + 1
+        epoch, done = _descend_blocks([Ks[i] for i in fits], [Ts[i] for i in fits], cfg,
+                                      epoch, [As[i] for i in fits], idx)
+        for i in fits:
+            epochs[i] = epoch if done is None else epoch + 1
+        for i, d in zip(fits, done or ()):
+            converged[i][idx[d]] = True
+            if not d.all() and epoch + 1 < cfg.max_epochs:
+                runs.append(([i], epoch + 1, idx[~d]))
     return [FitResult(np.ascontiguousarray(A), e, [], c)
             for A, e, c in zip(As, epochs, converged)]
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from .config import read_config
 from .dynamics import RecallConfig, recall_trial
-from .errors import ArgumentError, FieldError, PoolError, check_index, check_range
+from .errors import ArgumentError, FieldError, PoolError, check_index, check_integer, check_range
 from .infogeo import DEFAULT_REL_CUTOFF, GradientReport, gradient_report, neuron_spectra
 from .kernel_core import KernelConfig, generate_patterns, gram, read_text, write_rows
 from .klr import DualWeights, TrainConfig, all_targets, fit_many
@@ -105,14 +105,14 @@ class GridConfig:
             if any(a >= b for a, b in zip(values, values[1:])):
                 raise FieldError(name, "must be strictly ascending")
         # at most an array dimension, which also keeps num_neurons * load a finite float
-        check_range("num_neurons", self.num_neurons, 1, np.iinfo(np.intp).max)
+        check_integer("num_neurons", self.num_neurons, 1, np.iinfo(np.intp).max)
         if round(self.num_neurons * min(self.load_values)) < 1:
             raise FieldError("load_values", "times num_neurons must round to at least 1 pattern")
         # the largest load's P x N patterns, 8 bytes each, must fit in one array
         P = round(self.num_neurons * max(self.load_values))
         check_range("num_neurons", self.num_neurons, 1, np.iinfo(np.intp).max // (8 * P))
-        check_range("trials_per_cell", self.trials_per_cell, 1)
-        check_range("base_seed", self.base_seed, 0)
+        check_integer("trials_per_cell", self.trials_per_cell, 1)
+        check_integer("base_seed", self.base_seed, 0)
         check_range("rel_cutoff", self.rel_cutoff, 0, 1, lo_open=True, hi_open=True)
         self.metrics = tuple(self.metrics)
         unknown = set(self.metrics) - set(METRICS)

@@ -1,4 +1,6 @@
 import math
+from dataclasses import fields
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -6,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopgeo import dynamics, sweep
-from hopgeo.dynamics import recall_batch
+from hopgeo.cli import TrainRun
+from hopgeo.dynamics import RecallConfig, recall_batch
 from hopgeo.errors import ArgumentError, ConfigError, FieldError, NumericError
 from hopgeo.errors import TrainingDivergenceError, check_index, check_range
 from hopgeo.kernel_core import generate_patterns
-from hopgeo.klr import DualWeights
+from hopgeo.klr import DualWeights, TrainConfig
 from hopgeo.sweep import GridConfig, run_cell
 
 
@@ -61,6 +64,26 @@ def test_check_index_wants_an_integer_in_range(args, message):
     with pytest.raises(FieldError) as e:
         check_index(*args)
     assert str(e.value) == message
+
+
+# every config with an int-typed field, and the other fields it needs to build
+CONFIGS = {TrainConfig: {}, RecallConfig: {},
+           GridConfig: dict(gamma_values=[1.0], load_values=[0.5], num_neurons=8),
+           TrainRun: dict(num_patterns=4, num_neurons=8, gamma=1.0)}
+INTEGER_FIELDS = [(cls, f) for cls in CONFIGS for f in fields(cls)
+                  if get_type_hints(cls)[f.name] is int]
+
+
+@pytest.mark.parametrize("value", [2.5, True])
+@pytest.mark.parametrize("cls, f", INTEGER_FIELDS,
+                         ids=[f"{cls.__name__}.{f.name}" for cls, f in INTEGER_FIELDS])
+def test_an_integer_setting_refuses_a_float_or_a_bool(cls, f, value):
+    key = f.metadata.get("key", f.name)
+    with pytest.raises(FieldError) as e:
+        cls(**{**CONFIGS[cls], f.name: value})
+    assert e.value.field == key
+    assert str(e.value) == f"{key} must be an integer, got {value}"
+    cls(**{**CONFIGS[cls], f.name: np.int64(3)})  # numpy's integers are integers
 
 
 def bad_indices(size):
